@@ -1,0 +1,8 @@
+"""Make the benchmark modules and the toolkit sources importable."""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(os.path.dirname(BENCH), "src"))
+sys.path.insert(0, BENCH)
