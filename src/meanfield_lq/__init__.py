@@ -16,6 +16,7 @@ from .errors import (
     MeanfieldLQError,
     NonFinite,
     NonSquare,
+    NumericalBreakdown,
     ProblemFormatError,
 )
 from .matrices import PsdVerdict, eig_general_2x2, pinv, psd_check, range_residual

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import model, montecarlo as mc, recursion, tree
-from .errors import MeanfieldLQError, ProblemFormatError
+from .errors import MeanfieldLQError, NumericalBreakdown, ProblemFormatError
 from .model import InitialPair, canonical_dumps
 
 EXIT_OK = 0
@@ -210,9 +210,6 @@ def cmd_epsilon_sweep(args) -> int:
     if not eps_list or any(e <= 0.0 for e in eps_list):
         raise MeanfieldLQError("--eps values must be strictly positive")
 
-    tables = recursion.solve_symmetric(p)
-    verdicts, _ = recursion.convexity_margins(p, tables)
-    margins = [v.min_eigenvalue for v in verdicts]
     _, gains0, report0 = recursion.solve_gdre_global(p)
 
     def gain_norm(g):
@@ -247,7 +244,7 @@ def cmd_epsilon_sweep(args) -> int:
         "tool_version": __version__,
         "input_sha256": sha,
         "warnings": warnings,
-        "convexity_margins": margins,
+        "convexity_margins": report0.convexity_margins,
         "unperturbed_verdict_all_pairs": report0.verdict_all_pairs,
         "sweep": rows,
     }
@@ -320,6 +317,9 @@ def main(argv=None) -> int:
     try:
         _threads_cap()
         return args.fn(args)
+    except NumericalBreakdown as exc:
+        print(f"error: numerical breakdown: {exc}", file=sys.stderr)
+        return EXIT_VIOLATED
     except (MeanfieldLQError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -31,3 +31,7 @@ class EmptyConfig(MeanfieldLQError):
 
 class ProblemFormatError(MeanfieldLQError):
     """A problem file could not be parsed or failed validation."""
+
+
+class NumericalBreakdown(MeanfieldLQError):
+    """A recursion produced a non-finite entry (overflow or NaN)."""

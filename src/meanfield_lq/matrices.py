@@ -26,8 +26,8 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def sym_part(m: np.ndarray) -> np.ndarray:
-    """Symmetric part (M + M^T) / 2."""
-    return 0.5 * (m + m.T)
+    """Symmetric part (M + M^T) / 2 (of every matrix in a stack)."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 def fro(m) -> float:

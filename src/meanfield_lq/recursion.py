@@ -2,28 +2,36 @@
 
 The solvers fill doubly-indexed tables keyed by (start index k, stage l):
 a symmetric pair (P, script-P), a generally nonsymmetric pair (T, script-T)
-and an affine term pi.  Gains are frozen per start index while sweeping k
-from N-1 down to 0 -- the unique causal order in which every pseudoinverse
-the recursions reference is already available.
+and an affine term pi.  Row k at stage l needs row k at stage l + 1 and the
+gains of step l, and those gains need only row l at stage l + 1.  So the
+general solver sweeps stages l = N-1 .. 0 once: at stage l, row l of stage
+l + 1 is final, one pseudoinverse fixes the step-l gains, and rows 0..l
+then advance to stage l together as stacked arrays.  Every value is final
+before anything reads it, which is what makes the order causal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import matrices as mx
-from .errors import EpsilonNonPositive, HorizonMismatch
+from .errors import EpsilonNonPositive, HorizonMismatch, NumericalBreakdown
 from .matrices import PsdVerdict
-from .model import InitialPair, ProblemData
+from .model import FAMILY_NAMES, InitialPair, ProblemData
 
 RANGE_TOL = 1e-8
 
 
 @dataclass
 class RecursionTables:
-    """Solution tables, keyed by (k, l) with 0 <= k <= N-1, k <= l <= N."""
+    """Solution tables, keyed by (k, l) with 0 <= k <= N-1, k <= l <= N.
+
+    The stage-sweep solvers fill each dict with views into one stacked
+    (N, N + 1, ...) array per table.
+    """
 
     N: int
     P: dict = field(default_factory=dict)
@@ -84,26 +92,85 @@ class SolvabilityReport:
         }
 
 
+def _stack(p: ProblemData) -> SimpleNamespace:
+    """The problem's (t, k) families as zero-padded (N, N, ...) arrays.
+
+    Also carries the script sums (cA = A + Abar, ...) and the terminal
+    data G, script-G and g as (N, ...) arrays.
+    """
+    t, k = np.triu_indices(p.N)
+    pairs = list(zip(t.tolist(), k.tolist()))
+    s = SimpleNamespace()
+    for name in FAMILY_NAMES:
+        fam = getattr(p, name)
+        stacked = np.zeros((p.N, p.N) + p.shape_of(name))
+        stacked[t, k] = [fam[tk] for tk in pairs]
+        setattr(s, name, stacked)
+    for name in ("A", "B", "C", "D", "Q", "R"):
+        setattr(s, "c" + name, getattr(s, name) + getattr(s, name + "bar"))
+    s.G = np.array(p.G, dtype=float).reshape(p.N, p.n, p.n)
+    s.cG = s.G + np.array(p.Gbar, dtype=float).reshape(p.N, p.n, p.n)
+    s.g = np.array(p.g, dtype=float).reshape(p.N, p.n)
+    return s
+
+
+def _t(x: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix in a stack."""
+    return np.swapaxes(x, -1, -2)
+
+
+def _tables(N: int, **stacks) -> RecursionTables:
+    """Views of (N, N + 1, ...) stacked tables under their (k, l) keys."""
+    keys = [(k, l) for k in range(N) for l in range(k, N + 1)]
+    return RecursionTables(N, **{name: {kl: a[kl] for kl in keys} for name, a in stacks.items()})
+
+
+def _check_finite(l: int, row0: int = 0, **stacks) -> None:
+    """Raise NumericalBreakdown if a stage-l stack (rows row0, row0 + 1, ...)
+    holds a non-finite entry, naming the table and its first bad row."""
+    for name, rows in stacks.items():
+        if not np.isfinite(rows).all():
+            bad = ~np.isfinite(rows.reshape(len(rows), -1)).all(axis=1)
+            raise NumericalBreakdown(
+                f"stage {l}: {name} is non-finite from row k={row0 + int(np.argmax(bad))}"
+            )
+
+
+def _symmetric_stage(s: SimpleNamespace, P: np.ndarray, Pc: np.ndarray, l: int):
+    """Advance rows 0..l of P and script-P from stage l + 1 to stage l.
+
+    Returns the products A' P, C' P, scr-A' scr-P and scr-C' P at stage
+    l + 1, which the coupled recursions reuse.
+    """
+    rows = slice(0, l + 1)
+    A, C, cA, cC = s.A[rows, l], s.C[rows, l], s.cA[rows, l], s.cC[rows, l]
+    Pn, Pcn = P[rows, l + 1], Pc[rows, l + 1]
+    AtP, CtP = _t(A) @ Pn, _t(C) @ Pn
+    cAtPc, cCtP = _t(cA) @ Pcn, _t(cC) @ Pn
+    P[rows, l] = mx.sym_part(s.Q[rows, l] + AtP @ A + CtP @ C)
+    Pc[rows, l] = mx.sym_part(s.cQ[rows, l] + cAtPc @ cA + cCtP @ cC)
+    _check_finite(l, P=P[rows, l], Pcal=Pc[rows, l])
+    return AtP, CtP, cAtPc, cCtP
+
+
+# overflow is reported as NumericalBreakdown, so numpy's warnings are silenced
+@np.errstate(over="ignore", invalid="ignore")
 def solve_symmetric(p: ProblemData) -> RecursionTables:
     """Fill the symmetric tables P and script-P by backward induction.
 
     For each start index k: P[k][N] = G_k, script-P[k][N] = script-G_k, then
     P[k][l]        = Q + A' P A + C' P C           (plain blocks)
     script-P[k][l] = scr-Q + scr-A' scr-P scr-A + scr-C' P scr-C
-    with every result re-symmetrised to kill roundoff drift.
+    with every result re-symmetrised to kill roundoff drift.  Rows advance
+    stage by stage, all rows 0..l of stage l at once.
     """
-    tab = RecursionTables(p.N)
-    cal = p.cal
-    for k in range(p.N):
-        tab.P[k, p.N] = p.G[k].copy()
-        tab.Pcal[k, p.N] = cal.G(k)
-        for l in range(p.N - 1, k - 1, -1):
-            A, C = p.A[k, l], p.C[k, l]
-            cA, cC = cal.A(k, l), cal.C(k, l)
-            Pn, Pcn = tab.P[k, l + 1], tab.Pcal[k, l + 1]
-            tab.P[k, l] = mx.sym_part(p.Q[k, l] + A.T @ Pn @ A + C.T @ Pn @ C)
-            tab.Pcal[k, l] = mx.sym_part(cal.Q(k, l) + cA.T @ Pcn @ cA + cC.T @ Pn @ cC)
-    return tab
+    N, n = p.N, p.n
+    s = _stack(p)
+    P, Pc = np.zeros((N, N + 1, n, n)), np.zeros((N, N + 1, n, n))
+    P[:, N], Pc[:, N] = s.G, s.cG
+    for l in range(N - 1, -1, -1):
+        _symmetric_stage(s, P, Pc, l)
+    return _tables(N, P=P, Pcal=Pc)
 
 
 def assemble_m2(p: ProblemData, tables: RecursionTables, k: int) -> np.ndarray:
@@ -124,90 +191,86 @@ def convexity_margins(p: ProblemData, tables: RecursionTables,
     return verdicts, mats
 
 
-def _gain_blocks(p, tables, k, epsilon):
-    cal = p.cal
-    cB, cD = cal.B(k, k), cal.D(k, k)
-    PT = tables.P[k, k + 1] + tables.T[k, k + 1]
-    PcTc = tables.Pcal[k, k + 1] + tables.Tcal[k, k + 1]
-    W = cal.R(k, k) + cB.T @ PcTc @ cB + cD.T @ PT @ cD
-    if epsilon:
-        W = W + epsilon * np.eye(p.m)
-    H = cB.T @ PcTc @ cal.A(k, k) + cD.T @ PT @ cal.C(k, k)
-    beta = cB.T @ (PcTc @ p.f[k, k] + tables.pi[k, k + 1]) + cD.T @ (PT @ p.d[k, k]) + p.rho[k, k]
-    return W, H, beta
-
-
-def solve_gdre_global(p: ProblemData, tables: RecursionTables | None = None,
-                      epsilon: float = 0.0,
+@np.errstate(over="ignore", invalid="ignore")
+def solve_gdre_global(p: ProblemData, epsilon: float = 0.0,
                       range_tol: float = RANGE_TOL) -> tuple[RecursionTables, GainSchedule, SolvabilityReport]:
-    """Solve the coupled nonsymmetric tables and assemble the gain schedule.
+    """Solve every table and assemble the gain schedule in one stage sweep.
 
-    Outer loop over start index k = N-1 .. 0.  While processing k, the inner
-    stage loop l = N-1 .. k+1 only references gains of start indices l > k,
-    which were frozen in earlier outer iterations; the gains of index k are
-    assembled (and their pseudoinverse fixed) from the stage-(k+1) tables
-    before the diagonal entries at l = k are filled.
+    For l = N-1 .. 0: the gains of step l are assembled (and their
+    pseudoinverse fixed) from row l at stage l + 1, then rows 0..l of P,
+    script-P, T, script-T and pi advance to stage l as stacked arrays.
+    Each row's arithmetic is that of a per-cell update, operand for
+    operand, so a row does not depend on how many rows share its stage.
 
     ``epsilon`` > 0 adds epsilon * I to the control weight sum inside the
     W blocks only (the perturbed-cost variant); the recursions themselves
     are unchanged apart from flowing through the perturbed pseudoinverses.
+
+    Raises NumericalBreakdown when a stage produces a non-finite entry.
     """
-    if tables is None:
-        tables = solve_symmetric(p)
     N, n, m = p.N, p.n, p.m
-    cal = p.cal
-    W = [None] * N
-    Wdag = [None] * N
-    H = [None] * N
-    beta = [None] * N
-    Psi = [None] * N
-    alpha = [None] * N
+    s = _stack(p)
+    P, Pc, T, Tc = (np.zeros((N, N + 1, n, n)) for _ in range(4))
+    pi = np.zeros((N, N + 1, n))
+    P[:, N], Pc[:, N], pi[:, N] = s.G, s.cG, s.g
+    W, Wdag, H, beta, Psi, alpha = ([None] * N for _ in range(6))
 
-    for k in range(N - 1, -1, -1):
-        tables.T[k, N] = np.zeros((n, n))
-        tables.Tcal[k, N] = np.zeros((n, n))
-        tables.pi[k, N] = p.g[k].copy()
+    for l in range(N - 1, -1, -1):
+        PT = P[l, l + 1] + T[l, l + 1]
+        PcTc = Pc[l, l + 1] + Tc[l, l + 1]
+        dA, dB, dC, dD = s.cA[l, l], s.cB[l, l], s.cC[l, l], s.cD[l, l]
+        W[l] = s.cR[l, l] + dB.T @ PcTc @ dB + dD.T @ PT @ dD
+        if epsilon:
+            W[l] = W[l] + epsilon * np.eye(m)
+        H[l] = dB.T @ PcTc @ dA + dD.T @ PT @ dC
+        beta[l] = dB.T @ (PcTc @ s.f[l, l] + pi[l, l + 1]) + dD.T @ (PT @ s.d[l, l]) + s.rho[l, l]
+        _check_finite(l, l, W=W[l][None], H=H[l][None], beta=beta[l][None])
+        Wdag[l] = mx.pinv(W[l])
+        Psi[l] = -Wdag[l] @ H[l]
+        alpha[l] = -Wdag[l] @ beta[l]
 
-        def step(l):
-            A, C = p.A[k, l], p.C[k, l]
-            B, D = p.B[k, l], p.D[k, l]
-            cA, cB = cal.A(k, l), cal.B(k, l)
-            cC, cD = cal.C(k, l), cal.D(k, l)
-            dA, dB = cal.A(l, l), cal.B(l, l)
-            dC, dD = cal.C(l, l), cal.D(l, l)
-            Pn, Pcn = tables.P[k, l + 1], tables.Pcal[k, l + 1]
-            Tn, Tcn = tables.T[k, l + 1], tables.Tcal[k, l + 1]
-            WdH = Wdag[l] @ H[l]
-            Wdb = Wdag[l] @ beta[l]
-            tables.T[k, l] = (
-                A.T @ Tn @ dA + C.T @ Tn @ dC
-                - (A.T @ Pn @ B + A.T @ Tn @ dB + C.T @ Pn @ D + C.T @ Tn @ dD) @ WdH
-            )
-            tables.Tcal[k, l] = (
-                cA.T @ Tcn @ dA + cC.T @ Tn @ dC
-                - (cA.T @ Pcn @ cB + cA.T @ Tcn @ dB + cC.T @ Pn @ cD + cC.T @ Tn @ dD) @ WdH
-            )
-            tables.pi[k, l] = (
-                cA.T @ Pcn @ (p.f[k, l] - cB @ Wdb)
-                + cA.T @ Tcn @ (p.f[l, l] - dB @ Wdb)
-                + cC.T @ Pn @ (p.d[k, l] - cD @ Wdb)
-                + cC.T @ Tn @ (p.d[l, l] - dD @ Wdb)
-                + cA.T @ tables.pi[k, l + 1]
-                + p.q[k, l]
-            )
+        AtP, CtP, cAtPc, cCtP = _symmetric_stage(s, P, Pc, l)
+        rows = slice(0, l + 1)
+        A, B, C, D = s.A[rows, l], s.B[rows, l], s.C[rows, l], s.D[rows, l]
+        cA, cB, cC, cD = s.cA[rows, l], s.cB[rows, l], s.cC[rows, l], s.cD[rows, l]
+        Tn, Tcn = T[rows, l + 1], Tc[rows, l + 1]
+        AtT, CtT = _t(A) @ Tn, _t(C) @ Tn
+        cAtTc, cCtT = _t(cA) @ Tcn, _t(cC) @ Tn
+        WdH = Wdag[l] @ H[l]
+        Wdb = Wdag[l] @ beta[l]
+        wdb = Wdb[:, None]
+        T[rows, l] = (
+            AtT @ dA + CtT @ dC
+            - (AtP @ B + AtT @ dB + CtP @ D + CtT @ dD) @ WdH
+        )
+        Tc[rows, l] = (
+            cAtTc @ dA + cCtT @ dC
+            - (cAtPc @ cB + cAtTc @ dB + cCtP @ cD + cCtT @ dD) @ WdH
+        )
+        # vectors as (n, 1) columns: the matrix-vector products of a single row
+        pi[rows, l] = (
+            cAtPc @ (s.f[rows, l, :, None] - cB @ wdb)
+            + cAtTc @ (s.f[l, l] - dB @ Wdb)[:, None]
+            + cCtP @ (s.d[rows, l, :, None] - cD @ wdb)
+            + cCtT @ (s.d[l, l] - dD @ Wdb)[:, None]
+            + _t(cA) @ pi[rows, l + 1, :, None]
+            + s.q[rows, l, :, None]
+        )[..., 0]
+        _check_finite(l, T=T[rows, l], Tcal=Tc[rows, l], pi=pi[rows, l])
 
-        for l in range(N - 1, k, -1):
-            step(l)
-        W[k], H[k], beta[k] = _gain_blocks(p, tables, k, epsilon)
-        Wdag[k] = mx.pinv(W[k])
-        Psi[k] = -Wdag[k] @ H[k]
-        alpha[k] = -Wdag[k] @ beta[k]
-        step(k)
-
+    tables = _tables(N, P=P, Pcal=Pc, T=T, Tcal=Tc, pi=pi)
     gains = GainSchedule(W, Wdag, H, beta, Psi, alpha)
     verdicts, mats = convexity_margins(p, tables)
     res_h = [mx.range_residual(W[k], H[k]) for k in range(N)]
     res_b = [mx.range_residual(W[k], beta[k].reshape(m, 1)) for k in range(N)]
+    # finite tables can still have norms that overflow; name the first step, in sweep order
+    for k in range(N - 1, -1, -1):
+        for name, value in (("convexity margin", verdicts[k].min_eigenvalue),
+                            ("PSD tolerance", verdicts[k].tolerance_used),
+                            ("range residual of H", res_h[k]),
+                            ("range residual of beta", res_b[k])):
+            if not np.isfinite(value):
+                raise NumericalBreakdown(f"stage {k}: {name} is non-finite (table norms overflow)")
     ok = (
         all(v.is_psd for v in verdicts)
         and all(r <= range_tol for r in res_h)

@@ -51,6 +51,19 @@ class TestSolve:
         doc = json.loads(out.read_text())
         assert min(doc["solvability"]["convexity_margins"]) < -1.0
 
+    def test_overflow_exits_two_naming_the_stage(self, tmp_path, capsys):
+        z, e = np.zeros((2, 2)), np.eye(2)
+        p = model.from_time_invariant(
+            2, 2, 5, A=1e80 * e, Abar=z, B=e, Bbar=z, C=z, Cbar=z, D=z, Dbar=z,
+            f=np.zeros(2), d=np.zeros(2), Q=e, Qbar=z, R=e, Rbar=z, q=np.zeros(2),
+            rho=np.zeros(2), G=e, Gbar=z, g=np.zeros(2),
+        )
+        path = tmp_path / "overflow.json"
+        model.save(p, path)
+        assert run("solve", "--input", path, "--out", tmp_path / "r.json") == 2
+        err = capsys.readouterr().err
+        assert err == "error: numerical breakdown: stage 3: P is non-finite from row k=0\n"
+
     def test_missing_file_exits_one(self, tmp_path):
         assert run("solve", "--input", tmp_path / "nope.json",
                    "--out", tmp_path / "r.json") == 1

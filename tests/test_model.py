@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,67 @@ from meanfield_lq.errors import DimensionMismatch, ProblemFormatError
 from meanfield_lq.model import InitialPair
 
 from conftest import make_problem
+
+
+def _missing(doc):
+    del doc["data"]["B"]["1,2"]
+
+
+def _wrong_shape(doc):
+    doc["data"]["A"]["0,3"] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+
+def _nan(doc):
+    doc["data"]["C"]["2,2"][0][1] = float("nan")
+
+
+def _null(doc):
+    doc["data"]["rho"]["1,1"][0] = None
+
+
+def _asymmetry_1e13(doc):
+    doc["data"]["Q"]["0,1"][0][1] += 1e-13
+
+
+def _asymmetry_1e3(doc):
+    doc["data"]["R"]["1,3"][1][0] += 1e-3
+
+
+def _gross_asymmetry(doc):
+    doc["data"]["Qbar"]["0,0"][0][1] += 5.0
+
+
+def _out_of_range(doc):
+    doc["data"]["f"]["3,1"] = [0.0, 0.0]
+    doc["data"]["Rbar"]["0,4"] = [[0.0, 0.0], [0.0, 0.0]]
+
+
+def _dense(doc):
+    for name, fam in doc["data"].items():
+        grid = [[None] * 4 for _ in range(4)]
+        for key, block in fam.items():
+            t, k = (int(v) for v in key.split(","))
+            grid[t][k] = block
+        doc["data"][name] = grid
+
+
+def _terminal_asymmetry(doc):
+    doc["terminal"]["G"][2][0][1] += 1e-3
+
+
+# defect -> findings as (severity, path, message), or the ProblemFormatError text
+DEFECTS = (
+    (_missing, "B[1][2]: missing block"),
+    (_wrong_shape, "A[0][3]: shape (2, 3), expected (2, 2)"),
+    (_nan, "C[2][2]: non-finite entries"),
+    (_null, "rho[1][1]: non-finite entries"),
+    (_asymmetry_1e13, []),
+    (_asymmetry_1e3, [("warning", "R[1][3]", "symmetrised (defect 0.001)")]),
+    (_gross_asymmetry, "Qbar[0][0]: asymmetric (defect 5)"),
+    (_out_of_range, "Rbar[0][4]: index out of range; f[3][1]: index out of range"),
+    (_dense, []),
+    (_terminal_asymmetry, [("warning", "G[2]", "symmetrised (defect 0.001)")]),
+)
 
 
 class TestExampleFixture:
@@ -191,6 +254,34 @@ class TestJson:
     def test_not_json_rejected(self):
         with pytest.raises(ProblemFormatError):
             model.from_json("{nope")
+
+    def test_defect_findings(self):
+        """Each defect on an N = 4 file gives the findings (or the error)
+        recorded before the stacked fast paths of from_json and validate."""
+        text = model.to_json(make_problem(np.random.default_rng(4), 2, 2, 4))
+        for defect, expected in DEFECTS:
+            doc = json.loads(text)
+            defect(doc)
+            if isinstance(expected, str):
+                with pytest.raises(ProblemFormatError) as err:
+                    model.from_json(json.dumps(doc))
+                assert str(err.value) == expected, defect.__name__
+                continue
+            parsed, findings = model.from_json(json.dumps(doc))
+            assert [(f.severity, f.path, f.message) for f in findings] == expected, defect.__name__
+            for name in ("Q", "R"):
+                for tk, block in getattr(parsed, name).items():
+                    assert np.array_equal(block, block.T), (name, tk)
+            G2 = parsed.G[2]
+            assert np.array_equal(G2, G2.T)
+
+    def test_symmetrisation_repairs_in_place(self):
+        doc = json.loads(model.to_json(make_problem(np.random.default_rng(4), 2, 2, 4)))
+        bad = np.array(doc["data"]["R"]["1,3"])
+        bad[1, 0] += 1e-3
+        doc["data"]["R"]["1,3"] = bad.tolist()
+        parsed, _ = model.from_json(json.dumps(doc))
+        assert np.array_equal(parsed.R[1, 3], 0.5 * (bad + bad.T))
 
     def test_missing_block_rejected(self, example):
         import json

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from meanfield_lq import model, recursion, tree
-from meanfield_lq.errors import EpsilonNonPositive
+from meanfield_lq.errors import EpsilonNonPositive, NumericalBreakdown
 from meanfield_lq.model import InitialPair
 
 from conftest import make_problem
@@ -17,6 +17,28 @@ def identity_dynamics_problem(N=3):
         f=np.zeros(1), d=np.zeros(1), Q=z, Qbar=z, R=one, Rbar=z,
         q=np.zeros(1), rho=np.zeros(1), G=one, Gbar=z, g=np.zeros(1),
     )
+
+
+def zero_weight_problem(rho=0.0):
+    """identity_dynamics_problem with no control: W = 0 at every step."""
+    p = identity_dynamics_problem()
+    for t, k in p.pairs():
+        p.R[t, k] = np.zeros((1, 1))
+        p.B[t, k] = np.zeros((1, 1))
+        p.D[t, k] = np.zeros((1, 1))
+        p.rho[t, k] = rho * np.ones(1)
+    return p
+
+
+def tail_problem(p, s):
+    """The instance restricted to start indices >= s, re-indexed from 0."""
+    out = model.ProblemData(p.n, p.m, p.N - s)
+    for name in model.FAMILY_NAMES:
+        src, dst = getattr(p, name), getattr(out, name)
+        for t, k in out.pairs():
+            dst[t, k] = src[t + s, k + s]
+    out.G, out.Gbar, out.g = p.G[s:], p.Gbar[s:], p.g[s:]
+    return out
 
 
 def duplicated_control_problem(rng, n=2, N=3):
@@ -159,20 +181,76 @@ class TestSolveGdreGlobal:
             assert np.max(np.abs(g2.alpha[k] - g1.alpha[k])) <= 1e-9 * (1 + np.max(np.abs(g1.alpha[k])))
 
 
+class TestStageSweep:
+    def test_tail_rows_match_tail_problem_bitwise(self, rng):
+        # a row's arithmetic must not depend on how many rows share its stage
+        for n, m, N in ((2, 2, 9), (1, 3, 6), (3, 1, 5)):
+            p = make_problem(rng, n, m, N, scale=0.3)
+            tab, gains, _ = recursion.solve_gdre_global(p)
+            for s in (1, N // 2, N - 1):
+                sub_tab, sub_gains, _ = recursion.solve_gdre_global(tail_problem(p, s))
+                for k in range(s, N):
+                    for name in ("W", "Wdag", "H", "beta", "Psi", "alpha"):
+                        assert (getattr(gains, name)[k].tobytes()
+                                == getattr(sub_gains, name)[k - s].tobytes())
+                    for l in range(k, N + 1):
+                        for name in ("P", "Pcal", "T", "Tcal", "pi"):
+                            assert (getattr(tab, name)[k, l].tobytes()
+                                    == getattr(sub_tab, name)[k - s, l - s].tobytes())
+
+    def test_table_keys_are_triangular(self, rng):
+        p = make_problem(rng, 2, 1, 4)
+        tab, _, _ = recursion.solve_gdre_global(p)
+        keys = [(k, l) for k in range(4) for l in range(k, 5)]
+        for name in ("P", "Pcal", "T", "Tcal", "pi"):
+            assert list(getattr(tab, name)) == keys
+        assert list(recursion.solve_symmetric(p).P) == keys
+
+    def test_overflow_names_stage_table_and_row(self):
+        z, e = np.zeros((2, 2)), np.eye(2)
+        p = model.from_time_invariant(
+            2, 2, 5, A=1e80 * e, Abar=z, B=e, Bbar=z, C=z, Cbar=z, D=z, Dbar=z,
+            f=np.zeros(2), d=np.zeros(2), Q=e, Qbar=z, R=e, Rbar=z, q=np.zeros(2),
+            rho=np.zeros(2), G=e, Gbar=z, g=np.zeros(2),
+        )
+        with pytest.raises(NumericalBreakdown, match=r"^stage 3: P is non-finite from row k=0$"):
+            recursion.solve_gdre_global(p)
+        with pytest.raises(NumericalBreakdown, match=r"^stage 3: P "):
+            recursion.solve_symmetric(p)
+
+    def test_norm_overflow_of_finite_tables_is_a_breakdown(self):
+        # P[0, 1] = 1e200 I is finite, but its Frobenius norm, and with it
+        # the step-0 PSD tolerance, is not
+        z, e = np.zeros((2, 2)), np.eye(2)
+        p = model.from_time_invariant(
+            2, 2, 2, A=[0.5 * e, 1e100 * e], Abar=z, B=e, Bbar=z, C=z, Cbar=z, D=z,
+            Dbar=z, f=np.zeros(2), d=np.zeros(2), Q=e, Qbar=z, R=e, Rbar=z,
+            q=np.zeros(2), rho=np.zeros(2), G=e, Gbar=z, g=np.zeros(2),
+        )
+        with pytest.raises(NumericalBreakdown, match=r"^stage 0: PSD tolerance is non-finite"):
+            recursion.solve_gdre_global(p)
+
+
 class TestAffineFeedbackTables:
     def test_matches_global_solution_under_solved_feedback(self, rng):
-        for _ in range(5):
-            p = make_problem(rng, 2, 2, 4, convex=False)
+        # random (n, m, N) down to 1, plus singular and zero W
+        cases = [make_problem(rng, n, m, N, convex=convex)
+                 for n, m, N, convex in ((1, 1, 1, True), (1, 1, 5, False), (2, 1, 4, True),
+                                         (1, 2, 4, False), (2, 2, 4, False), (3, 2, 5, True),
+                                         (2, 3, 3, False))]
+        cases += [duplicated_control_problem(rng), zero_weight_problem(), zero_weight_problem(1.0)]
+
+        def close(a, b):
+            return np.max(np.abs(a - b)) <= 1e-12 * (1.0 + np.max(np.abs(b)))
+
+        for p in cases:
             tab, gains, _ = recursion.solve_gdre_global(p)
-            for k in (0, 2):
+            for k in range(p.N):
                 T, Tb, pi = recursion.affine_feedback_tables(p, gains.Psi, gains.alpha, k, tab)
                 for l in range(k, p.N + 1):
-                    scale = 1.0 + np.max(np.abs(tab.T[k, l]))
-                    assert np.max(np.abs(T[l] - tab.T[k, l])) <= 1e-10 * scale
-                    assert np.max(np.abs(T[l] + Tb[l] - tab.Tcal[k, l])) <= 1e-10 * scale
-                    assert np.max(np.abs(pi[l] - tab.pi[k, l])) <= 1e-10 * (
-                        1.0 + np.max(np.abs(tab.pi[k, l]))
-                    )
+                    assert close(T[l], tab.T[k, l])
+                    assert close(T[l] + Tb[l], tab.Tcal[k, l])
+                    assert close(pi[l], tab.pi[k, l])
 
     def test_zero_feedback_homogeneous(self, rng):
         p = make_problem(rng, 2, 2, 3, homogeneous=True)
@@ -250,11 +328,7 @@ class TestSolveFixedPair:
 class TestDegenerateWeight:
     def test_zero_weight_uses_zero_feedback(self):
         # W = 0 everywhere: pseudoinverse 0, zero gains, zero residuals
-        p = identity_dynamics_problem()
-        for t, k in p.pairs():
-            p.R[t, k] = np.zeros((1, 1))
-            p.B[t, k] = np.zeros((1, 1))
-            p.D[t, k] = np.zeros((1, 1))
+        p = zero_weight_problem()
         _, gains, report = recursion.solve_gdre_global(p)
         for k in range(p.N):
             assert not gains.W[k].any()
@@ -267,13 +341,7 @@ class TestDegenerateWeight:
 
     def test_zero_weight_with_live_offset_is_flagged(self):
         # same degenerate W but a cost gradient the control cannot cancel
-        p = identity_dynamics_problem()
-        for t, k in p.pairs():
-            p.R[t, k] = np.zeros((1, 1))
-            p.B[t, k] = np.zeros((1, 1))
-            p.D[t, k] = np.zeros((1, 1))
-            p.rho[t, k] = np.ones(1)
-        _, gains, report = recursion.solve_gdre_global(p)
+        _, gains, report = recursion.solve_gdre_global(zero_weight_problem(rho=1.0))
         assert max(report.rangeBeta_residuals) > 1e-3
         assert not report.verdict_all_pairs
 
