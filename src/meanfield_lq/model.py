@@ -509,12 +509,22 @@ def _read_stacked(entry: dict, parsed: dict) -> dict | None:
     return dict(zip(keys, blocks))
 
 
+def _block(value, where: str) -> np.ndarray:
+    """One block as a float array; a non-numeric block is a format error."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProblemFormatError(f"{where}: not a numeric block ({exc})") from exc
+
+
 def from_json(text: str) -> tuple[ProblemData, list[Finding]]:
     """Parse and validate a problem file; raises ProblemFormatError on errors."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ProblemFormatError("the document must be an object")
     for key in ("n", "m", "N", "data", "terminal"):
         if key not in doc:
             raise ProblemFormatError(f"missing top-level key {key!r}")
@@ -542,22 +552,26 @@ def from_json(text: str) -> tuple[ProblemData, list[Finding]]:
                     t, k = int(t_s), int(k_s)
                 except ValueError as exc:
                     raise ProblemFormatError(f"{name}: bad index key {key!r}") from exc
-                fam[t, k] = np.asarray(block, dtype=float)
+                fam[t, k] = _block(block, f"{name}[{t}][{k}]")
         elif isinstance(entry, list):
             # dense layout: entry[t][k], null below the diagonal
             for t, row in enumerate(entry):
+                if not isinstance(row, list):
+                    raise ProblemFormatError(f"{name}[{t}]: expected a list of blocks")
                 for k, block in enumerate(row):
                     if block is not None:
-                        fam[t, k] = np.asarray(block, dtype=float)
+                        fam[t, k] = _block(block, f"{name}[{t}][{k}]")
         else:
             raise ProblemFormatError(f"{name}: expected object or list")
     term = doc["terminal"]
+    if not isinstance(term, dict):
+        raise ProblemFormatError("'terminal' must be an object")
     for key in ("G", "Gbar", "g"):
         if key not in term:
             raise ProblemFormatError(f"missing terminal key {key!r}")
-    p.G = [np.asarray(b, dtype=float) for b in term["G"]]
-    p.Gbar = [np.asarray(b, dtype=float) for b in term["Gbar"]]
-    p.g = [np.asarray(b, dtype=float) for b in term["g"]]
+        if not isinstance(term[key], list):
+            raise ProblemFormatError(f"{key}: expected a list of blocks")
+        setattr(p, key, [_block(b, f"{key}[{t}]") for t, b in enumerate(term[key])])
     findings = validate(p)
     errors = [f for f in findings if f.severity == "error"]
     if errors:

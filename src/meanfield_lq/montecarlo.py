@@ -7,6 +7,13 @@ reruns are bit-identical.
 
 Mean-field terms condition on the supplied initial atom, so every E_t in
 the dynamics and cost is estimated by the cross-path average at that step.
+
+One kernel, ``_rollout``, makes a single pass over the steps.  It holds the
+closed-loop equilibrium state and the (t, .)-family state of all paths in
+one (2n, paths) array, one contiguous row per state component, and at each
+step adds to the per-path cost and records the state moments.  Apart from
+the (paths, N - t) noise matrix it keeps O(n * paths) floats, whatever the
+horizon.
 """
 
 from __future__ import annotations
@@ -75,53 +82,82 @@ def _atom_state(p: ProblemData, init: InitialPair) -> np.ndarray:
     return x
 
 
-def _closed_loop_paths(p: ProblemData, gains, x0: np.ndarray, t: int, w: np.ndarray):
-    """Per-path equilibrium state and control from the feedback schedule."""
-    paths = w.shape[0]
-    cal = p.cal
-    states = {t: np.tile(x0, (paths, 1))}
-    controls = {}
-    for k in range(t, p.N):
-        xk = states[k]
-        uk = gains.control(k, xk)
-        controls[k] = uk
-        drift = xk @ cal.A(k, k).T + uk @ cal.B(k, k).T + p.f[k, k]
-        diff = xk @ cal.C(k, k).T + uk @ cal.D(k, k).T + p.d[k, k]
-        states[k + 1] = drift + diff * w[:, k - t][:, None]
-    return states, controls
+def _rollout(p: ProblemData, gains, t: int, x0: np.ndarray, w: np.ndarray,
+             deviation: np.ndarray | None = None, keep: int = 0):
+    """One pass over steps t..N-1: per-path family costs and state moments.
 
+    The closed-loop equilibrium state x and the (t, .)-family state y are
+    stacked as z = [x; y], a (2n, paths) array whose column i is path i.
+    The control u = Psi_k x + alpha_k is substituted into the blocks, so a
+    step is z <- kd z + cd + (kw z + cw) w_k and its per-path cost is
+    z' weight z + 2 lin'z plus the mean-field terms.  The family sees
+    alpha_t + ``deviation`` at step t; x always follows the equilibrium
+    feedback.  E_t factors are cross-path means, consistent because all
+    paths share the level-t atom.
 
-def _family_cost_paths(p: ProblemData, t: int, x0: np.ndarray, controls: dict,
-                       w: np.ndarray) -> np.ndarray:
-    """Per-path cost of the (t, .)-family system driven by a control table.
-
-    E_t factors (both in the dynamics and the cost) are replaced by
-    cross-path means, which is consistent because all paths share the
-    level-t atom.
+    Returns the per-path family cost, the {"k", "mean", "cov"} moments of x
+    at steps t..N and the first ``keep`` columns of x at each step as a
+    (keep, N-t+1, n) array.
     """
-    paths = w.shape[0]
-    xk = np.tile(x0, (paths, 1))
-    total = np.zeros(paths)
+    n, paths = p.n, w.shape[0]
+    cal = p.cal
+    zero = np.zeros((n, n))
+    z = np.repeat(np.concatenate([x0, x0])[:, None], paths, axis=1)
+    # fixed buffers: at 1e5 paths, allocating fresh (2n, paths) temporaries
+    # at every step measured several times slower than the arithmetic
+    nxt, tmp = np.empty_like(z), np.empty_like(z)  # next state; scratch
+    wk = np.empty(paths)
+    cost = np.zeros(paths)
+    offset = 0.0  # path-independent part of the cost
+    moments, sample = [], []
+
+    def record(k, mean):
+        cov = np.zeros((n, n))
+        if paths > 1:
+            centred = np.subtract(z[:n], mean[:n, None], out=tmp[:n])
+            cov = sym_part(centred @ centred.T * (1.0 / (paths - 1)))
+        moments.append({"k": k, "mean": mean[:n], "cov": cov})
+        sample.append(z[:n, :keep].T.copy())
+
     for k in range(t, p.N):
-        uk = controls[k]
-        mx = xk.mean(axis=0)
-        mu = uk.mean(axis=0)
-        total += np.einsum("ni,ij,nj->n", xk, p.Q[t, k], xk)
-        total += mx @ p.Qbar[t, k] @ mx
-        total += np.einsum("ni,ij,nj->n", uk, p.R[t, k], uk)
-        total += mu @ p.Rbar[t, k] @ mu
-        total += 2.0 * xk @ p.q[t, k]
-        total += 2.0 * uk @ p.rho[t, k]
-        drift = (xk @ p.A[t, k].T + p.Abar[t, k] @ mx
-                 + uk @ p.B[t, k].T + p.Bbar[t, k] @ mu + p.f[t, k])
-        diff = (xk @ p.C[t, k].T + p.Cbar[t, k] @ mx
-                + uk @ p.D[t, k].T + p.Dbar[t, k] @ mu + p.d[t, k])
-        xk = drift + diff * w[:, k - t][:, None]
-    mx = xk.mean(axis=0)
-    total += np.einsum("ni,ij,nj->n", xk, p.G[t], xk)
-    total += mx @ p.Gbar[t] @ mx
-    total += 2.0 * xk @ p.g[t]
-    return total
+        mean = z.mean(axis=1)
+        record(k, mean)
+        mx, my = mean[:n], mean[n:]
+        psi, alpha = gains.Psi[k], gains.alpha[k]
+        af = alpha if deviation is None or k > t else alpha + deviation
+        mu = psi @ mx + af
+        R, rho = p.R[t, k], p.rho[t, k]
+        weight = np.block([[psi.T @ R @ psi, zero], [zero, p.Q[t, k]]])
+        lin = np.concatenate([psi.T @ (R @ af + rho), p.q[t, k]])
+        np.matmul(weight, z, out=tmp)
+        tmp += 2.0 * lin[:, None]
+        cost += np.einsum("in,in->n", tmp, z)
+        offset += (my @ p.Qbar[t, k] @ my + mu @ p.Rbar[t, k] @ mu
+                   + af @ R @ af + 2.0 * rho @ af)
+
+        kd = np.block([[cal.A(k, k) + cal.B(k, k) @ psi, zero], [p.B[t, k] @ psi, p.A[t, k]]])
+        kw = np.block([[cal.C(k, k) + cal.D(k, k) @ psi, zero], [p.D[t, k] @ psi, p.C[t, k]]])
+        cd = np.concatenate([cal.B(k, k) @ alpha + p.f[k, k],
+                             p.B[t, k] @ af + p.Abar[t, k] @ my + p.Bbar[t, k] @ mu + p.f[t, k]])
+        cw = np.concatenate([cal.D(k, k) @ alpha + p.d[k, k],
+                             p.D[t, k] @ af + p.Cbar[t, k] @ my + p.Dbar[t, k] @ mu + p.d[t, k]])
+        np.matmul(kw, z, out=tmp)
+        tmp += cw[:, None]
+        wk[:] = w[:, k - t]  # one gather of the strided column for all 2n rows
+        tmp *= wk
+        np.matmul(kd, z, out=nxt)
+        nxt += tmp
+        nxt += cd[:, None]
+        z, nxt = nxt, z
+
+    mean = z.mean(axis=1)
+    record(p.N, mean)
+    y, my, s = z[n:], mean[n:], tmp[n:]
+    np.matmul(p.G[t], y, out=s)
+    s += 2.0 * p.g[t][:, None]
+    cost += np.einsum("in,in->n", s, y)
+    cost += offset + my @ p.Gbar[t] @ my
+    return cost, moments, np.stack(sample, axis=1)
 
 
 def simulate(p: ProblemData, init: InitialPair, gains, cfg: SimConfig) -> SimResult:
@@ -136,26 +172,13 @@ def simulate(p: ProblemData, init: InitialPair, gains, cfg: SimConfig) -> SimRes
         raise HorizonMismatch(f"initial time {t} >= horizon {p.N}")
     x0 = _atom_state(p, init)
     w = draw_noise(cfg, cfg.paths, p.N - t)
-    states, controls = _closed_loop_paths(p, gains, x0, t, w)
-    costs = _family_cost_paths(p, t, x0, controls, w)
+    keep = min(cfg.keep_paths, cfg.paths)
+    costs, moments, sample = _rollout(p, gains, t, x0, w, keep=keep)
     mean_cost = float(costs.mean())
     std_error = None
     if cfg.paths > 1:
         std_error = float(costs.std(ddof=1) / np.sqrt(cfg.paths))
-    moments = []
-    for k in range(t, p.N + 1):
-        xk = states[k]
-        mean = xk.mean(axis=0)
-        if cfg.paths > 1:
-            cov = sym_part(np.cov(xk.T).reshape(p.n, p.n))
-        else:
-            cov = np.zeros((p.n, p.n))
-        moments.append({"k": k, "mean": mean, "cov": cov})
-    sample = None
-    if cfg.keep_paths:
-        keep = min(cfg.keep_paths, cfg.paths)
-        sample = np.stack([states[k][:keep] for k in range(t, p.N + 1)], axis=1)
-    return SimResult(mean_cost, std_error, moments, sample)
+    return SimResult(mean_cost, std_error, moments, sample if keep else None)
 
 
 def estimate_deviation_gap(p: ProblemData, init: InitialPair, gains, k: int,
@@ -187,11 +210,8 @@ def estimate_deviation_gap(p: ProblemData, init: InitialPair, gains, k: int,
     if delta.shape != (p.m,):
         raise DimensionMismatch(f"perturbation has shape {delta.shape}, expected ({p.m},)")
     w = draw_noise(cfg, cfg.paths, p.N - k)
-    _, controls = _closed_loop_paths(p, gains, xk, k, w)
-    base = _family_cost_paths(p, k, xk, controls, w)
-    deviated = dict(controls)
-    deviated[k] = controls[k] + delta
-    pert = _family_cost_paths(p, k, xk, deviated, w)
+    base, _, _ = _rollout(p, gains, k, xk, w)
+    pert, _, _ = _rollout(p, gains, k, xk, w, deviation=delta)
     gap = pert - base
     se = None
     if cfg.paths > 1:

@@ -1,0 +1,104 @@
+"""Two-pass Monte Carlo estimator, kept as the reference for the fused kernel.
+
+This is the estimator `montecarlo` used before its single pass: the
+closed-loop rollout keeps every step's (paths, n) states and (paths, m)
+controls, then a second pass costs the (t, .)-family system driven by
+those controls.  Same noise, same estimator; only the rounding differs.
+"""
+
+import numpy as np
+
+from meanfield_lq import montecarlo as mc
+from meanfield_lq.matrices import sym_part
+
+
+def closed_loop_paths(p, gains, x0, t, w):
+    """Per-path equilibrium state and control from the feedback schedule."""
+    paths = w.shape[0]
+    cal = p.cal
+    states = {t: np.tile(x0, (paths, 1))}
+    controls = {}
+    for k in range(t, p.N):
+        xk = states[k]
+        uk = gains.control(k, xk)
+        controls[k] = uk
+        drift = xk @ cal.A(k, k).T + uk @ cal.B(k, k).T + p.f[k, k]
+        diff = xk @ cal.C(k, k).T + uk @ cal.D(k, k).T + p.d[k, k]
+        states[k + 1] = drift + diff * w[:, k - t][:, None]
+    return states, controls
+
+
+def family_cost_paths(p, t, x0, controls, w):
+    """Per-path cost of the (t, .)-family system driven by a control table."""
+    paths = w.shape[0]
+    xk = np.tile(x0, (paths, 1))
+    total = np.zeros(paths)
+    for k in range(t, p.N):
+        uk = controls[k]
+        mx = xk.mean(axis=0)
+        mu = uk.mean(axis=0)
+        total += np.einsum("ni,ij,nj->n", xk, p.Q[t, k], xk)
+        total += mx @ p.Qbar[t, k] @ mx
+        total += np.einsum("ni,ij,nj->n", uk, p.R[t, k], uk)
+        total += mu @ p.Rbar[t, k] @ mu
+        total += 2.0 * xk @ p.q[t, k]
+        total += 2.0 * uk @ p.rho[t, k]
+        drift = (xk @ p.A[t, k].T + p.Abar[t, k] @ mx
+                 + uk @ p.B[t, k].T + p.Bbar[t, k] @ mu + p.f[t, k])
+        diff = (xk @ p.C[t, k].T + p.Cbar[t, k] @ mx
+                + uk @ p.D[t, k].T + p.Dbar[t, k] @ mu + p.d[t, k])
+        xk = drift + diff * w[:, k - t][:, None]
+    mx = xk.mean(axis=0)
+    total += np.einsum("ni,ij,nj->n", xk, p.G[t], xk)
+    total += mx @ p.Gbar[t] @ mx
+    total += 2.0 * xk @ p.g[t]
+    return total
+
+
+def simulate(p, init, gains, cfg):
+    """`montecarlo.simulate` computed by the two passes."""
+    t = init.t
+    x0 = np.asarray(init.x, dtype=float)
+    w = mc.draw_noise(cfg, cfg.paths, p.N - t)
+    states, controls = closed_loop_paths(p, gains, x0, t, w)
+    costs = family_cost_paths(p, t, x0, controls, w)
+    std_error = None
+    if cfg.paths > 1:
+        std_error = float(costs.std(ddof=1) / np.sqrt(cfg.paths))
+    moments = []
+    for k in range(t, p.N + 1):
+        xk = states[k]
+        if cfg.paths > 1:
+            cov = sym_part(np.cov(xk.T).reshape(p.n, p.n))
+        else:
+            cov = np.zeros((p.n, p.n))
+        moments.append({"k": k, "mean": xk.mean(axis=0), "cov": cov})
+    sample = None
+    if cfg.keep_paths:
+        keep = min(cfg.keep_paths, cfg.paths)
+        sample = np.stack([states[k][:keep] for k in range(t, p.N + 1)], axis=1)
+    return mc.SimResult(float(costs.mean()), std_error, moments, sample)
+
+
+def deviation_gap(p, init, gains, k, perturbation, cfg):
+    """`montecarlo.estimate_deviation_gap` (default history) by the two passes.
+
+    Also returns the mean restarted cost, the scale of the gap's rounding.
+    """
+    t = init.t
+    cal = p.cal
+    xk = np.asarray(init.x, dtype=float).copy()
+    for j in range(t, k):
+        u = gains.Psi[j] @ xk + gains.alpha[j]
+        xk = (cal.A(j, j) @ xk + cal.B(j, j) @ u + p.f[j, j]
+              + cal.C(j, j) @ xk + cal.D(j, j) @ u + p.d[j, j])
+    w = mc.draw_noise(cfg, cfg.paths, p.N - k)
+    _, controls = closed_loop_paths(p, gains, xk, k, w)
+    base = family_cost_paths(p, k, xk, controls, w)
+    deviated = dict(controls)
+    deviated[k] = controls[k] + np.asarray(perturbation, dtype=float)
+    gap = family_cost_paths(p, k, xk, deviated, w) - base
+    se = None
+    if cfg.paths > 1:
+        se = float(gap.std(ddof=1) / np.sqrt(cfg.paths))
+    return float(gap.mean()), se, float(base.mean())

@@ -73,6 +73,22 @@ class TestSolve:
         bad.write_text("{\"n\": 2}")
         assert run("solve", "--input", bad, "--out", tmp_path / "r.json") == 1
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["data"]["A"].update({"0,0": {"x": 1}}), "A[0][0]: not a numeric block"),
+        (lambda d: d["data"].update({"B": [[[[1.0, 0.0]], None], 3]}), "B[1]: expected a list"),
+        (lambda d: d["terminal"]["Gbar"].__setitem__(1, {"x": 1}), "Gbar[1]: not a numeric block"),
+        (lambda d: d["terminal"].update({"g": 7}), "g: expected a list"),
+        (lambda d: d.update({"terminal": 7}), "'terminal' must be an object"),
+    ], ids=["object-block", "dense-row", "terminal-block", "terminal-family", "terminal"])
+    def test_non_numeric_block_exits_one(self, edit, message, tmp_path, capsys):
+        doc = json.loads(model.to_json(model.bundled_example()))
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("solve", "--input", bad, "--out", tmp_path / "r.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message) and err.count("\n") == 1
+
 
 class TestVerify:
     def test_example_certifies(self, example_file, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from meanfield_lq import model, montecarlo as mc, recursion, tree
 from meanfield_lq.errors import DimensionMismatch, EmptyConfig
 from meanfield_lq.model import InitialPair
 
+import mc_reference
 from conftest import make_problem
 
 
@@ -196,11 +199,109 @@ class TestDeviationGap:
             cfg = mc.SimConfig(paths=4000, seed=int(rng.integers(0, 2**31)))
             w = mc.draw_noise(cfg, cfg.paths, p.N - k)
             xk = x0  # treat x0 as the step-k atom directly
-            _, controls = mc._closed_loop_paths(p, gains, xk, k, w)
-            base = mc._family_cost_paths(p, k, xk, controls, w)
-            deviated = dict(controls)
-            deviated[k] = controls[k] + np.array([0.07, -0.02])
-            pert = mc._family_cost_paths(p, k, xk, deviated, w)
+            base, _, _ = mc._rollout(p, gains, k, xk, w)
+            pert, _, _ = mc._rollout(p, gains, k, xk, w, deviation=np.array([0.07, -0.02]))
             paired = np.var(pert - base)
             independent = np.var(pert) + np.var(base)
             assert paired < independent
+
+
+def _solved(dims):
+    """A seeded convex instance of dims (n, m, N) and its gains; None gives
+    the bundled example."""
+    if dims is None:
+        p = model.bundled_example()
+    else:
+        p = make_problem(np.random.default_rng(17), *dims, scale=0.4)
+    _, gains, _ = recursion.solve_gdre_global(p)
+    return p, gains
+
+
+class TestEnumeratedNoise:
+    """Under Rademacher noise the exact tree is Monte Carlo over all 2^(N-t)
+    sign paths, each with weight 2^-(N-t): the kernel fed the full sign
+    matrix reproduces the tree cost up to rounding."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 8), (1, 1, 6), (3, 2, 10), (2, 2, 1), None])
+    def test_mean_cost_equals_tree_cost(self, dims):
+        p, gains = _solved(dims)
+        x0 = np.linspace(-1.0, 1.0, p.n) + 0.5
+        steps = p.N
+        bits = (np.arange(2**steps)[:, None] >> np.arange(steps)) & 1
+        signs = 1.0 - 2.0 * bits
+        costs, moments, _ = mc._rollout(p, gains, 0, x0, signs)
+        init = InitialPair(0, x0)
+        state, control = tree.equilibrium_pair(p, gains, init)
+        exact = float(tree.cost(p, init, control, 0)[0])
+        assert abs(costs.mean() - exact) <= 1e-12 * abs(exact)
+        for row in moments:
+            nodes = state.values[row["k"]]
+            scale = 1.0 + np.max(np.abs(nodes))
+            assert np.max(np.abs(row["mean"] - nodes.mean(axis=0))) <= 1e-12 * scale
+
+
+class TestAgainstTwoPassReference:
+    """The fused kernel computes the two-pass estimator; only rounding differs."""
+
+    @pytest.mark.parametrize("dims, t, paths, law, keep", [
+        ((2, 3, 5), 0, 3000, "rademacher", 4),
+        ((1, 1, 4), 0, 3000, "standard_gaussian", 0),
+        ((3, 2, 1), 0, 2000, "rademacher", 2),
+        ((2, 2, 6), 2, 3000, "standard_gaussian", 3),
+        ((3, 1, 7), 3, 2500, "rademacher", 0),
+        ((2, 2, 5), 1, 1, "rademacher", 1),
+        (None, 0, 5000, "rademacher", 0),
+        (None, 1, 5000, "standard_gaussian", 5),
+    ])
+    def test_simulate_matches_reference(self, dims, t, paths, law, keep):
+        p, gains = _solved(dims)
+        init = InitialPair(t, np.linspace(-1.0, 1.0, p.n) + 0.3)
+        cfg = mc.SimConfig(paths=paths, seed=p.N + 7, noise_law=law, keep_paths=keep)
+        got = mc.simulate(p, init, gains, cfg)
+        ref = mc_reference.simulate(p, init, gains, cfg)
+        assert abs(got.mean_cost - ref.mean_cost) <= 1e-10 * abs(ref.mean_cost)
+        if paths == 1:
+            assert got.std_error is None and ref.std_error is None
+        else:
+            assert abs(got.std_error - ref.std_error) <= 1e-10 * ref.std_error
+        assert [r["k"] for r in got.trajectory_moments] == list(range(t, p.N + 1))
+        for a, b in zip(got.trajectory_moments, ref.trajectory_moments, strict=True):
+            scale = 1.0 + max(np.max(np.abs(b["mean"])), np.max(np.abs(b["cov"])))
+            assert np.max(np.abs(a["mean"] - b["mean"])) <= 1e-10 * scale
+            assert np.max(np.abs(a["cov"] - b["cov"])) <= 1e-10 * scale
+            assert np.array_equal(a["cov"], a["cov"].T)
+        if keep:
+            assert got.path_sample.shape == ref.path_sample.shape
+            scale = 1.0 + np.max(np.abs(ref.path_sample))
+            assert np.max(np.abs(got.path_sample - ref.path_sample)) <= 1e-10 * scale
+        else:
+            assert got.path_sample is None
+
+    @pytest.mark.parametrize("dims, t, k", [
+        ((2, 3, 5), 0, 0), ((1, 1, 4), 0, 2), ((3, 2, 1), 0, 0), ((2, 2, 6), 2, 5), (None, 0, 1),
+    ])
+    def test_deviation_gap_matches_reference(self, dims, t, k):
+        p, gains = _solved(dims)
+        init = InitialPair(t, np.linspace(-1.0, 1.0, p.n) + 0.3)
+        delta = np.linspace(0.5, -0.3, p.m)
+        cfg = mc.SimConfig(paths=3000, seed=k + 3)
+        gap, se = mc.estimate_deviation_gap(p, init, gains, k, delta, cfg)
+        ref_gap, ref_se, cost = mc_reference.deviation_gap(p, init, gains, k, delta, cfg)
+        # the gap is a difference of two costs, so it rounds on their scale
+        assert abs(gap - ref_gap) <= 1e-10 * (abs(ref_gap) + abs(cost))
+        assert abs(se - ref_se) <= 1e-10 * ref_se
+
+
+def test_simulate_memory_is_bounded_by_the_noise_matrix():
+    """Only the noise matrix is O(N * paths); the rollout keeps O(n * paths)."""
+    p = make_problem(np.random.default_rng(5), 2, 2, 50, scale=0.3)
+    _, gains, _ = recursion.solve_gdre_global(p)
+    cfg = mc.SimConfig(paths=10_000, seed=1)
+    noise_bytes = cfg.paths * p.N * 8
+    tracemalloc.start()
+    try:
+        mc.simulate(p, InitialPair(0, np.ones(2)), gains, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * noise_bytes
