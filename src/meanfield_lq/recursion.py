@@ -372,11 +372,11 @@ def solve_fixed_pair(p: ProblemData, tables: RecursionTables, gains: GainSchedul
     the control to solve the stationarity equation; with the all-pairs
     verdict true this is automatic.
     """
-    from .tree import equilibrium_state  # local import; tree has no recursion dep
+    from .tree import equilibrium_pair  # local import; tree has no recursion dep
 
     if tree.depth < p.N:
         raise HorizonMismatch(f"tree depth {tree.depth} < horizon {p.N}")
-    state = equilibrium_state(p, gains, init)
+    state = equilibrium_pair(p, gains, init)[0]
     per_step = {}
     worst = 0.0
     for k in range(init.t, p.N):

@@ -7,6 +7,25 @@ recursions, so it can serve as an independent oracle for them.
 
 Node convention: the level-k node with index i has children 2*i (noise +1)
 and 2*i + 1 (noise -1) at level k+1; node probability is 2**-k.
+
+Layout.  `AdaptedProcess` holds (nodes, dim) arrays per level.  Inside, the
+(t, .)-family system restarted at level t runs on node-last arrays of shape
+(dim, probes, 2**t, 2**(l-t)) at level l: axis 2 is the level-t ancestor,
+the last axis the node within its subtree.  E_t is then a mean over the
+last, contiguous axis, and a child pair is two neighbours on it.
+
+Batch axis.  The probes axis carries controls that differ only at step t,
+the deviations of a one-instant perturbation.  `_roll` and `_cost` advance
+and cost all of them in one pass per level.  The controls the probes share
+after step t are held once, with a probes axis of length 1.  `roll_forward`,
+`cost` and `variation_cost` are the one-probe cases.
+
+Restart cache.  `certify_equilibrium` restarts the candidate once per step
+k from (k, X*_k) (`_restart`: the rolled state, its adjoint and the step-k
+stationarity gradient).  That one restart gives the stationarity residual,
+the base cost of every deviation gap and the representation and
+cost-difference checks.  The deviated step-k controls are one batch of
+probes, and the variational directions of step k another.
 """
 
 from __future__ import annotations
@@ -32,9 +51,6 @@ class ScenarioTree:
                 f"tree depth {depth} exceeds the cap {MAX_DEPTH}; pass force=True to override"
             )
         self.depth = depth
-
-    def nodes(self, level: int) -> int:
-        return 2**level
 
 
 def cond_mean(values: np.ndarray, level: int, k: int) -> np.ndarray:
@@ -101,6 +117,153 @@ def _check_tree(p: ProblemData, tree: ScenarioTree | None) -> ScenarioTree:
     return tree
 
 
+# ---------------------------------------------------------------------------
+# Node-last kernels.  Arrays are (dim, probes, 2**t, width) for family t.
+
+def _columns(proc: AdaptedProcess, lo: int, hi: int) -> dict:
+    """Levels lo..hi of a process as contiguous (dim, nodes) arrays."""
+    return {l: np.ascontiguousarray(proc.values[l].T) for l in range(lo, hi + 1)}
+
+
+def _at(col: np.ndarray, t: int) -> np.ndarray:
+    """A (dim, nodes) level as a one-probe node-last array of family t."""
+    return col.reshape(col.shape[0], 1, 2**t, -1)
+
+
+def _rows(v: np.ndarray) -> np.ndarray:
+    """A one-probe node-last array as (nodes, dim)."""
+    return v.reshape(v.shape[0], -1).T
+
+
+def _mul(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M applied along the leading (component) axis of a node-last array."""
+    return (M @ v.reshape(v.shape[0], -1)).reshape((M.shape[0],) + v.shape[1:])
+
+
+def _mean(v: np.ndarray) -> np.ndarray:
+    """E_t of a node-last array: the mean over each level-t subtree."""
+    out = np.add.reduce(v, axis=-1, keepdims=True)
+    out /= v.shape[-1]
+    return out
+
+
+def _col(vec: np.ndarray) -> np.ndarray:
+    return vec[:, None, None, None]
+
+
+def _roll(p: ProblemData, t: int, x0: np.ndarray, us: list, affine: bool = True) -> list:
+    """States of the (t, .)-family system at levels t..N, node-last.
+
+    ``x0`` is the level-t state with the batch's probe count; ``us[l - t]``
+    is the level-l control (None for zero), with that count or one probe.
+    Without ``affine`` the offsets f, d drop out (the variational system).
+    """
+    n = p.n
+    x = x0
+    xs = [x]
+    for l in range(t, p.N):
+        out = _mul(np.vstack((p.A[t, l], p.C[t, l])), x)
+        out += _mul(np.vstack((p.Abar[t, l], p.Cbar[t, l])), _mean(x))
+        u = us[l - t]
+        if u is not None:
+            out += _mul(np.vstack((p.B[t, l], p.D[t, l])), u)
+            out += _mul(np.vstack((p.Bbar[t, l], p.Dbar[t, l])), _mean(u))
+        if affine:
+            out += _col(np.concatenate((p.f[t, l], p.d[t, l])))
+        drift, diff = out[:n], out[n:]
+        x = np.empty(drift.shape + (2,))
+        np.add(drift, diff, out=x[..., 0])
+        np.subtract(drift, diff, out=x[..., 1])
+        x = x.reshape(drift.shape[:-1] + (-1,))
+        xs.append(x)
+    return xs
+
+
+def _quad(v: np.ndarray, M: np.ndarray, Mbar: np.ndarray, lin=None) -> np.ndarray:
+    """E_t[v'Mv] + E_t[v]' Mbar E_t[v] (+ 2 lin'E_t[v]) per probe and level-t node."""
+    ev = _mean(v)
+    out = np.einsum("ipsw,ipsw->ps", v, _mul(M, v)) / v.shape[-1]
+    out += np.einsum("ipsw,ipsw->ps", ev, _mul(Mbar, ev))
+    if lin is not None:
+        out += 2.0 * _mul(lin[None, :], ev)[0, ..., 0]
+    return out
+
+
+def _cost(p: ProblemData, t: int, xs: list, us: list, affine: bool = True) -> np.ndarray:
+    """Conditional cost of the (t, .)-family system, (probes, 2**t)."""
+    total = 0.0
+    for l in range(t, p.N):
+        total = total + _quad(xs[l - t], p.Q[t, l], p.Qbar[t, l], p.q[t, l] if affine else None)
+        u = us[l - t]
+        if u is not None:
+            total = total + _quad(u, p.R[t, l], p.Rbar[t, l], p.rho[t, l] if affine else None)
+    return total + _quad(xs[-1], p.G[t], p.Gbar[t], p.g[t] if affine else None)
+
+
+def _adjoint(p: ProblemData, k: int, xs: list) -> list:
+    """Adjoint of the (k, .)-family system at levels k..N along states ``xs``."""
+    xN = xs[-1]
+    z = _mul(p.G[k], xN) + _mul(p.Gbar[k], _mean(xN)) + _col(p.g[k])
+    zs = [z]
+    for l in range(p.N - 1, k - 1, -1):
+        pair = z.reshape(z.shape[:-1] + (-1, 2))
+        ez = pair.mean(axis=-1)
+        ezw = 0.5 * (pair[..., 0] - pair[..., 1])
+        x = xs[l - k]
+        z = (_mul(p.A[k, l].T, ez) + _mul(p.Abar[k, l].T, _mean(z))
+             + _mul(p.C[k, l].T, ezw) + _mul(p.Cbar[k, l].T, _mean(ezw))
+             + _mul(p.Q[k, l], x) + _mul(p.Qbar[k, l], _mean(x)) + _col(p.q[k, l]))
+        zs.append(z)
+    return zs[::-1]
+
+
+def _gradient(p: ProblemData, k: int, u: np.ndarray, z1: np.ndarray) -> np.ndarray:
+    """Step-k stationarity gradient from the level-(k+1) adjoint, (m, 1, 2**k, 1)."""
+    cal = p.cal
+    ez = z1.mean(axis=-1, keepdims=True)
+    ezw = 0.5 * (z1[..., :1] - z1[..., 1:])
+    return (_mul(cal.R(k, k), u) + _mul(cal.B(k, k).T, ez)
+            + _mul(cal.D(k, k).T, ezw) + _col(p.rho[k, k]))
+
+
+def _restart(p: ProblemData, k: int, star: dict, ctl: dict):
+    """The system restarted at (k, X*_k) under the control: its node-last
+    controls, states, adjoint and step-k stationarity gradient."""
+    us = [_at(ctl[l], k) for l in range(k, p.N)]
+    xs = _roll(p, k, _at(star[k], k), us)
+    zs = _adjoint(p, k, xs)
+    return us, xs, zs, _gradient(p, k, us[0], zs[1])
+
+
+def _variation(p: ProblemData, k: int, ub: np.ndarray) -> np.ndarray:
+    """Costs of step-k variations ``ub`` (m, probes, 1 or 2**k), (probes, nodes)."""
+    us = [ub[..., None]] + [None] * (p.N - k - 1)
+    xs = _roll(p, k, np.zeros((p.n,) + ub.shape[1:] + (1,)), us, affine=False)
+    return _cost(p, k, xs, us, affine=False)
+
+
+def _representation_gap(p: ProblemData, k: int, tables, xs: list, zs: list, star: dict) -> float:
+    """Max node-wise gap between a restart's adjoint and its table form."""
+    worst = 0.0
+    for l in range(k, p.N + 1):
+        x, xs_l = xs[l - k], _at(star[l], k)
+        ex, es = _mean(x), _mean(xs_l)
+        pred = (_mul(tables.P[k, l], x - ex) + _mul(tables.Pcal[k, l], ex)
+                + _mul(tables.T[k, l], xs_l - es) + _mul(tables.Tcal[k, l], es)
+                + _col(tables.pi[k, l]))
+        worst = max(worst, float(np.max(np.linalg.norm(zs[l - k] - pred, axis=0))))
+    return worst
+
+
+def _difference_residual(lhs, lam, grad, ub, quad) -> float:
+    """Gap between a cost difference and 2 lam <grad, ub> + lam**2 quad."""
+    rhs = 2.0 * lam * np.sum(_rows(grad) * ub, axis=1) + lam * lam * quad
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+# ---------------------------------------------------------------------------
+# Public per-call operations.
+
 def roll_forward(p: ProblemData, init: InitialPair, control: AdaptedProcess,
                  t: int, tree: ScenarioTree | None = None) -> AdaptedProcess:
     """Exact state rollout of the system restarted at family index t.
@@ -110,24 +273,11 @@ def roll_forward(p: ProblemData, init: InitialPair, control: AdaptedProcess,
     """
     _check_tree(p, tree)
     control.require(t, p.N - 1, p.m)
-    x0 = init.node_values(p.n) if init.t == t else None
-    if x0 is None:
+    if init.t != t:
         raise HorizonMismatch(f"initial pair is at t={init.t}, rollout starts at {t}")
-    state = AdaptedProcess({t: x0})
-    for k in range(t, p.N):
-        xk = state.values[k]
-        uk = control.values[k]
-        ex = lift(cond_mean(xk, k, t), t, k)
-        eu = lift(cond_mean(uk, k, t), t, k)
-        drift = (xk @ p.A[t, k].T + ex @ p.Abar[t, k].T
-                 + uk @ p.B[t, k].T + eu @ p.Bbar[t, k].T + p.f[t, k])
-        diff = (xk @ p.C[t, k].T + ex @ p.Cbar[t, k].T
-                + uk @ p.D[t, k].T + eu @ p.Dbar[t, k].T + p.d[t, k])
-        nxt = np.empty((2 ** (k + 1), p.n))
-        nxt[0::2] = drift + diff
-        nxt[1::2] = drift - diff
-        state.values[k + 1] = nxt
-    return state
+    ctl = _columns(control, t, p.N - 1)
+    xs = _roll(p, t, _at(init.node_values(p.n).T, t), [_at(ctl[l], t) for l in ctl])
+    return AdaptedProcess({t + j: _rows(x) for j, x in enumerate(xs)})
 
 
 def cost(p: ProblemData, init: InitialPair, control: AdaptedProcess,
@@ -136,63 +286,24 @@ def cost(p: ProblemData, init: InitialPair, control: AdaptedProcess,
     """Exact conditional cost of the (t, .)-family problem, per level-t node."""
     if state is None:
         state = roll_forward(p, init, control, t, tree)
-    total = np.zeros(2**t)
-    for k in range(t, p.N):
-        xk = state.values[k]
-        uk = control.values[k]
-        qx = np.einsum("ni,ij,nj->n", xk, p.Q[t, k], xk)
-        qu = np.einsum("ni,ij,nj->n", uk, p.R[t, k], uk)
-        mean_x = cond_mean(xk, k, t)
-        mean_u = cond_mean(uk, k, t)
-        total += cond_mean(qx[:, None], k, t)[:, 0]
-        total += np.einsum("ni,ij,nj->n", mean_x, p.Qbar[t, k], mean_x)
-        total += cond_mean(qu[:, None], k, t)[:, 0]
-        total += np.einsum("ni,ij,nj->n", mean_u, p.Rbar[t, k], mean_u)
-        total += 2.0 * mean_x @ p.q[t, k]
-        total += 2.0 * mean_u @ p.rho[t, k]
-    xN = state.values[p.N]
-    gx = np.einsum("ni,ij,nj->n", xN, p.G[t], xN)
-    mean_xN = cond_mean(xN, p.N, t)
-    total += cond_mean(gx[:, None], p.N, t)[:, 0]
-    total += np.einsum("ni,ij,nj->n", mean_xN, p.Gbar[t], mean_xN)
-    total += 2.0 * mean_xN @ p.g[t]
-    return total
+    ctl = _columns(control, t, p.N - 1)
+    xs = _columns(state, t, p.N)
+    return _cost(p, t, [_at(xs[l], t) for l in xs], [_at(ctl[l], t) for l in ctl])[0]
 
 
-def concatenated_state(p: ProblemData, control: AdaptedProcess,
-                       init: InitialPair, tree: ScenarioTree | None = None) -> AdaptedProcess:
-    """State realised when the problem is restarted at every step.
-
-    Each step k uses the diagonal (k, k) blocks; since states and controls
-    at level k are measurable there, the conditional-mean terms collapse
-    into the summed (calligraphic) coefficients and the rollout is node-wise.
+def _closed_loop(p: ProblemData, init: InitialPair,
+                 policy) -> tuple[AdaptedProcess, AdaptedProcess]:
+    """Restart-at-every-step rollout: each step k uses the diagonal (k, k)
+    blocks.  States and controls at level k are measurable there, so the
+    conditional-mean terms collapse into the summed (calligraphic)
+    coefficients and the rollout is node-wise.  ``policy(k, x_k)`` gives u_k.
     """
-    _check_tree(p, tree)
-    control.require(init.t, p.N - 1, p.m)
-    cal = p.cal
-    state = AdaptedProcess({init.t: init.node_values(p.n)})
-    for k in range(init.t, p.N):
-        xk = state.values[k]
-        uk = control.values[k]
-        drift = xk @ cal.A(k, k).T + uk @ cal.B(k, k).T + p.f[k, k]
-        diff = xk @ cal.C(k, k).T + uk @ cal.D(k, k).T + p.d[k, k]
-        nxt = np.empty((2 ** (k + 1), p.n))
-        nxt[0::2] = drift + diff
-        nxt[1::2] = drift - diff
-        state.values[k + 1] = nxt
-    return state
-
-
-def equilibrium_pair(p: ProblemData, gains, init: InitialPair,
-                     tree: ScenarioTree | None = None) -> tuple[AdaptedProcess, AdaptedProcess]:
-    """Closed-loop state and the control it realises, from a gain schedule."""
-    _check_tree(p, tree)
     cal = p.cal
     state = AdaptedProcess({init.t: init.node_values(p.n)})
     control = AdaptedProcess()
     for k in range(init.t, p.N):
         xk = state.values[k]
-        uk = gains.control(k, xk)
+        uk = policy(k, xk)
         control.values[k] = uk
         drift = xk @ cal.A(k, k).T + uk @ cal.B(k, k).T + p.f[k, k]
         diff = xk @ cal.C(k, k).T + uk @ cal.D(k, k).T + p.d[k, k]
@@ -203,9 +314,19 @@ def equilibrium_pair(p: ProblemData, gains, init: InitialPair,
     return state, control
 
 
-def equilibrium_state(p: ProblemData, gains, init: InitialPair,
-                      tree: ScenarioTree | None = None) -> AdaptedProcess:
-    return equilibrium_pair(p, gains, init, tree)[0]
+def concatenated_state(p: ProblemData, control: AdaptedProcess,
+                       init: InitialPair, tree: ScenarioTree | None = None) -> AdaptedProcess:
+    """State realised when the problem is restarted at every step."""
+    _check_tree(p, tree)
+    control.require(init.t, p.N - 1, p.m)
+    return _closed_loop(p, init, lambda k, _: control.values[k])[0]
+
+
+def equilibrium_pair(p: ProblemData, gains, init: InitialPair,
+                     tree: ScenarioTree | None = None) -> tuple[AdaptedProcess, AdaptedProcess]:
+    """Closed-loop state and the control it realises, from a gain schedule."""
+    _check_tree(p, tree)
+    return _closed_loop(p, init, gains.control)
 
 
 def solve_bsde(p: ProblemData, forward_state: AdaptedProcess, k: int,
@@ -218,36 +339,17 @@ def solve_bsde(p: ProblemData, forward_state: AdaptedProcess, k: int,
     """
     _check_tree(p, tree)
     forward_state.require(k, p.N, p.n)
-    z = AdaptedProcess()
-    xN = forward_state.values[p.N]
-    ek_xN = lift(cond_mean(xN, p.N, k), k, p.N)
-    z.values[p.N] = xN @ p.G[k].T + ek_xN @ p.Gbar[k].T + p.g[k]
-    for l in range(p.N - 1, k - 1, -1):
-        zn = z.values[l + 1]
-        ez = child_mean(zn)
-        ezw = child_wmean(zn)
-        ek_z = lift(cond_mean(zn, l + 1, k), k, l)
-        ek_zw = lift(cond_mean(ezw, l, k), k, l)
-        xl = forward_state.values[l]
-        ek_x = lift(cond_mean(xl, l, k), k, l)
-        z.values[l] = (
-            ez @ p.A[k, l] + ek_z @ p.Abar[k, l]
-            + ezw @ p.C[k, l] + ek_zw @ p.Cbar[k, l]
-            + xl @ p.Q[k, l].T + ek_x @ p.Qbar[k, l].T + p.q[k, l]
-        )
-    return z
+    xs = _columns(forward_state, k, p.N)
+    zs = _adjoint(p, k, [_at(xs[l], k) for l in xs])
+    return AdaptedProcess({k + j: _rows(z) for j, z in enumerate(zs)})
 
 
 def stationarity_gradient(p: ProblemData, state_k: AdaptedProcess,
                           control: AdaptedProcess, k: int) -> np.ndarray:
     """Left side of the first-order condition at step k, per level-k node."""
-    z = solve_bsde(p, state_k, k)
-    zn = z.values[k + 1]
-    ez = child_mean(zn)
-    ezw = child_wmean(zn)
-    cal = p.cal
-    return (control.values[k] @ cal.R(k, k).T + ez @ cal.B(k, k)
-            + ezw @ cal.D(k, k) + p.rho[k, k])
+    z1 = solve_bsde(p, state_k, k).values[k + 1]
+    u = control.values[k]
+    return _rows(_gradient(p, k, _at(u.T, k), _at(z1.T, k)))
 
 
 def stationarity_residuals(p: ProblemData, init: InitialPair, control: AdaptedProcess,
@@ -258,15 +360,10 @@ def stationarity_residuals(p: ProblemData, init: InitialPair, control: AdaptedPr
     candidate control, solved exactly, and the gradient norm is maximised
     over level-k nodes.
     """
-    _check_tree(p, tree)
-    star = concatenated_state(p, control, init, tree)
-    out = {}
-    for k in range(t, p.N):
-        restart = InitialPair(k, star.values[k])
-        state_k = roll_forward(p, restart, control, k, tree)
-        grad = stationarity_gradient(p, state_k, control, k)
-        out[k] = float(np.max(np.linalg.norm(grad, axis=1)))
-    return out
+    star = _columns(concatenated_state(p, control, init, tree), t, p.N)
+    ctl = _columns(control, t, p.N - 1)
+    return {k: float(np.max(np.linalg.norm(_restart(p, k, star, ctl)[3], axis=0)))
+            for k in range(t, p.N)}
 
 
 def variation_cost(p: ProblemData, k: int, ubar, tree: ScenarioTree | None = None):
@@ -279,42 +376,11 @@ def variation_cost(p: ProblemData, k: int, ubar, tree: ScenarioTree | None = Non
     """
     _check_tree(p, tree)
     ub = np.asarray(ubar, dtype=float)
-    scalar_input = ub.ndim == 1
-    nodes = np.tile(ub, (2**k, 1)) if scalar_input else ub
-    if nodes.shape != (2**k, p.m):
+    if ub.shape == (p.m,):
+        return float(_variation(p, k, ub[:, None, None])[0, 0])
+    if ub.shape != (2**k, p.m):
         raise DimensionMismatch(f"ubar has shape {ub.shape}, expected ({p.m},) or {(2**k, p.m)}")
-    cal = p.cal
-    y = AdaptedProcess({k: np.zeros((2**k, p.n))})
-    jump_drift = nodes @ cal.B(k, k).T
-    jump_diff = nodes @ cal.D(k, k).T
-    first = np.empty((2 ** (k + 1), p.n))
-    first[0::2] = jump_drift + jump_diff
-    first[1::2] = jump_drift - jump_diff
-    y.values[k + 1] = first
-    for l in range(k + 1, p.N):
-        yl = y.values[l]
-        ek_y = lift(cond_mean(yl, l, k), k, l)
-        drift = yl @ p.A[k, l].T + ek_y @ p.Abar[k, l].T
-        diff = yl @ p.C[k, l].T + ek_y @ p.Cbar[k, l].T
-        nxt = np.empty((2 ** (l + 1), p.n))
-        nxt[0::2] = drift + diff
-        nxt[1::2] = drift - diff
-        y.values[l + 1] = nxt
-    total = np.einsum("ni,ij,nj->n", nodes, cal.R(k, k), nodes)
-    for l in range(k, p.N):
-        yl = y.values[l]
-        qy = np.einsum("ni,ij,nj->n", yl, p.Q[k, l], yl)
-        mean_y = cond_mean(yl, l, k)
-        total += cond_mean(qy[:, None], l, k)[:, 0]
-        total += np.einsum("ni,ij,nj->n", mean_y, p.Qbar[k, l], mean_y)
-    yN = y.values[p.N]
-    gy = np.einsum("ni,ij,nj->n", yN, p.G[k], yN)
-    mean_yN = cond_mean(yN, p.N, k)
-    total += cond_mean(gy[:, None], p.N, k)[:, 0]
-    total += np.einsum("ni,ij,nj->n", mean_yN, p.Gbar[k], mean_yN)
-    if scalar_input:
-        return float(total[0])
-    return total
+    return _variation(p, k, ub.T[:, None, :])[0]
 
 
 def deviated_control(control: AdaptedProcess, k: int, delta) -> AdaptedProcess:
@@ -334,17 +400,17 @@ def difference_formula_check(p: ProblemData, k: int, zeta, u: AdaptedProcess,
     lam**2 times the variational cost.  Returns the max node-wise gap.
     """
     _check_tree(p, tree)
-    init = InitialPair(k, np.asarray(zeta, dtype=float))
+    u.require(k, p.N - 1, p.m)
+    zeta = InitialPair(k, np.asarray(zeta, dtype=float)).node_values(p.n)
+    star = {k: np.ascontiguousarray(zeta.T)}
     ub = np.asarray(ubar, dtype=float)
     ub_nodes = np.tile(ub, (2**k, 1)) if ub.ndim == 1 else ub
-    state = roll_forward(p, init, u, k, tree)
-    j_base = cost(p, init, u, k, tree, state=state)
-    j_pert = cost(p, init, deviated_control(u, k, lam * ub_nodes), k, tree)
-    lhs = j_pert - j_base
-    grad = stationarity_gradient(p, state, u, k)
+    us, xs, _, grad = _restart(p, k, star, _columns(u, k, p.N - 1))
+    base = _cost(p, k, xs, us)[0]
+    moved = [us[0] + lam * _at(ub_nodes.T, k)] + us[1:]
+    lhs = _cost(p, k, _roll(p, k, xs[0], moved), moved)[0] - base
     quad = variation_cost(p, k, ub_nodes, tree)
-    rhs = 2.0 * lam * np.sum(grad * ub_nodes, axis=1) + lam * lam * quad
-    return float(np.max(np.abs(lhs - rhs)))
+    return _difference_residual(lhs, lam, grad, ub_nodes, quad)
 
 
 def representation_check(p: ProblemData, gains, t: int, x, k: int,
@@ -356,49 +422,41 @@ def representation_check(p: ProblemData, gains, t: int, x, k: int,
     stage by stage; ``tables`` are the solved backward tables.
     """
     tree = _check_tree(p, tree)
-    init = InitialPair(t, np.asarray(x, dtype=float))
-    star, control = equilibrium_pair(p, gains, init, tree)
-    restart = InitialPair(k, star.values[k])
-    state_k = roll_forward(p, restart, control, k, tree)
-    z = solve_bsde(p, state_k, k, tree)
-    worst = 0.0
-    for l in range(k, p.N + 1):
-        xl = state_k.values[l]
-        xs = star.values[l]
-        ek_x = lift(cond_mean(xl, l, k), k, l)
-        ek_xs = lift(cond_mean(xs, l, k), k, l)
-        pred = (
-            (xl - ek_x) @ tables.P[k, l].T
-            + ek_x @ tables.Pcal[k, l].T
-            + (xs - ek_xs) @ tables.T[k, l].T
-            + ek_xs @ tables.Tcal[k, l].T
-            + tables.pi[k, l]
-        )
-        gap = float(np.max(np.linalg.norm(z.values[l] - pred, axis=1)))
-        worst = max(worst, gap)
-    return worst
+    star, control = equilibrium_pair(p, gains, InitialPair(t, np.asarray(x, dtype=float)), tree)
+    star = _columns(star, k, p.N)
+    _, xs, zs, _ = _restart(p, k, star, _columns(control, k, p.N - 1))
+    return _representation_gap(p, k, tables, xs, zs, star)
 
 
 @dataclass
 class EquilibriumCertificate:
-    """Verdict of the exact tree certification of a candidate control."""
+    """Verdict of the exact tree certification of a candidate control.
+
+    ``identity_checks`` holds the representation and cost-difference
+    residuals per step when the certification was given the solved tables;
+    they are diagnostics and do not enter the verdict.
+    """
 
     stationary_residuals: dict
     convexity_values: dict
     deviation_gaps: list
+    descent_gaps: list
     verdict: bool
     tol_stationary: float
     tol_convexity: float
     seed: int
+    identity_checks: dict | None = None
 
     def to_dict(self) -> dict:
+        def gaps(records):
+            return [{"k": int(g["k"]), "scale": float(g["scale"]), "min_gap": float(g["min_gap"])}
+                    for g in records]
+
         return {
             "stationary_residuals": {str(k): float(v) for k, v in self.stationary_residuals.items()},
             "convexity_values": {str(k): float(v) for k, v in self.convexity_values.items()},
-            "deviation_gaps": [
-                {"k": int(g["k"]), "scale": float(g["scale"]), "min_gap": float(g["min_gap"])}
-                for g in self.deviation_gaps
-            ],
+            "deviation_gaps": gaps(self.deviation_gaps),
+            "descent_gaps": gaps(self.descent_gaps),
             "verdict": bool(self.verdict),
             "tol_stationary": float(self.tol_stationary),
             "tol_convexity": float(self.tol_convexity),
@@ -412,52 +470,104 @@ DEVIATION_SCALES = (1.0, 0.1, 0.01)
 def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProcess,
                         t: int, deviations: int = 4, seed: int = 20240801,
                         tol_stationary: float = 1e-8, tol_convexity: float = 1e-9,
-                        tree: ScenarioTree | None = None) -> EquilibriumCertificate:
-    """Full certification: stationarity, convexity and sampled deviations.
+                        tree: ScenarioTree | None = None,
+                        tables=None) -> EquilibriumCertificate:
+    """Full certification: stationarity, convexity and one-instant deviations.
 
     Convexity values are the variational costs of the m canonical unit
     variations plus ``deviations`` seeded random unit directions, minimised
     per step.  Deviation gaps compare the restarted cost of the candidate
     control against single-instant perturbations at three scales probing
-    the linear and quadratic parts; for an equilibrium all gaps are >= 0
-    up to tolerance.
+    the linear and quadratic parts: ``deviations // 2`` (at least one)
+    seeded random directions per scale, and, as the descent gaps, the
+    per-node direction of steepest descent -g/|g| of the stationarity
+    gradient g.  Where |g| <= tol_stationary the node counts as stationary:
+    its direction would be set by rounding, so it is not moved and its gap
+    is 0.  For an equilibrium all gaps are >= 0 up to tolerance.
+
+    ``tables`` are the solved backward tables of the gains behind
+    ``control``.  With them, the same restarts also give the identity checks
+    (representation residual, and the cost-difference residual of a seeded
+    direction and step) in ``identity_checks``.
     """
     tree = _check_tree(p, tree)
-    residuals = stationarity_residuals(p, init, control, t, tree)
+    control.require(t, p.N - 1, p.m)
+    steps = range(t, p.N)
+    per_scale = max(1, deviations // 2)
     rng = np.random.default_rng(seed)
-    convexity = {}
-    for k in range(t, p.N):
+    directions = {}
+    for k in steps:
         dirs = [np.eye(p.m)[i] for i in range(p.m)]
         for _ in range(deviations):
             v = rng.normal(size=p.m)
             dirs.append(v / np.linalg.norm(v))
-        convexity[k] = min(variation_cost(p, k, v, tree) for v in dirs)
-
-    star = concatenated_state(p, control, init, tree)
-    gaps = []
-    for k in range(t, p.N):
-        restart = InitialPair(k, star.values[k])
-        base = cost(p, restart, control, k, tree)
+        directions[k] = dirs
+    shifts = {}
+    for k in steps:
+        shifts[k] = []
         for scale in DEVIATION_SCALES:
-            worst = np.inf
-            for _ in range(max(1, deviations // 2)):
+            for _ in range(per_scale):
                 v = rng.normal(size=p.m)
-                delta = scale * v / np.linalg.norm(v)
-                pert = cost(p, restart, deviated_control(control, k, delta), k, tree)
-                worst = min(worst, float(np.min(pert - base)))
-            gaps.append({"k": k, "scale": scale, "min_gap": worst})
+                shifts[k].append(scale * v / np.linalg.norm(v))
+    draws = {}  # direction and step of each cost-difference check
+    if tables is not None:
+        rng = np.random.default_rng(seed)
+        for k in steps:
+            ubar = rng.normal(size=p.m)
+            draws[k] = (ubar, float(rng.uniform(-1.0, 1.0)))
+
+    star = _columns(concatenated_state(p, control, init, tree), t, p.N)
+    ctl = _columns(control, t, p.N - 1)
+    residuals, convexity, gaps, descent = {}, {}, [], []
+    representation, difference = {}, {}
+    for k in steps:
+        us, xs, zs, grad = _restart(p, k, star, ctl)
+        base = _cost(p, k, xs, us)[0]
+        norms = np.linalg.norm(grad, axis=0)
+        residuals[k] = float(np.max(norms))
+        moving = norms > tol_stationary
+        steepest = np.divide(-grad, norms, out=np.zeros_like(grad), where=moving)
+
+        # the deviated step-k controls, one probe each
+        nodes = (p.m, 1, 2**k, 1)
+        deltas = [np.broadcast_to(d[:, None, None, None], nodes) for d in shifts[k]]
+        deltas += [scale * steepest for scale in DEVIATION_SCALES]
+        dirs = directions[k]
+        if tables is not None:
+            ubar, lam = draws[k]
+            deltas.append(np.broadcast_to(lam * ubar[:, None, None, None], nodes))
+            dirs = dirs + [ubar]
+        moved = [us[0] + np.concatenate(deltas, axis=1)] + us[1:]
+        x0 = np.broadcast_to(xs[0], (p.n,) + moved[0].shape[1:])
+        change = _cost(p, k, _roll(p, k, x0, moved), moved) - base
+        for i, scale in enumerate(DEVIATION_SCALES):
+            block = change[i * per_scale:(i + 1) * per_scale]
+            gaps.append({"k": k, "scale": scale, "min_gap": float(np.min(block))})
+            row = np.where(moving[0, :, 0], change[len(shifts[k]) + i], 0.0)
+            descent.append({"k": k, "scale": scale, "min_gap": float(np.min(row))})
+
+        quad = _variation(p, k, np.stack(dirs, axis=1)[:, :, None])[:, 0]
+        convexity[k] = float(np.min(quad[:p.m + deviations]))
+        if tables is not None:
+            representation[str(k)] = _representation_gap(p, k, tables, xs, zs, star)
+            difference[str(k)] = _difference_residual(change[-1], lam, grad, ubar, quad[-1])
 
     ok = (
         all(v <= tol_stationary for v in residuals.values())
         and all(v >= -tol_convexity for v in convexity.values())
-        and all(g["min_gap"] >= -tol_convexity for g in gaps)
+        and all(g["min_gap"] >= -tol_convexity for g in gaps + descent)
     )
     return EquilibriumCertificate(
         stationary_residuals=residuals,
         convexity_values=convexity,
         deviation_gaps=gaps,
+        descent_gaps=descent,
         verdict=ok,
         tol_stationary=tol_stationary,
         tol_convexity=tol_convexity,
         seed=seed,
+        identity_checks=None if tables is None else {
+            "representation_residuals": representation,
+            "difference_formula_residuals": difference,
+        },
     )

@@ -130,6 +130,8 @@ def test_recorded_step0_gains_rejected(solved_example):
     cert = tree.certify_equilibrium(p, init, control, 0)
     assert not cert.verdict
     assert cert.stationary_residuals[0] > 1e3 * cert.tol_stationary
+    # the certificate's own descent probe finds the profitable deviation
+    assert min(g["min_gap"] for g in cert.descent_gaps if g["k"] == 0) < -cert.tol_convexity
 
     state = tree.roll_forward(p, init, control, 0)
     grad = tree.stationarity_gradient(p, state, control, 0)[0]

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from meanfield_lq.errors import HorizonMismatch
 from meanfield_lq.model import InitialPair
 from meanfield_lq.tree import AdaptedProcess, ScenarioTree
 
+import tree_reference as ref
 from conftest import make_problem
 
 
@@ -383,3 +387,129 @@ class TestCertification:
         ub = rng.normal(size=2)
         want = j0 + ub @ m2 @ ub + 2.0 * lin.T @ ub
         np.testing.assert_allclose(j(ub), want, atol=1e-9 * (1 + np.max(np.abs(want))))
+
+
+def uncouple(p):
+    """Zero every input block and the control offsets, with R = I: the zero
+    control is then stationary with a gradient that is exactly zero."""
+    for t, k in p.pairs():
+        p.B[t, k] = np.zeros((p.n, p.m))
+        p.Bbar[t, k] = np.zeros((p.n, p.m))
+        p.D[t, k] = np.zeros((p.n, p.m))
+        p.Dbar[t, k] = np.zeros((p.n, p.m))
+        p.R[t, k] = np.eye(p.m)
+        p.Rbar[t, k] = np.zeros((p.m, p.m))
+        p.rho[t, k] = np.zeros(p.m)
+    return p
+
+
+# (n, m, N, t, node-family start, tamper, uncoupled, deviations)
+REFERENCE_CASES = {
+    "n_ne_m": (3, 2, 4, 0, False, False, False, 4),
+    "n_is_1": (1, 2, 4, 0, False, False, False, 3),
+    "N_is_1": (2, 2, 1, 0, False, False, False, 4),
+    "t_gt_0": (2, 1, 5, 2, False, False, False, 1),
+    "node_family_start": (2, 2, 4, 1, True, False, False, 4),
+    "tampered_gains": (2, 2, 4, 0, False, True, False, 5),
+    "zero_gradient": (2, 2, 3, 0, False, False, True, 0),
+}
+
+
+class TestAgainstPerCallReference:
+    """The batched certification against the per-call code it replaced."""
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_certificate_and_identity_checks(self, case):
+        n, m, N, t, family, tamper, uncoupled, deviations = REFERENCE_CASES[case]
+        rng = np.random.default_rng(sorted(REFERENCE_CASES).index(case))
+        p = make_problem(rng, n, m, N, coupled=tamper)
+        if uncoupled:
+            uncouple(p)
+        tables, gains, _ = recursion.solve_gdre_global(p)
+        if tamper:
+            gains.Psi[1] = gains.Psi[1] + 0.05
+        x = rng.normal(size=(2**t, n) if family else n)
+        init = InitialPair(t, x)
+        star, control = tree.equilibrium_pair(p, gains, init)
+        seed = 97 + len(case)
+
+        got = tree.certify_equilibrium(p, init, control, t, deviations=deviations,
+                                       seed=seed, tables=tables)
+        want = ref.certify_equilibrium(p, init, control, t, deviations=deviations, seed=seed)
+        cert = got.to_dict()
+        assert cert["verdict"] == want["verdict"]
+        assert cert["verdict"] == (not tamper)
+
+        def close(a, b, scale):
+            assert abs(a - b) <= 1e-12 * (1.0 + scale), (a, b)
+
+        for key in ("stationary_residuals", "convexity_values"):
+            assert cert[key].keys() == want[key].keys()
+            for k, v in want[key].items():
+                close(cert[key][k], v, abs(v))
+        restarted = {}  # the size of each step's restarted cost
+        for k in range(t, N):
+            j = ref.cost(p, InitialPair(k, star.values[k]), control, k)
+            restarted[k] = float(np.max(np.abs(j)))
+        for key in ("deviation_gaps", "descent_gaps"):
+            assert len(cert[key]) == len(want[key]) == 3 * (N - t)
+            for a, b in zip(cert[key], want[key]):
+                assert (a["k"], a["scale"]) == (b["k"], b["scale"])
+                close(a["min_gap"], b["min_gap"], restarted[b["k"]])
+
+        draws = np.random.default_rng(seed)
+        checks = got.identity_checks
+        for k in range(t, N):
+            v = ref.representation_check(p, gains, t, x, k, tables)
+            close(checks["representation_residuals"][str(k)], v, abs(v))
+            ubar = draws.normal(size=m)
+            lam = float(draws.uniform(-1.0, 1.0))
+            v = ref.difference_formula_check(p, k, star.values[k], control, ubar, lam)
+            close(checks["difference_formula_residuals"][str(k)], v, restarted[k])
+
+    def test_per_call_wrappers(self, rng):
+        p = make_problem(rng, 3, 2, 4, convex=False)
+        tables, gains, _ = recursion.solve_gdre_global(p)
+        k = 1
+        u = AdaptedProcess({l: rng.normal(size=(2**l, 2)) for l in range(k, p.N)})
+        init = InitialPair(k, rng.normal(size=(2, 3)))
+        state = tree.roll_forward(p, init, u, k)
+        want = ref.roll_forward(p, init, u, k)
+        for l in range(k, p.N + 1):
+            np.testing.assert_allclose(state.values[l], want.values[l], rtol=1e-13, atol=1e-13)
+        z, z_ref = tree.solve_bsde(p, state, k), ref.solve_bsde(p, want, k)
+        for l in range(k, p.N + 1):
+            np.testing.assert_allclose(z.values[l], z_ref.values[l], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(tree.stationarity_gradient(p, state, u, k),
+                                   ref.stationarity_gradient(p, want, u, k), rtol=1e-12, atol=1e-12)
+        j = ref.cost(p, init, u, k)
+        np.testing.assert_allclose(tree.cost(p, init, u, k), j, rtol=1e-13)
+        np.testing.assert_allclose(tree.cost(p, init, u, k, state=want), j, rtol=1e-13)
+        for ub in (rng.normal(size=2), rng.normal(size=(2, 2))):
+            np.testing.assert_allclose(tree.variation_cost(p, k, ub), ref.variation_cost(p, k, ub),
+                                       rtol=1e-12)
+            lam = float(rng.uniform(-1.0, 1.0))
+            got = tree.difference_formula_check(p, k, init.x, u, ub, lam)
+            assert abs(got - ref.difference_formula_check(p, k, init.x, u, ub, lam)) <= 1e-12 * (
+                1.0 + np.max(np.abs(j)))
+        x = rng.normal(size=3)
+        for k in range(p.N):
+            got = tree.representation_check(p, gains, 0, x, k, tables)
+            assert abs(got - ref.representation_check(p, gains, 0, x, k, tables)) <= 1e-12
+
+
+class TestIndependence:
+    def test_tree_imports_neither_recursion_nor_montecarlo(self):
+        # the tree is evidence for the recursions only while it does not use them
+        source = Path(tree.__file__).read_text(encoding="utf-8")
+        imported = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
+        assert imported
+        for name in imported:
+            parts = set(name.split("."))
+            assert not parts & {"recursion", "montecarlo"}, name

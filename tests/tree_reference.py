@@ -1,0 +1,232 @@
+"""Per-call exact-tree certification, kept as the reference for the batched one.
+
+This is the certification `tree` did before it batched its probes: every
+restart, cost, adjoint and variational cost is its own per-level loop over
+(nodes, dim) arrays, and every probe is a separate call.  The descent gaps
+are probed per call as well, at the nodes whose gradient exceeds the
+stationarity tolerance.  Same directions, same seeds; only the
+rounding differs from `tree.certify_equilibrium`.
+"""
+
+import numpy as np
+
+from meanfield_lq import tree
+from meanfield_lq.model import InitialPair
+from meanfield_lq.tree import (DEVIATION_SCALES, AdaptedProcess, child_mean, child_wmean,
+                               cond_mean, lift)
+
+
+def roll_forward(p, init, control, t):
+    """Exact state rollout of the system restarted at family index t."""
+    control.require(t, p.N - 1, p.m)
+    state = AdaptedProcess({t: init.node_values(p.n)})
+    for k in range(t, p.N):
+        xk = state.values[k]
+        uk = control.values[k]
+        ex = lift(cond_mean(xk, k, t), t, k)
+        eu = lift(cond_mean(uk, k, t), t, k)
+        drift = (xk @ p.A[t, k].T + ex @ p.Abar[t, k].T
+                 + uk @ p.B[t, k].T + eu @ p.Bbar[t, k].T + p.f[t, k])
+        diff = (xk @ p.C[t, k].T + ex @ p.Cbar[t, k].T
+                + uk @ p.D[t, k].T + eu @ p.Dbar[t, k].T + p.d[t, k])
+        nxt = np.empty((2 ** (k + 1), p.n))
+        nxt[0::2] = drift + diff
+        nxt[1::2] = drift - diff
+        state.values[k + 1] = nxt
+    return state
+
+
+def cost(p, init, control, t, state=None):
+    """Exact conditional cost of the (t, .)-family problem, per level-t node."""
+    if state is None:
+        state = roll_forward(p, init, control, t)
+    total = np.zeros(2**t)
+    for k in range(t, p.N):
+        xk = state.values[k]
+        uk = control.values[k]
+        qx = np.einsum("ni,ij,nj->n", xk, p.Q[t, k], xk)
+        qu = np.einsum("ni,ij,nj->n", uk, p.R[t, k], uk)
+        mean_x = cond_mean(xk, k, t)
+        mean_u = cond_mean(uk, k, t)
+        total += cond_mean(qx[:, None], k, t)[:, 0]
+        total += np.einsum("ni,ij,nj->n", mean_x, p.Qbar[t, k], mean_x)
+        total += cond_mean(qu[:, None], k, t)[:, 0]
+        total += np.einsum("ni,ij,nj->n", mean_u, p.Rbar[t, k], mean_u)
+        total += 2.0 * mean_x @ p.q[t, k]
+        total += 2.0 * mean_u @ p.rho[t, k]
+    xN = state.values[p.N]
+    gx = np.einsum("ni,ij,nj->n", xN, p.G[t], xN)
+    mean_xN = cond_mean(xN, p.N, t)
+    total += cond_mean(gx[:, None], p.N, t)[:, 0]
+    total += np.einsum("ni,ij,nj->n", mean_xN, p.Gbar[t], mean_xN)
+    total += 2.0 * mean_xN @ p.g[t]
+    return total
+
+
+def solve_bsde(p, forward_state, k):
+    """Exact backward pass of the adjoint equation restarted at index k."""
+    z = AdaptedProcess()
+    xN = forward_state.values[p.N]
+    ek_xN = lift(cond_mean(xN, p.N, k), k, p.N)
+    z.values[p.N] = xN @ p.G[k].T + ek_xN @ p.Gbar[k].T + p.g[k]
+    for l in range(p.N - 1, k - 1, -1):
+        zn = z.values[l + 1]
+        ez = child_mean(zn)
+        ezw = child_wmean(zn)
+        ek_z = lift(cond_mean(zn, l + 1, k), k, l)
+        ek_zw = lift(cond_mean(ezw, l, k), k, l)
+        xl = forward_state.values[l]
+        ek_x = lift(cond_mean(xl, l, k), k, l)
+        z.values[l] = (
+            ez @ p.A[k, l] + ek_z @ p.Abar[k, l]
+            + ezw @ p.C[k, l] + ek_zw @ p.Cbar[k, l]
+            + xl @ p.Q[k, l].T + ek_x @ p.Qbar[k, l].T + p.q[k, l]
+        )
+    return z
+
+
+def stationarity_gradient(p, state_k, control, k):
+    """Left side of the first-order condition at step k, per level-k node."""
+    z = solve_bsde(p, state_k, k)
+    zn = z.values[k + 1]
+    cal = p.cal
+    return (control.values[k] @ cal.R(k, k).T + child_mean(zn) @ cal.B(k, k)
+            + child_wmean(zn) @ cal.D(k, k) + p.rho[k, k])
+
+
+def stationarity_residuals(p, init, control, t):
+    star = tree.concatenated_state(p, control, init)
+    out = {}
+    for k in range(t, p.N):
+        state_k = roll_forward(p, InitialPair(k, star.values[k]), control, k)
+        grad = stationarity_gradient(p, state_k, control, k)
+        out[k] = float(np.max(np.linalg.norm(grad, axis=1)))
+    return out
+
+
+def variation_cost(p, k, ubar):
+    """Exact cost of a single-instant control variation at step k."""
+    ub = np.asarray(ubar, dtype=float)
+    scalar_input = ub.ndim == 1
+    nodes = np.tile(ub, (2**k, 1)) if scalar_input else ub
+    cal = p.cal
+    y = AdaptedProcess({k: np.zeros((2**k, p.n))})
+    jump_drift = nodes @ cal.B(k, k).T
+    jump_diff = nodes @ cal.D(k, k).T
+    first = np.empty((2 ** (k + 1), p.n))
+    first[0::2] = jump_drift + jump_diff
+    first[1::2] = jump_drift - jump_diff
+    y.values[k + 1] = first
+    for l in range(k + 1, p.N):
+        yl = y.values[l]
+        ek_y = lift(cond_mean(yl, l, k), k, l)
+        drift = yl @ p.A[k, l].T + ek_y @ p.Abar[k, l].T
+        diff = yl @ p.C[k, l].T + ek_y @ p.Cbar[k, l].T
+        nxt = np.empty((2 ** (l + 1), p.n))
+        nxt[0::2] = drift + diff
+        nxt[1::2] = drift - diff
+        y.values[l + 1] = nxt
+    total = np.einsum("ni,ij,nj->n", nodes, cal.R(k, k), nodes)
+    for l in range(k, p.N):
+        yl = y.values[l]
+        qy = np.einsum("ni,ij,nj->n", yl, p.Q[k, l], yl)
+        mean_y = cond_mean(yl, l, k)
+        total += cond_mean(qy[:, None], l, k)[:, 0]
+        total += np.einsum("ni,ij,nj->n", mean_y, p.Qbar[k, l], mean_y)
+    yN = y.values[p.N]
+    gy = np.einsum("ni,ij,nj->n", yN, p.G[k], yN)
+    mean_yN = cond_mean(yN, p.N, k)
+    total += cond_mean(gy[:, None], p.N, k)[:, 0]
+    total += np.einsum("ni,ij,nj->n", mean_yN, p.Gbar[k], mean_yN)
+    if scalar_input:
+        return float(total[0])
+    return total
+
+
+def difference_formula_check(p, k, zeta, u, ubar, lam):
+    """Residual of the exact cost-difference expansion at step k."""
+    init = InitialPair(k, np.asarray(zeta, dtype=float))
+    ub = np.asarray(ubar, dtype=float)
+    ub_nodes = np.tile(ub, (2**k, 1)) if ub.ndim == 1 else ub
+    state = roll_forward(p, init, u, k)
+    j_base = cost(p, init, u, k, state=state)
+    j_pert = cost(p, init, tree.deviated_control(u, k, lam * ub_nodes), k)
+    lhs = j_pert - j_base
+    grad = stationarity_gradient(p, state, u, k)
+    quad = variation_cost(p, k, ub_nodes)
+    rhs = 2.0 * lam * np.sum(grad * ub_nodes, axis=1) + lam * lam * quad
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def representation_check(p, gains, t, x, k, tables):
+    """Max gap between the exact adjoint and its table representation."""
+    init = InitialPair(t, np.asarray(x, dtype=float))
+    star, control = tree.equilibrium_pair(p, gains, init)
+    state_k = roll_forward(p, InitialPair(k, star.values[k]), control, k)
+    z = solve_bsde(p, state_k, k)
+    worst = 0.0
+    for l in range(k, p.N + 1):
+        xl = state_k.values[l]
+        xs = star.values[l]
+        ek_x = lift(cond_mean(xl, l, k), k, l)
+        ek_xs = lift(cond_mean(xs, l, k), k, l)
+        pred = (
+            (xl - ek_x) @ tables.P[k, l].T
+            + ek_x @ tables.Pcal[k, l].T
+            + (xs - ek_xs) @ tables.T[k, l].T
+            + ek_xs @ tables.Tcal[k, l].T
+            + tables.pi[k, l]
+        )
+        worst = max(worst, float(np.max(np.linalg.norm(z.values[l] - pred, axis=1))))
+    return worst
+
+
+def certify_equilibrium(p, init, control, t, deviations=4, seed=20240801,
+                        tol_stationary=1e-8, tol_convexity=1e-9):
+    """The certificate as `EquilibriumCertificate.to_dict()` lays it out."""
+    residuals = stationarity_residuals(p, init, control, t)
+    rng = np.random.default_rng(seed)
+    convexity = {}
+    for k in range(t, p.N):
+        dirs = [np.eye(p.m)[i] for i in range(p.m)]
+        for _ in range(deviations):
+            v = rng.normal(size=p.m)
+            dirs.append(v / np.linalg.norm(v))
+        convexity[k] = min(variation_cost(p, k, v) for v in dirs)
+
+    star = tree.concatenated_state(p, control, init)
+    gaps = []
+    descent = []
+    for k in range(t, p.N):
+        restart = InitialPair(k, star.values[k])
+        state = roll_forward(p, restart, control, k)
+        base = cost(p, restart, control, k, state=state)
+        for scale in DEVIATION_SCALES:
+            worst = np.inf
+            for _ in range(max(1, deviations // 2)):
+                v = rng.normal(size=p.m)
+                delta = scale * v / np.linalg.norm(v)
+                pert = cost(p, restart, tree.deviated_control(control, k, delta), k)
+                worst = min(worst, float(np.min(pert - base)))
+            gaps.append({"k": k, "scale": scale, "min_gap": worst})
+        grad = stationarity_gradient(p, state, control, k)
+        moving = np.linalg.norm(grad, axis=1) > tol_stationary
+        direction = np.zeros_like(grad)
+        direction[moving] = -grad[moving] / np.linalg.norm(grad[moving], axis=1)[:, None]
+        for scale in DEVIATION_SCALES:
+            pert = cost(p, restart, tree.deviated_control(control, k, scale * direction), k)
+            gap = np.where(moving, pert - base, 0.0)
+            descent.append({"k": k, "scale": scale, "min_gap": float(np.min(gap))})
+
+    ok = (
+        all(v <= tol_stationary for v in residuals.values())
+        and all(v >= -tol_convexity for v in convexity.values())
+        and all(g["min_gap"] >= -tol_convexity for g in gaps + descent)
+    )
+    return {
+        "stationary_residuals": {str(k): v for k, v in residuals.items()},
+        "convexity_values": {str(k): v for k, v in convexity.items()},
+        "deviation_gaps": gaps,
+        "descent_gaps": descent,
+        "verdict": ok,
+    }
