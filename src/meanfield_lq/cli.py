@@ -28,19 +28,6 @@ EXIT_INPUT = 1
 EXIT_VIOLATED = 2
 
 
-def _threads_cap() -> int | None:
-    raw = os.environ.get("MEANFIELD_LQ_THREADS")
-    if raw is None:
-        return None
-    try:
-        val = int(raw)
-        if val < 1:
-            raise ValueError
-    except ValueError:
-        raise MeanfieldLQError(f"MEANFIELD_LQ_THREADS must be a positive integer, got {raw!r}")
-    return val
-
-
 def _sha256(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -62,7 +49,6 @@ def _write_manifest(out_path: str, command: str, input_path: str, input_sha: str
         "tolerances": tolerances,
         "outputs": outputs,
         "tool_version": __version__,
-        "threads_cap": _threads_cap(),
         "wall_time_s": time.monotonic() - started,
     }
     _write_json(out_path + ".manifest.json", doc)
@@ -110,8 +96,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     started = time.monotonic()
     p, findings, sha = _load_problem(args.input)
-    # certification never needs more levels than the horizon, so the
-    # requested depth is clamped to N; the cap still applies without --force
+    # certification needs exactly N levels; the depth cap applies without --force
     scen = tree.ScenarioTree(p.N, force=args.force)
 
     if args.gains:
@@ -269,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", required=True)
     v.add_argument("--t", type=int, default=0)
     v.add_argument("--x", required=True, help="comma-separated initial state, e.g. 1,1")
-    v.add_argument("--tree-depth", type=int, default=0, help="requested depth (clamped to N)")
     v.add_argument("--force", action="store_true", help="override the tree depth cap")
     v.add_argument("--gains", help="report file to take gains from (tamper check)")
     v.add_argument("--seed", type=int, default=20240801)
@@ -302,7 +286,6 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; remap to the input-error code
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
-        _threads_cap()
         return args.fn(args)
     except NumericalBreakdown as exc:
         print(f"error: numerical breakdown: {exc}", file=sys.stderr)

@@ -3,12 +3,17 @@
 A problem instance carries one copy of every system/weight block for each
 pair of indices (t, k) with 0 <= t <= k <= N-1: the data genuinely depend on
 the time the problem is (re)started at, which is the whole point of the
-model.  Storage is a plain dict keyed by (t, k).
+model.  Each family is one `Family`: a zero-filled (N, N, ...) array with a
+mask of the (t, k) keys present, read and written as a mapping keyed by
+(t, k).  The solver reads the arrays as they are, and the JSON reader and
+writer move a whole family at once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +43,9 @@ FAMILY_NAMES = tuple(MATRIX_FAMILIES) + tuple(VECTOR_FAMILIES)
 SYM_OK = 1e-12
 SYM_WARN_REL = 1e-2
 
+# a rejected file's message lists at most this many findings
+SHOWN_ERRORS = 8
+
 
 @dataclass(frozen=True)
 class Finding:
@@ -46,36 +54,147 @@ class Finding:
     message: str
 
 
+class Family(MutableMapping):
+    """Blocks keyed by (t, k), 0 <= t <= k, t < rows, k < cols, held stacked.
+
+    ``stack`` is a zero-filled (rows, cols, *shape) float array and ``mask``
+    the (rows, cols) map of the keys present; both are allocated at the
+    first block stored, so an empty family costs nothing.  ``fam[t, k]`` is
+    a view into the stack, and storing a block copies it in.  A block that
+    does not fit (its key lies outside the triangle, or its shape is not
+    ``shape``) is kept as given in ``extra``, so that ``validate`` can word
+    it.  Iteration yields the stacked keys in (t, k) order, then the extra
+    ones in the order they were stored.
+    """
+
+    def __init__(self, rows: int, cols: int, shape: tuple):
+        self.rows, self.cols, self.shape = rows, cols, tuple(shape)
+        self.stack, self.mask, self.extra = None, None, {}
+        self._views = {}  # views of present stacked blocks, made as they are read
+
+    @classmethod
+    def full(cls, stack: np.ndarray) -> "Family":
+        """Every triangle key of a (rows, cols, ...) stack, as views of it."""
+        fam = cls(stack.shape[0], stack.shape[1], stack.shape[2:])
+        fam.stack, fam.mask = stack, fam._triangle()
+        return fam
+
+    def _triangle(self) -> np.ndarray:
+        return np.triu(np.ones((self.rows, self.cols), dtype=bool))
+
+    def _inside(self, t, k) -> bool:
+        return 0 <= t <= k < self.cols and t < self.rows
+
+    def _allocate(self) -> None:
+        self.stack = np.zeros((self.rows, self.cols) + self.shape)
+        self.mask = np.zeros((self.rows, self.cols), dtype=bool)
+
+    def __getitem__(self, key):
+        try:  # the tree and Monte Carlo kernels read blocks one by one
+            return self._views[key]
+        except KeyError:
+            pass
+        t, k = key
+        if self.mask is not None and self._inside(t, k) and self.mask[t, k]:
+            view = self._views[key] = self.stack[t, k]
+            return view
+        return self.extra[key]
+
+    def __setitem__(self, key, value) -> None:
+        t, k = key
+        a = np.asarray(value, dtype=float)
+        inside = self._inside(t, k)
+        if inside and a.shape == self.shape:
+            if self.stack is None:
+                self._allocate()
+            self.stack[t, k] = a
+            self.mask[t, k] = True
+            self.extra.pop(key, None)
+            return
+        if inside and self.mask is not None:
+            self._clear(t, k)
+        self.extra[key] = a
+
+    def __delitem__(self, key) -> None:
+        if key in self.extra:
+            del self.extra[key]
+            return
+        t, k = key
+        if not (self.mask is not None and self._inside(t, k) and self.mask[t, k]):
+            raise KeyError(key)
+        self._clear(t, k)
+
+    def _clear(self, t, k) -> None:
+        self.mask[t, k] = False
+        self.stack[t, k] = 0.0
+        self._views.pop((t, k), None)
+
+    def __iter__(self):
+        if self.mask is not None:
+            yield from zip(*(ix.tolist() for ix in np.nonzero(self.mask)))
+        yield from list(self.extra)
+
+    def __len__(self) -> int:
+        return (0 if self.mask is None else int(np.count_nonzero(self.mask))) + len(self.extra)
+
+    def assign(self, t: np.ndarray, k: np.ndarray, blocks: np.ndarray) -> None:
+        """Store blocks[i] under (t[i], k[i]); the keys must be distinct
+        triangle keys and the blocks of shape ``shape``."""
+        if self.stack is None:
+            self._allocate()
+        self.stack[t, k] = blocks
+        self.mask[t, k] = True
+        for key in [key for key in self.extra if self._inside(*key) and self.mask[key]]:
+            del self.extra[key]
+
+    def stacked(self) -> np.ndarray:
+        """The stack itself; KeyError unless the blocks are exactly the triangle."""
+        missing = np.argwhere(self._triangle() & (True if self.mask is None else ~self.mask))
+        if len(missing) or self.extra:
+            raise KeyError(tuple(missing[0].tolist()) if len(missing) else next(iter(self.extra)))
+        return self.stack
+
+    def flagged(self, symmetric: bool) -> list[tuple[int, int]]:
+        """Triangle keys, in (t, k) order, whose block is missing, does not
+        fit, is non-finite or (if ``symmetric``) is not exactly symmetric."""
+        bad = self._triangle()
+        if self.stack is not None:
+            blocks = tuple(range(2, self.stack.ndim))
+            ok = self.mask & np.isfinite(self.stack).all(axis=blocks)
+            if symmetric:
+                ok &= (self.stack == np.swapaxes(self.stack, -1, -2)).all(axis=blocks)
+            bad &= ~ok
+        return list(zip(*(ix.tolist() for ix in np.nonzero(bad))))
+
+    def copy(self) -> "Family":
+        out = Family(self.rows, self.cols, self.shape)
+        if self.stack is not None:
+            out.stack, out.mask = self.stack.copy(), self.mask.copy()
+        out.extra = {key: v.copy() for key, v in self.extra.items()}
+        return out
+
+
 @dataclass
 class ProblemData:
     """All coefficients of one control problem instance.
 
-    Matrix families are dicts keyed by (t, k) over the triangular index set
-    {0 <= t <= k <= N-1}; terminal weights are lists indexed by t.
+    Each name in FAMILY_NAMES (A, Abar, ..., rho) is a `Family` over the
+    triangular index set {0 <= t <= k <= N-1}: one stacked (N, N, ...)
+    array with a mask of the blocks present, set up empty here and filled
+    by item assignment, ``p.A[t, k] = block``.  Terminal weights are lists
+    indexed by t.
     """
 
     n: int
     m: int
     N: int
-    A: dict = field(default_factory=dict)
-    Abar: dict = field(default_factory=dict)
-    B: dict = field(default_factory=dict)
-    Bbar: dict = field(default_factory=dict)
-    C: dict = field(default_factory=dict)
-    Cbar: dict = field(default_factory=dict)
-    D: dict = field(default_factory=dict)
-    Dbar: dict = field(default_factory=dict)
-    Q: dict = field(default_factory=dict)
-    Qbar: dict = field(default_factory=dict)
-    R: dict = field(default_factory=dict)
-    Rbar: dict = field(default_factory=dict)
-    f: dict = field(default_factory=dict)
-    d: dict = field(default_factory=dict)
-    q: dict = field(default_factory=dict)
-    rho: dict = field(default_factory=dict)
     G: list = field(default_factory=list)
     Gbar: list = field(default_factory=list)
     g: list = field(default_factory=list)
+
+    def __post_init__(self):
+        for name in FAMILY_NAMES:
+            setattr(self, name, Family(self.N, self.N, self.shape_of(name)))
 
     def pairs(self):
         """All valid (t, k) index pairs, t <= k <= N-1."""
@@ -95,7 +214,7 @@ class ProblemData:
     def copy(self) -> "ProblemData":
         out = ProblemData(self.n, self.m, self.N)
         for name in FAMILY_NAMES:
-            setattr(out, name, {tk: v.copy() for tk, v in getattr(self, name).items()})
+            setattr(out, name, getattr(self, name).copy())
         out.G = [v.copy() for v in self.G]
         out.Gbar = [v.copy() for v in self.Gbar]
         out.g = [v.copy() for v in self.g]
@@ -158,24 +277,6 @@ class InitialPair:
         return self.x.copy()
 
 
-def _family_clean(p: ProblemData, fam: dict, shape: tuple, symmetric: bool) -> bool:
-    """True if a family holds exactly the N(N+1)/2 triangular blocks, each
-    of the right shape, finite and (if ``symmetric``) exactly symmetric.
-
-    Such a family has no finding and needs no repair, so ``validate`` can
-    skip its per-block checks; any other family takes them.
-    """
-    if len(fam) != p.N * (p.N + 1) // 2:
-        return False
-    try:
-        a = np.asarray([fam[tk] for tk in p.pairs()], dtype=float)
-    except (KeyError, ValueError, TypeError, OverflowError):
-        return False
-    if a.shape[1:] != shape or not np.isfinite(a).all():
-        return False
-    return not (symmetric and (a != np.swapaxes(a, -1, -2)).any())
-
-
 def validate(p: ProblemData) -> list[Finding]:
     """Check invariants, auto-symmetrising weight blocks with small defects.
 
@@ -216,13 +317,11 @@ def validate(p: ProblemData) -> list[Finding]:
         fam = getattr(p, name)
         shape = p.shape_of(name)
         symmetric = name in MATRIX_FAMILIES and MATRIX_FAMILIES[name][1]
-        if _family_clean(p, fam, shape, symmetric):
-            continue
-        for t, k in p.pairs():
+        # one array pass finds the blocks to word; a sound family has none
+        for t, k in fam.flagged(symmetric):
             check_block(name, (t, k), fam.get((t, k)), shape, symmetric, f"{name}[{t}][{k}]")
-        extra = [tk for tk in fam if tk[1] < tk[0] or tk[1] >= p.N or tk[0] < 0]
-        for tk in extra:
-            findings.append(Finding("error", f"{name}[{tk[0]}][{tk[1]}]", "index out of range"))
+        for t, k in [tk for tk in fam.extra if not fam._inside(*tk)]:
+            findings.append(Finding("error", f"{name}[{t}][{k}]", "index out of range"))
 
     for name, lst, shape, symmetric in (
         ("G", p.G, (p.n, p.n), True),
@@ -312,7 +411,7 @@ def from_no_meanfield(n, m, N, *, A, B, C, D, f, d, Q, R, q, rho, G, g) -> Probl
     def fill(name, datum):
         fam = getattr(p, name)
         shape = p.shape_of(name)
-        if isinstance(datum, dict):
+        if isinstance(datum, Mapping):
             for t, k in p.pairs():
                 if (t, k) not in datum:
                     raise DimensionMismatch(f"{name} missing block ({t},{k})")
@@ -420,13 +519,47 @@ def bundled_example() -> ProblemData:
 # ---------------------------------------------------------------------------
 # JSON serialisation.  The writer is canonical: keys sorted, floats printed
 # with 17 significant digits, so serialise -> parse -> serialise is
-# byte-identical.
+# byte-identical.  A float array, and a whole `Family`, is written by one
+# %-format of a template built from its shape (and its sorted keys); "%.17g"
+# prints a float exactly as format(v, ".17g") does.
 
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON text for nested dict/list/number/str/bool/None."""
+    """Deterministic JSON text for nested dict/list/number/str/bool/None.
+
+    Leaves may also be ndarrays, and a `Family` is written as an object
+    keyed "t,k".
+    """
     parts: list[str] = []
     _dump(obj, parts)
     return "".join(parts)
+
+
+@functools.lru_cache(maxsize=64)
+def _template(shape: tuple) -> str:
+    """%-format template of a float array of this shape as nested lists."""
+    if not shape:
+        return "%.17g"
+    return "[" + ",".join([_template(shape[1:])] * shape[0]) + "]"
+
+
+@functools.lru_cache(maxsize=16)
+def _family_layout(rows: int, cols: int, shape: tuple, present: bytes):
+    """Template of a family's JSON object and the (t, k) index arrays of
+    its blocks, both in the order of the sorted "t,k" key strings."""
+    mask = np.frombuffer(present, dtype=bool).reshape(rows, cols)
+    keys = sorted((f"{t},{k}", t, k) for t, k in zip(*(ix.tolist() for ix in np.nonzero(mask))))
+    block = _template(shape)
+    template = "{" + ",".join(f'"{key}":{block}' for key, _, _ in keys) + "}"
+    t = np.array([t for _, t, _ in keys], dtype=np.intp)
+    k = np.array([k for _, _, k in keys], dtype=np.intp)
+    t.flags.writeable = k.flags.writeable = False  # shared by every caller
+    return template, t, k
+
+
+def _floats(a: np.ndarray) -> tuple:
+    if not np.isfinite(a).all():
+        raise ProblemFormatError("cannot serialise non-finite float")
+    return tuple(a.ravel().tolist())
 
 
 def _dump(obj, parts):
@@ -446,7 +579,16 @@ def _dump(obj, parts):
             raise ProblemFormatError("cannot serialise non-finite float")
         parts.append(format(v, ".17g"))
     elif isinstance(obj, np.ndarray):
-        _dump(obj.tolist(), parts)
+        if obj.dtype.kind == "f":
+            parts.append(_template(obj.shape) % _floats(obj))
+        else:  # ints print exactly, bools as true/false
+            _dump(obj.tolist(), parts)
+    elif isinstance(obj, Family):
+        if obj.extra or obj.stack is None:
+            _dump({f"{t},{k}": v for (t, k), v in obj.items()}, parts)
+        else:
+            template, t, k = _family_layout(obj.rows, obj.cols, obj.shape, obj.mask.tobytes())
+            parts.append(template % _floats(obj.stack[t, k]))
     elif isinstance(obj, (list, tuple)):
         parts.append("[")
         for i, item in enumerate(obj):
@@ -469,44 +611,14 @@ def _dump(obj, parts):
 
 def to_json(p: ProblemData) -> str:
     """Serialise a problem instance to canonical JSON text."""
-    data = {}
-    for name in FAMILY_NAMES:
-        fam = getattr(p, name)
-        data[name] = {f"{t},{k}": fam[t, k].tolist() for (t, k) in fam}
     doc = {
         "n": p.n,
         "m": p.m,
         "N": p.N,
-        "data": data,
-        "terminal": {
-            "G": [b.tolist() for b in p.G],
-            "Gbar": [b.tolist() for b in p.Gbar],
-            "g": [b.tolist() for b in p.g],
-        },
+        "data": {name: getattr(p, name) for name in FAMILY_NAMES},
+        "terminal": {"G": p.G, "Gbar": p.Gbar, "g": p.g},
     }
     return canonical_dumps(doc)
-
-
-def _read_stacked(entry: dict, parsed: dict) -> dict | None:
-    """Blocks of a dict-layout family, converted by one ``np.asarray`` call.
-
-    ``parsed`` maps key strings already seen to their (t, k) pairs; the
-    families of one file usually share their keys.  Returns None on a
-    malformed key or on ragged or non-numeric blocks; the caller then reads
-    the family block by block, which reports them.
-    """
-    try:
-        keys = []
-        for key in entry:
-            tk = parsed.get(key)
-            if tk is None:
-                t_s, k_s = key.split(",")
-                tk = parsed[key] = (int(t_s), int(k_s))
-            keys.append(tk)
-        blocks = np.asarray(list(entry.values()), dtype=float)
-    except (ValueError, TypeError, OverflowError):
-        return None
-    return dict(zip(keys, blocks))
 
 
 def _block(value, where: str) -> np.ndarray:
@@ -517,8 +629,69 @@ def _block(value, where: str) -> np.ndarray:
         raise ProblemFormatError(f"{where}: not a numeric block ({exc})") from exc
 
 
+def _parse_key(name: str, key: str) -> tuple[int, int]:
+    try:
+        t_s, k_s = key.split(",")
+        return int(t_s), int(k_s)
+    except ValueError as exc:
+        raise ProblemFormatError(f"{name}: bad index key {key!r}") from exc
+
+
+def _index(keys: list, N: int):
+    """(t, k) index arrays of keys that are distinct triangle keys, else None."""
+    if not all(0 <= t <= k < N for t, k in keys):
+        return None
+    t, k = np.array(keys, dtype=np.intp).reshape(-1, 2).T
+    return (t, k) if len(np.unique(t * N + k)) == len(keys) else None
+
+
+def _family_entries(name: str, entry, N: int, seen: dict):
+    """Keys, their index arrays (or None) and blocks of one family, in file order.
+
+    ``seen`` maps the key lists of dict-layout families already read to
+    their keys and index; the families of one file usually share them.
+    """
+    if isinstance(entry, dict):
+        names = tuple(entry)
+        if names not in seen:
+            keys = [_parse_key(name, key) for key in names]
+            seen[names] = keys, _index(keys, N)
+        return (*seen[names], list(entry.values()))
+    if isinstance(entry, list):
+        # dense layout: entry[t][k], null below the diagonal
+        keys, blocks = [], []
+        for t, row in enumerate(entry):
+            if not isinstance(row, list):
+                raise ProblemFormatError(f"{name}[{t}]: expected a list of blocks")
+            for k, block in enumerate(row):
+                if block is not None:
+                    keys.append((t, k))
+                    blocks.append(block)
+        return keys, _index(keys, N), blocks
+    raise ProblemFormatError(f"{name}: expected object or list")
+
+
+def _fill(fam: Family, name: str, keys: list, index, blocks: list) -> None:
+    """Store a family's blocks by one conversion and one index assignment;
+    block by block if they do not all fit, so that ``validate`` words them."""
+    try:
+        stacked = np.asarray(blocks, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        stacked = None
+    if index is not None and stacked is not None and stacked.shape == (len(keys),) + fam.shape:
+        fam.assign(*index, stacked)
+        return
+    for (t, k), block in zip(keys, blocks):
+        fam[t, k] = _block(block, f"{name}[{t}][{k}]")
+
+
 def from_json(text: str) -> tuple[ProblemData, list[Finding]]:
-    """Parse and validate a problem file; raises ProblemFormatError on errors."""
+    """Parse and validate a problem file; raises ProblemFormatError on errors.
+
+    A family whose blocks fall short of the declared N(N+1)/2 by more than
+    an error message would list is rejected with its counts before any
+    storage is allocated, so a file declaring a huge N fails at once.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -535,34 +708,16 @@ def from_json(text: str) -> tuple[ProblemData, list[Finding]]:
     data = doc["data"]
     if not isinstance(data, dict):
         raise ProblemFormatError("'data' must be an object")
-    parsed = {}
+    triangle = p.N * (p.N + 1) // 2
+    seen = {}
     for name in FAMILY_NAMES:
         if name not in data:
             raise ProblemFormatError(f"missing family {name!r}")
-        fam = getattr(p, name)
-        entry = data[name]
-        if isinstance(entry, dict):
-            stacked = _read_stacked(entry, parsed)
-            if stacked is not None:
-                fam.update(stacked)
-                continue
-            for key, block in entry.items():
-                try:
-                    t_s, k_s = key.split(",")
-                    t, k = int(t_s), int(k_s)
-                except ValueError as exc:
-                    raise ProblemFormatError(f"{name}: bad index key {key!r}") from exc
-                fam[t, k] = _block(block, f"{name}[{t}][{k}]")
-        elif isinstance(entry, list):
-            # dense layout: entry[t][k], null below the diagonal
-            for t, row in enumerate(entry):
-                if not isinstance(row, list):
-                    raise ProblemFormatError(f"{name}[{t}]: expected a list of blocks")
-                for k, block in enumerate(row):
-                    if block is not None:
-                        fam[t, k] = _block(block, f"{name}[{t}][{k}]")
-        else:
-            raise ProblemFormatError(f"{name}: expected object or list")
+        keys, index, blocks = _family_entries(name, data[name], p.N, seen)
+        if p.N >= 1 and len(keys) < triangle - SHOWN_ERRORS:
+            raise ProblemFormatError(
+                f"{name}: {len(keys)} blocks for N={p.N}, which needs {triangle}")
+        _fill(getattr(p, name), name, keys, index, blocks)
     term = doc["terminal"]
     if not isinstance(term, dict):
         raise ProblemFormatError("'terminal' must be an object")
@@ -576,7 +731,7 @@ def from_json(text: str) -> tuple[ProblemData, list[Finding]]:
     errors = [f for f in findings if f.severity == "error"]
     if errors:
         raise ProblemFormatError(
-            "; ".join(f"{f.path}: {f.message}" for f in errors[:8])
+            "; ".join(f"{f.path}: {f.message}" for f in errors[:SHOWN_ERRORS])
         )
     return p, findings
 

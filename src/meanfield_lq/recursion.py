@@ -20,7 +20,7 @@ import numpy as np
 from . import matrices as mx
 from .errors import EpsilonNonPositive, HorizonMismatch, NumericalBreakdown
 from .matrices import PsdVerdict
-from .model import FAMILY_NAMES, InitialPair, ProblemData
+from .model import FAMILY_NAMES, Family, InitialPair, ProblemData
 
 RANGE_TOL = 1e-8
 
@@ -29,8 +29,8 @@ RANGE_TOL = 1e-8
 class RecursionTables:
     """Solution tables, keyed by (k, l) with 0 <= k <= N-1, k <= l <= N.
 
-    The stage-sweep solvers fill each dict with views into one stacked
-    (N, N + 1, ...) array per table.
+    The stage-sweep solvers give each table as a `Family` over one stacked
+    (N, N + 1, ...) array, whose items are views into it.
     """
 
     N: int
@@ -93,19 +93,10 @@ class SolvabilityReport:
 
 
 def _stack(p: ProblemData) -> SimpleNamespace:
-    """The problem's (t, k) families as zero-padded (N, N, ...) arrays.
-
-    Also carries the script sums (cA = A + Abar, ...) and the terminal
-    data G, script-G and g as (N, ...) arrays.
-    """
-    t, k = np.triu_indices(p.N)
-    pairs = list(zip(t.tolist(), k.tolist()))
-    s = SimpleNamespace()
-    for name in FAMILY_NAMES:
-        fam = getattr(p, name)
-        stacked = np.zeros((p.N, p.N) + p.shape_of(name))
-        stacked[t, k] = [fam[tk] for tk in pairs]
-        setattr(s, name, stacked)
+    """The problem's (t, k) families as their (N, N, ...) stacks, zero off
+    the triangle, plus the script sums (cA = A + Abar, ...) and the
+    terminal data G, script-G and g as (N, ...) arrays."""
+    s = SimpleNamespace(**{name: getattr(p, name).stacked() for name in FAMILY_NAMES})
     for name in ("A", "B", "C", "D", "Q", "R"):
         setattr(s, "c" + name, getattr(s, name) + getattr(s, name + "bar"))
     s.G = np.array(p.G, dtype=float).reshape(p.N, p.n, p.n)
@@ -120,9 +111,8 @@ def _t(x: np.ndarray) -> np.ndarray:
 
 
 def _tables(N: int, **stacks) -> RecursionTables:
-    """Views of (N, N + 1, ...) stacked tables under their (k, l) keys."""
-    keys = [(k, l) for k in range(N) for l in range(k, N + 1)]
-    return RecursionTables(N, **{name: {kl: a[kl] for kl in keys} for name, a in stacks.items()})
+    """(N, N + 1, ...) stacked tables, keyed by (k, l) as views into them."""
+    return RecursionTables(N, **{name: Family.full(a) for name, a in stacks.items()})
 
 
 def _check_finite(l: int, row0: int = 0, **stacks) -> None:
@@ -501,14 +491,7 @@ def gains_from_dict(doc: dict) -> GainSchedule:
 
 
 def tables_to_dict(tables: RecursionTables) -> dict:
-    def dump(d):
-        return {f"{k},{l}": v.tolist() for (k, l), v in sorted(d.items())}
-
-    return {
-        "N": tables.N,
-        "P": dump(tables.P),
-        "Pcal": dump(tables.Pcal),
-        "T": dump(tables.T),
-        "Tcal": dump(tables.Tcal),
-        "pi": dump(tables.pi),
-    }
+    """The stage-sweep tables as a document; `model.canonical_dumps` writes
+    each `Family` table as an object keyed "k,l"."""
+    return {"N": tables.N, "P": tables.P, "Pcal": tables.Pcal, "T": tables.T,
+            "Tcal": tables.Tcal, "pi": tables.pi}

@@ -73,6 +73,14 @@ class TestSolve:
         bad.write_text("{\"n\": 2}")
         assert run("solve", "--input", bad, "--out", tmp_path / "r.json") == 1
 
+    def test_declared_horizon_beyond_the_blocks_exits_one(self, tmp_path, capsys):
+        doc = json.loads(model.to_json(model.bundled_example()))
+        doc["N"] = 800
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        assert run("solve", "--input", path, "--out", tmp_path / "r.json") == 1
+        assert capsys.readouterr().err == "error: A: 3 blocks for N=800, which needs 320400\n"
+
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["data"]["A"].update({"0,0": {"x": 1}}), "A[0][0]: not a numeric block"),
         (lambda d: d["data"].update({"B": [[[[1.0, 0.0]], None], 3]}), "B[1]: expected a list"),
@@ -112,10 +120,6 @@ class TestVerify:
         cert = json.loads(out.read_text())["certificate"]
         assert cert["verdict"] is False
         assert cert["stationary_residuals"]["0"] > 1e-3
-
-    def test_tree_depth_clamped(self, example_file, tmp_path):
-        assert run("verify", "--input", example_file, "--out", tmp_path / "c.json",
-                   "--t", 0, "--x", "1,1", "--tree-depth", 3) == 0
 
     def test_bad_vector_exits_one(self, example_file, tmp_path):
         assert run("verify", "--input", example_file, "--out", tmp_path / "c.json",
@@ -208,9 +212,3 @@ class TestEpsilonSweep:
 class TestUsage:
     def test_unknown_command_exits_one(self):
         assert run("frobnicate") == 1
-
-    def test_threads_env_validated(self, example_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("MEANFIELD_LQ_THREADS", "zero")
-        assert run("solve", "--input", example_file, "--out", tmp_path / "r.json") == 1
-        monkeypatch.setenv("MEANFIELD_LQ_THREADS", "2")
-        assert run("solve", "--input", example_file, "--out", tmp_path / "r.json") == 0

@@ -1,11 +1,15 @@
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from meanfield_lq import model, recursion
 from meanfield_lq.errors import DimensionMismatch, ProblemFormatError
-from meanfield_lq.model import InitialPair
+from meanfield_lq.model import Family, InitialPair
 
 from conftest import make_problem
 
@@ -290,3 +294,119 @@ class TestJson:
         del doc["data"]["B"]["0,1"]
         with pytest.raises(ProblemFormatError):
             model.from_json(json.dumps(doc))
+
+
+class TestDeclaredHorizon:
+    def test_declared_n_beyond_the_blocks_rejected_at_once(self):
+        """A file whose N asks for far more blocks than it holds is rejected
+        by one counting line, before any (N, N) storage is allocated."""
+        doc = json.loads(model.to_json(model.bundled_example()))
+        doc["N"] = 10**6
+        start = time.perf_counter()
+        with pytest.raises(ProblemFormatError) as err:
+            model.from_json(json.dumps(doc))
+        assert time.perf_counter() - start < 0.5
+        assert str(err.value) == "A: 3 blocks for N=1000000, which needs 500000500000"
+
+
+class TestFamily:
+    def test_mapping_over_one_stack(self):
+        fam = Family(3, 3, (2,))
+        assert len(fam) == 0 and fam.stack is None and fam.get((0, 0)) is None
+        fam[1, 2] = [1.0, 2.0]
+        fam[0, 0] = np.array([3.0, 4.0])
+        fam[2, 1] = [5.0, 6.0]  # below the diagonal: kept aside for validate
+        fam[0, 1] = [7.0]  # wrong shape: kept aside as well
+        assert list(fam) == [(0, 0), (1, 2), (2, 1), (0, 1)]
+        assert len(fam) == 4 and (1, 2) in fam and (1, 1) not in fam
+        view = fam[1, 2]
+        view[0] = -1.0
+        assert fam.stack[1, 2, 0] == -1.0
+        fam[0, 1] = [8.0, 9.0]  # now it fits
+        assert fam.extra.keys() == {(2, 1)}
+        del fam[0, 0]
+        assert (0, 0) not in fam and not fam.stack[0, 0].any()
+        with pytest.raises(KeyError):
+            fam.stacked()
+        copy = fam.copy()
+        copy[1, 2] = [0.0, 0.0]
+        assert fam[1, 2][1] == 2.0
+
+    def test_problem_families_read_as_stacks(self, example):
+        stack = example.A.stacked()
+        assert stack.shape == (2, 2, 2, 2)
+        assert np.array_equal(stack[0, 1], example.A[0, 1])
+        assert not stack[1, 0].any()
+
+
+def _as_lists(doc):
+    """The same document with every ndarray leaf and Family as plain lists."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, Family):
+        return {f"{t},{k}": v.tolist() for (t, k), v in doc.items()}
+    if isinstance(doc, dict):
+        return {key: _as_lists(v) for key, v in doc.items()}
+    if isinstance(doc, list):
+        return [_as_lists(v) for v in doc]
+    return doc
+
+
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1e16, 123456789.125)
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+float_arrays = arrays(st.sampled_from([np.float64, np.float32]),
+                      array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+                      elements=st.floats(allow_nan=False, allow_infinity=False, width=32)
+                      | st.sampled_from((-0.0, 1e-45, 3.4028234663852886e38)))
+f64_arrays = arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+                    elements=finite)
+
+
+@st.composite
+def families(draw):
+    rows = draw(st.integers(0, 4))
+    fam = Family(rows, rows + draw(st.integers(0, 1)), draw(array_shapes(min_dims=1, max_dims=2,
+                                                                          min_side=0, max_side=2)))
+    keys = [(t, k) for t in range(fam.rows) for k in range(t, fam.cols)]
+    for key in draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []:
+        fam[key] = draw(arrays(np.float64, fam.shape, elements=finite))
+    return fam
+
+
+leaves = (f64_arrays | float_arrays | families() | finite | st.integers() | st.booleans()
+          | st.none() | st.text(max_size=3))
+documents = st.recursive(leaves, lambda kids: st.lists(kids, max_size=3)
+                         | st.dictionaries(st.text(max_size=3), kids, max_size=3), max_leaves=8)
+
+
+class TestCanonicalWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(documents)
+    @example(np.array(-0.0))
+    @example(np.zeros((0,)))
+    @example(np.zeros((2, 0, 3)))
+    @example({"a": [np.array(EDGE_FLOATS), {"b": np.array([[5e-324, -0.0]])}]})
+    def test_array_leaves_write_as_their_lists(self, doc):
+        assert model.canonical_dumps(doc) == model.canonical_dumps(_as_lists(doc))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_rejected(self, bad):
+        for doc in (np.array([1.0, bad]), {"x": [np.array(bad)]}):
+            with pytest.raises(ProblemFormatError, match="non-finite"):
+                model.canonical_dumps(doc)
+        fam = Family(2, 2, (1,))
+        fam[0, 1] = [bad]
+        with pytest.raises(ProblemFormatError, match="non-finite"):
+            model.canonical_dumps(fam)
+
+    def test_large_integers_print_exactly(self):
+        big = np.array([2**53 + 1, -(2**62) - 3], dtype=np.int64)
+        assert model.canonical_dumps(big) == "[9007199254740993,-4611686018427387907]"
+        assert model.canonical_dumps(np.array([True, False])) == "[true,false]"
+
+    def test_tables_write_as_keyed_lists(self, rng):
+        tables, gains, _ = recursion.solve_gdre_global(make_problem(rng, 2, 3, 12))
+        doc = recursion.tables_to_dict(tables)
+        assert model.canonical_dumps(doc) == model.canonical_dumps(_as_lists(doc))
+        assert isinstance(recursion.gains_to_dict(gains)["Psi"], list)
