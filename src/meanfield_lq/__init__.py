@@ -33,11 +33,8 @@ from .recursion import (
     RecursionTables,
     SolvabilityReport,
     convexity_margins,
-    affine_feedback_tables,
     solve_epsilon,
-    solve_fixed_pair,
     solve_gdre_global,
-    solve_no_meanfield,
     solve_symmetric,
 )
 from .montecarlo import SimConfig, SimResult, estimate_deviation_gap, simulate

@@ -112,8 +112,8 @@ def cmd_verify(args) -> int:
     x = _parse_vector(args.x, p.n)
     init = InitialPair(t, x)
     _, control = tree.equilibrium_pair(p, gains, init, scen)
-    cert = tree.certify_equilibrium(p, init, control, t, deviations=args.deviations,
-                                    seed=args.seed, tree=scen, tables=tables)
+    cert = tree.certify_equilibrium(p, init, control, t, seed=args.seed, tree=scen,
+                                    tables=tables)
     doc = {
         "command": "verify",
         "tool_version": __version__,
@@ -256,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--x", required=True, help="comma-separated initial state, e.g. 1,1")
     v.add_argument("--force", action="store_true", help="override the tree depth cap")
     v.add_argument("--gains", help="report file to take gains from (tamper check)")
-    v.add_argument("--seed", type=int, default=20240801)
-    v.add_argument("--deviations", type=int, default=4)
+    v.add_argument("--seed", type=int, default=20240801,
+                   help="seed of the cost-difference identity check")
     v.set_defaults(fn=cmd_verify)
 
     m = sub.add_parser("simulate", help="Monte Carlo cost and trajectory moments")

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DimensionMismatch, EmptyConfig, HorizonMismatch
 from .matrices import sym_part
@@ -69,6 +68,7 @@ def draw_noise(cfg: SimConfig, paths: int, steps: int) -> np.ndarray:
     u = gen.random((paths, steps))
     if cfg.noise_law == "rademacher":
         return np.where(u < 0.5, -1.0, 1.0)
+    from scipy.special import ndtri  # not at the top: it is most of the import time
     tiny = 2.0**-53
     return ndtri(np.clip(u, tiny, 1.0 - tiny))
 

@@ -23,9 +23,19 @@ after step t are held once, with a probes axis of length 1.  `roll_forward`,
 Restart cache.  `certify_equilibrium` restarts the candidate once per step
 k from (k, X*_k) (`_restart`: the rolled state, its adjoint and the step-k
 stationarity gradient).  That one restart gives the stationarity residual,
-the base cost of every deviation gap and the representation and
-cost-difference checks.  The deviated step-k controls are one batch of
-probes, and the variational directions of step k another.
+the base cost of the deviation gaps and the representation and
+cost-difference checks.
+
+Exact certificate.  The restarted cost is quadratic in the step-k control,
+so a deviation v at a level-k node changes it by 2 <g, v> + v' M_k v, with
+g the node's stationarity gradient.  The quadratic part is the cost of the
+variational system, which starts at zero and whose coefficients are
+deterministic; a variation that is F_k-measurable is one constant vector
+on each level-k subtree, so M_k is the same at every node and the
+node-constant variations determine it.  Polarisation reads it off the
+m(m+1)/2 variations e_i and e_i + e_j (`_deviation_matrix`), one batch of
+probes.  The worst gap
+per node is then -g' M_k^+ g, and its minimisers are a second batch.
 """
 
 from __future__ import annotations
@@ -242,6 +252,18 @@ def _variation(p: ProblemData, k: int, ub: np.ndarray) -> np.ndarray:
     return _cost(p, k, xs, us, affine=False)
 
 
+def _deviation_matrix(p: ProblemData, k: int) -> np.ndarray:
+    """M_k by polarisation of the costs c of the variations e_i and e_i + e_j:
+    M_ii = c(e_i), M_ij = (c(e_i + e_j) - c(e_i) - c(e_j)) / 2."""
+    m = p.m
+    i, j = np.triu_indices(m, 1)
+    eye = np.eye(m)
+    c = _variation(p, k, np.concatenate((eye, eye[i] + eye[j])).T[:, :, None])[:, 0]
+    M = np.diag(c[:m])
+    M[i, j] = M[j, i] = 0.5 * (c[m:] - c[i] - c[j])
+    return M
+
+
 def _representation_gap(p: ProblemData, k: int, tables, xs: list, zs: list, star: dict) -> float:
     """Max node-wise gap between a restart's adjoint and its table form."""
     worst = 0.0
@@ -432,6 +454,7 @@ def representation_check(p: ProblemData, gains, t: int, x, k: int,
 class EquilibriumCertificate:
     """Verdict of the exact tree certification of a candidate control.
 
+    ``worst_gaps`` holds per step ``{k, min_gap, realised_gap}``.
     ``identity_checks`` holds the representation and cost-difference
     residuals per step when the certification was given the solved tables;
     they are diagnostics and do not enter the verdict.
@@ -439,8 +462,7 @@ class EquilibriumCertificate:
 
     stationary_residuals: dict
     convexity_values: dict
-    deviation_gaps: list
-    descent_gaps: list
+    worst_gaps: list
     verdict: bool
     tol_stationary: float
     tol_convexity: float
@@ -448,15 +470,11 @@ class EquilibriumCertificate:
     identity_checks: dict | None = None
 
     def to_dict(self) -> dict:
-        def gaps(records):
-            return [{"k": int(g["k"]), "scale": float(g["scale"]), "min_gap": float(g["min_gap"])}
-                    for g in records]
-
         return {
             "stationary_residuals": {str(k): float(v) for k, v in self.stationary_residuals.items()},
             "convexity_values": {str(k): float(v) for k, v in self.convexity_values.items()},
-            "deviation_gaps": gaps(self.deviation_gaps),
-            "descent_gaps": gaps(self.descent_gaps),
+            "worst_gaps": [{"k": int(g["k"]), "min_gap": float(g["min_gap"]),
+                            "realised_gap": float(g["realised_gap"])} for g in self.worst_gaps],
             "verdict": bool(self.verdict),
             "tol_stationary": float(self.tol_stationary),
             "tol_convexity": float(self.tol_convexity),
@@ -464,26 +482,24 @@ class EquilibriumCertificate:
         }
 
 
-DEVIATION_SCALES = (1.0, 0.1, 0.01)
-
-
 def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProcess,
-                        t: int, deviations: int = 4, seed: int = 20240801,
+                        t: int, seed: int = 20240801,
                         tol_stationary: float = 1e-8, tol_convexity: float = 1e-9,
                         tree: ScenarioTree | None = None,
                         tables=None) -> EquilibriumCertificate:
-    """Full certification: stationarity, convexity and one-instant deviations.
+    """Exact certification: stationarity, convexity and the worst deviation.
 
-    Convexity values are the variational costs of the m canonical unit
-    variations plus ``deviations`` seeded random unit directions, minimised
-    per step.  Deviation gaps compare the restarted cost of the candidate
-    control against single-instant perturbations at three scales probing
-    the linear and quadratic parts: ``deviations // 2`` (at least one)
-    seeded random directions per scale, and, as the descent gaps, the
-    per-node direction of steepest descent -g/|g| of the stationarity
-    gradient g.  Where |g| <= tol_stationary the node counts as stationary:
-    its direction would be set by rounding, so it is not moved and its gap
-    is 0.  For an equilibrium all gaps are >= 0 up to tolerance.
+    A deviation v of the step-k control at a level-k node changes the
+    restarted cost there by 2 <g, v> + v' M_k v, with g the node's
+    stationarity gradient and M_k built by polarisation (module docstring).
+    The convexity value is lambda_min(M_k), and the per-node worst gap
+    ``min_gap`` is -g' M_k^+ g, at v* = -M_k^+ g.  ``realised_gap`` is the
+    cost change of rolling every node's v* on the tree; it is reported
+    only.  The verdict needs every residual max |g| <= tol_stationary and
+    every lambda_min and min_gap >= -tol_convexity.  That covers every
+    deviation: a non-PSD M_k fails the convexity term, and a part of g
+    outside range(M_k), along which the cost is unbounded below, is no
+    longer than g.
 
     ``tables`` are the solved backward tables of the gains behind
     ``control``.  With them, the same restarts also give the identity checks
@@ -492,76 +508,47 @@ def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProce
     """
     tree = _check_tree(p, tree)
     control.require(t, p.N - 1, p.m)
-    steps = range(t, p.N)
-    per_scale = max(1, deviations // 2)
-    rng = np.random.default_rng(seed)
-    directions = {}
-    for k in steps:
-        dirs = [np.eye(p.m)[i] for i in range(p.m)]
-        for _ in range(deviations):
-            v = rng.normal(size=p.m)
-            dirs.append(v / np.linalg.norm(v))
-        directions[k] = dirs
-    shifts = {}
-    for k in steps:
-        shifts[k] = []
-        for scale in DEVIATION_SCALES:
-            for _ in range(per_scale):
-                v = rng.normal(size=p.m)
-                shifts[k].append(scale * v / np.linalg.norm(v))
-    draws = {}  # direction and step of each cost-difference check
-    if tables is not None:
-        rng = np.random.default_rng(seed)
-        for k in steps:
-            ubar = rng.normal(size=p.m)
-            draws[k] = (ubar, float(rng.uniform(-1.0, 1.0)))
-
+    rng = np.random.default_rng(seed)  # direction and step of each cost-difference check
     star = _columns(concatenated_state(p, control, init, tree), t, p.N)
     ctl = _columns(control, t, p.N - 1)
-    residuals, convexity, gaps, descent = {}, {}, [], []
+    residuals, convexity, gaps = {}, {}, []
     representation, difference = {}, {}
-    for k in steps:
+    for k in range(t, p.N):
         us, xs, zs, grad = _restart(p, k, star, ctl)
         base = _cost(p, k, xs, us)[0]
-        norms = np.linalg.norm(grad, axis=0)
-        residuals[k] = float(np.max(norms))
-        moving = norms > tol_stationary
-        steepest = np.divide(-grad, norms, out=np.zeros_like(grad), where=moving)
+        residuals[k] = float(np.max(np.linalg.norm(grad, axis=0)))
+        M = _deviation_matrix(p, k)
+        w, V = np.linalg.eigh(M)
+        convexity[k] = float(w[0])
+        keep = np.abs(w) > p.m * np.finfo(float).eps * np.max(np.abs(w), initial=0.0)
+        Mdag = (V[:, keep] / w[keep]) @ V[:, keep].T
 
-        # the deviated step-k controls, one probe each
-        nodes = (p.m, 1, 2**k, 1)
-        deltas = [np.broadcast_to(d[:, None, None, None], nodes) for d in shifts[k]]
-        deltas += [scale * steepest for scale in DEVIATION_SCALES]
-        dirs = directions[k]
+        g = grad[:, 0, :, 0]
+        vstar = -Mdag @ g
+        # the minimisers, then the cost-difference direction, one probe each
+        deltas = [vstar[:, None, :, None]]
         if tables is not None:
-            ubar, lam = draws[k]
-            deltas.append(np.broadcast_to(lam * ubar[:, None, None, None], nodes))
-            dirs = dirs + [ubar]
+            ubar, lam = rng.normal(size=p.m), float(rng.uniform(-1.0, 1.0))
+            deltas.append(np.broadcast_to(lam * ubar[:, None, None, None], (p.m, 1, 2**k, 1)))
         moved = [us[0] + np.concatenate(deltas, axis=1)] + us[1:]
         x0 = np.broadcast_to(xs[0], (p.n,) + moved[0].shape[1:])
         change = _cost(p, k, _roll(p, k, x0, moved), moved) - base
-        for i, scale in enumerate(DEVIATION_SCALES):
-            block = change[i * per_scale:(i + 1) * per_scale]
-            gaps.append({"k": k, "scale": scale, "min_gap": float(np.min(block))})
-            row = np.where(moving[0, :, 0], change[len(shifts[k]) + i], 0.0)
-            descent.append({"k": k, "scale": scale, "min_gap": float(np.min(row))})
-
-        quad = _variation(p, k, np.stack(dirs, axis=1)[:, :, None])[:, 0]
-        convexity[k] = float(np.min(quad[:p.m + deviations]))
+        gaps.append({"k": k, "min_gap": float(np.min(np.sum(g * vstar, axis=0))),
+                     "realised_gap": float(np.min(change[0]))})
         if tables is not None:
             representation[str(k)] = _representation_gap(p, k, tables, xs, zs, star)
-            difference[str(k)] = _difference_residual(change[-1], lam, grad, ubar, quad[-1])
+            difference[str(k)] = _difference_residual(change[-1], lam, grad, ubar,
+                                                      ubar @ M @ ubar)
 
     ok = (
         all(v <= tol_stationary for v in residuals.values())
         and all(v >= -tol_convexity for v in convexity.values())
-        and all(g["min_gap"] >= -tol_convexity for g in gaps + descent)
+        and all(g["min_gap"] >= -tol_convexity for g in gaps)
     )
     return EquilibriumCertificate(
         stationary_residuals=residuals,
         convexity_values=convexity,
-        deviation_gaps=gaps,
-        descent_gaps=descent,
+        worst_gaps=gaps,
         verdict=ok,
         tol_stationary=tol_stationary,
         tol_convexity=tol_convexity,

@@ -73,6 +73,47 @@ def rand_sym(rng, d, scale=0.5):
     return 0.5 * (a + a.T)
 
 
+def identity_dynamics_problem(N=3):
+    """A = I, no noise terms, unit terminal weight: P stays the identity."""
+    z = np.zeros((1, 1))
+    one = np.ones((1, 1))
+    return model.from_time_invariant(
+        1, 1, N, A=one, Abar=z, B=z, Bbar=z, C=z, Cbar=z, D=z, Dbar=z,
+        f=np.zeros(1), d=np.zeros(1), Q=z, Qbar=z, R=one, Rbar=z,
+        q=np.zeros(1), rho=np.zeros(1), G=one, Gbar=z, g=np.zeros(1),
+    )
+
+
+def zero_weight_problem(rho=0.0):
+    """identity_dynamics_problem with no control: W = 0 at every step."""
+    p = identity_dynamics_problem()
+    for t, k in p.pairs():
+        p.R[t, k] = np.zeros((1, 1))
+        p.B[t, k] = np.zeros((1, 1))
+        p.D[t, k] = np.zeros((1, 1))
+        p.rho[t, k] = rho * np.ones(1)
+    return p
+
+
+def duplicated_control_problem(rng, n=2, N=3):
+    """Both control channels act identically, so every W is singular by
+    construction while H and beta stay inside its column space."""
+    m = 2
+    p = make_problem(rng, n, m, N, convex=True)
+    for t, k in p.pairs():
+        colb = rng.normal(size=(n, 1)) * 0.6
+        cold = rng.normal(size=(n, 1)) * 0.6
+        p.B[t, k] = np.hstack([colb, colb])
+        p.Bbar[t, k] = np.zeros((n, m))
+        p.D[t, k] = np.hstack([cold, cold])
+        p.Dbar[t, k] = np.zeros((n, m))
+        r = 0.5 + float(rng.random())
+        p.R[t, k] = r * np.ones((m, m))
+        p.Rbar[t, k] = np.zeros((m, m))
+        p.rho[t, k] = float(rng.normal()) * np.ones(m)
+    return p
+
+
 def random_dims(rng, max_nm=3, max_N=5):
     return int(rng.integers(1, max_nm + 1)), int(rng.integers(1, max_nm + 1)), int(rng.integers(2, max_N + 1))
 

@@ -26,6 +26,7 @@ from meanfield_lq import model, montecarlo as mc, recursion, tree
 from meanfield_lq.model import InitialPair
 from meanfield_lq.tree import AdaptedProcess
 
+import recursion_reference as rref
 from conftest import make_problem
 
 M12_REF = np.array([[400.8004, -330.6524], [-330.6524, 673.2241]])
@@ -130,8 +131,11 @@ def test_recorded_step0_gains_rejected(solved_example):
     cert = tree.certify_equilibrium(p, init, control, 0)
     assert not cert.verdict
     assert cert.stationary_residuals[0] > 1e3 * cert.tol_stationary
-    # the certificate's own descent probe finds the profitable deviation
-    assert min(g["min_gap"] for g in cert.descent_gaps if g["k"] == 0) < -cert.tol_convexity
+    # the certificate's exact worst gap, confirmed by rolling its minimiser
+    worst = cert.worst_gaps[0]
+    assert worst["k"] == 0 and worst["min_gap"] <= -1e3
+    restarted = abs(tree.cost(p, init, control, 0)[0])
+    assert abs(worst["realised_gap"] - worst["min_gap"]) <= 1e-12 * (1.0 + restarted)
 
     state = tree.roll_forward(p, init, control, 0)
     grad = tree.stationarity_gradient(p, state, control, 0)[0]
@@ -141,7 +145,7 @@ def test_recorded_step0_gains_rejected(solved_example):
     moved = tree.cost(p, init, tree.deviated_control(control, 0, step * direction), 0)[0]
     assert moved - base < -1e-6 * abs(base)
     print(f"recorded step-0 gains: rejected (residual {cert.stationary_residuals[0]:.3g}, "
-          f"deviation lowers the cost by {base - moved:.4g})")
+          f"worst step-0 deviation gap {worst['min_gap']:.6g})")
 
 
 def test_criterion_3a_step1_spectrum_and_invertibility(solved_example):
@@ -173,7 +177,7 @@ def test_criterion_4_equilibrium_certification(solved_example):
     cert = tree.certify_equilibrium(p, init, control, 0)
     assert cert.verdict
     assert max(cert.stationary_residuals.values()) <= 1e-8
-    assert all(g["min_gap"] >= -1e-9 for g in cert.deviation_gaps)
+    assert all(g["min_gap"] >= -1e-9 for g in cert.worst_gaps)
 
     rng = np.random.default_rng(20250804)
     done = 0
@@ -189,10 +193,10 @@ def test_criterion_4_equilibrium_certification(solved_example):
             continue
         init_q = InitialPair(0, rng.normal(size=n))
         _, ctrl = tree.equilibrium_pair(q, g, init_q)
-        c = tree.certify_equilibrium(q, init_q, ctrl, 0, deviations=3)
+        c = tree.certify_equilibrium(q, init_q, ctrl, 0)
         assert c.verdict, f"instance {done} failed certification"
         assert max(c.stationary_residuals.values()) <= 1e-8
-        assert all(gap["min_gap"] >= -1e-9 for gap in c.deviation_gaps)
+        assert all(gap["min_gap"] >= -1e-9 for gap in c.worst_gaps)
         done += 1
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
@@ -300,7 +304,7 @@ def test_criterion_6_negative_controls():
         bad = recursion.GainSchedule(gains.W, gains.Wdag, gains.H, gains.beta,
                                      bad_psi, gains.alpha)
         _, control = tree.equilibrium_pair(p, bad, init)
-        cert = tree.certify_equilibrium(p, init, control, 0, deviations=3)
+        cert = tree.certify_equilibrium(p, init, control, 0)
         if not cert.verdict and max(cert.stationary_residuals.values()) > 1e-3:
             flips += 1
     assert flips >= 24, f"only {flips}/25 perturbed schedules were rejected"
@@ -321,7 +325,7 @@ def test_criterion_7_reductions():
                 Q=p.Q, R=p.R, q=p.q, rho=p.rho, G=p.G, g=p.g,
             )
         t1, g1, _ = recursion.solve_gdre_global(p)
-        t2, g2, _ = recursion.solve_no_meanfield(p)
+        t2, g2, _ = rref.solve_no_meanfield(p)
         for key in t1.P:
             scale = 1.0 + np.max(np.abs(t1.P[key]))
             assert np.max(np.abs(t1.P[key] - t2.P[key])) <= 1e-10 * scale

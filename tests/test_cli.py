@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -125,6 +128,11 @@ class TestVerify:
         assert run("verify", "--input", example_file, "--out", tmp_path / "c.json",
                    "--t", 0, "--x", "1,2,3") == 1
 
+    def test_sampling_knob_is_gone(self, example_file, tmp_path):
+        # the certificate is exact; no option sets a number of sampled deviations
+        assert run("verify", "--input", example_file, "--out", tmp_path / "c.json",
+                   "--x", "1,1", "--deviations", "4") == 1
+
     def test_horizon_over_cap_needs_force(self, tmp_path, rng):
         from conftest import make_problem
 
@@ -212,3 +220,12 @@ class TestEpsilonSweep:
 class TestUsage:
     def test_unknown_command_exits_one(self):
         assert run("frobnicate") == 1
+
+    def test_import_leaves_out_scipy_special(self):
+        # only the Gaussian noise law needs it, and it dominates import time
+        code = "import sys, meanfield_lq.cli; print('scipy.special' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"

@@ -5,29 +5,9 @@ from meanfield_lq import model, recursion, tree
 from meanfield_lq.errors import EpsilonNonPositive, NumericalBreakdown
 from meanfield_lq.model import InitialPair
 
-from conftest import make_problem
-
-
-def identity_dynamics_problem(N=3):
-    """A = I, no noise terms, unit terminal weight: P stays the identity."""
-    z = np.zeros((1, 1))
-    one = np.ones((1, 1))
-    return model.from_time_invariant(
-        1, 1, N, A=one, Abar=z, B=z, Bbar=z, C=z, Cbar=z, D=z, Dbar=z,
-        f=np.zeros(1), d=np.zeros(1), Q=z, Qbar=z, R=one, Rbar=z,
-        q=np.zeros(1), rho=np.zeros(1), G=one, Gbar=z, g=np.zeros(1),
-    )
-
-
-def zero_weight_problem(rho=0.0):
-    """identity_dynamics_problem with no control: W = 0 at every step."""
-    p = identity_dynamics_problem()
-    for t, k in p.pairs():
-        p.R[t, k] = np.zeros((1, 1))
-        p.B[t, k] = np.zeros((1, 1))
-        p.D[t, k] = np.zeros((1, 1))
-        p.rho[t, k] = rho * np.ones(1)
-    return p
+import recursion_reference as rref
+from conftest import (duplicated_control_problem, identity_dynamics_problem, make_problem,
+                      zero_weight_problem)
 
 
 def tail_problem(p, s):
@@ -39,25 +19,6 @@ def tail_problem(p, s):
             dst[t, k] = src[t + s, k + s]
     out.G, out.Gbar, out.g = p.G[s:], p.Gbar[s:], p.g[s:]
     return out
-
-
-def duplicated_control_problem(rng, n=2, N=3):
-    """Both control channels act identically, so every W is singular by
-    construction while H and beta stay inside its column space."""
-    m = 2
-    p = make_problem(rng, n, m, N, convex=True)
-    for t, k in p.pairs():
-        colb = rng.normal(size=(n, 1)) * 0.6
-        cold = rng.normal(size=(n, 1)) * 0.6
-        p.B[t, k] = np.hstack([colb, colb])
-        p.Bbar[t, k] = np.zeros((n, m))
-        p.D[t, k] = np.hstack([cold, cold])
-        p.Dbar[t, k] = np.zeros((n, m))
-        r = 0.5 + float(rng.random())
-        p.R[t, k] = r * np.ones((m, m))
-        p.Rbar[t, k] = np.zeros((m, m))
-        p.rho[t, k] = float(rng.normal()) * np.ones(m)
-    return p
 
 
 class TestSolveSymmetric:
@@ -246,7 +207,7 @@ class TestAffineFeedbackTables:
         for p in cases:
             tab, gains, _ = recursion.solve_gdre_global(p)
             for k in range(p.N):
-                T, Tb, pi = recursion.affine_feedback_tables(p, gains.Psi, gains.alpha, k, tab)
+                T, Tb, pi = rref.affine_feedback_tables(p, gains.Psi, gains.alpha, k, tab)
                 for l in range(k, p.N + 1):
                     assert close(T[l], tab.T[k, l])
                     assert close(T[l] + Tb[l], tab.Tcal[k, l])
@@ -256,7 +217,7 @@ class TestAffineFeedbackTables:
         p = make_problem(rng, 2, 2, 3, homogeneous=True)
         psi = [np.zeros((2, 2))] * 3
         alpha = [np.zeros(2)] * 3
-        T, Tb, pi = recursion.affine_feedback_tables(p, psi, alpha, 0)
+        T, Tb, pi = rref.affine_feedback_tables(p, psi, alpha, 0)
         for l in range(0, 4):
             assert not T[l].any()
             assert not Tb[l].any()
@@ -267,7 +228,7 @@ class TestAffineFeedbackTables:
         tab = recursion.solve_symmetric(p)
         psi = [rng.normal(size=(1, 1)) for _ in range(2)]
         alpha = [rng.normal(size=1) for _ in range(2)]
-        T, Tb, pi = recursion.affine_feedback_tables(p, psi, alpha, 0, tab)
+        T, Tb, pi = rref.affine_feedback_tables(p, psi, alpha, 0, tab)
 
         def s(fam, t, k):
             return float(getattr(p, fam)[t, k][0, 0] if getattr(p, fam)[t, k].ndim == 2
@@ -301,7 +262,7 @@ class TestSolveFixedPair:
         tab, gains, _ = recursion.solve_gdre_global(example)
         scen = tree.ScenarioTree(example.N)
         init = InitialPair(0, np.array([1.0, 1.0]))
-        report = recursion.solve_fixed_pair(example, tab, gains, init, scen)
+        report = rref.solve_fixed_pair(example, tab, gains, init, scen)
         assert report.max_residual <= 1e-8
         assert report.satisfied
 
@@ -314,14 +275,14 @@ class TestSolveFixedPair:
         assert max(rep.rangeH_residuals) <= 1e-10
         assert max(rep.rangeBeta_residuals) <= 1e-10
         init = InitialPair(0, rng.normal(size=2))
-        report = recursion.solve_fixed_pair(p, tab, gains, init, tree.ScenarioTree(p.N))
+        report = rref.solve_fixed_pair(p, tab, gains, init, tree.ScenarioTree(p.N))
         assert report.max_residual <= 1e-10
 
     def test_zero_state_zero_offsets(self, rng):
         p = make_problem(rng, 2, 2, 3, homogeneous=True)
         tab, gains, _ = recursion.solve_gdre_global(p)
         init = InitialPair(0, np.zeros(2))
-        report = recursion.solve_fixed_pair(p, tab, gains, init, tree.ScenarioTree(p.N))
+        report = rref.solve_fixed_pair(p, tab, gains, init, tree.ScenarioTree(p.N))
         assert report.max_residual == 0.0
 
 
@@ -413,7 +374,7 @@ class TestReductions:
             n, m, N = 2, 2, int(rng.integers(2, 5))
             p = make_problem(rng, n, m, N, meanfield=False, convex=False)
             t1, g1, _ = recursion.solve_gdre_global(p)
-            t2, g2, _ = recursion.solve_no_meanfield(p)
+            t2, g2, _ = rref.solve_no_meanfield(p)
             for key in t1.P:
                 scale = 1.0 + np.max(np.abs(t1.P[key]))
                 assert np.max(np.abs(t1.P[key] - t2.P[key])) <= 1e-10 * scale

@@ -10,7 +10,8 @@ from meanfield_lq.model import InitialPair
 from meanfield_lq.tree import AdaptedProcess, ScenarioTree
 
 import tree_reference as ref
-from conftest import make_problem
+from conftest import (duplicated_control_problem, identity_dynamics_problem, make_problem,
+                      random_dims, zero_weight_problem)
 
 
 def all_ones_scalar_problem(N=2):
@@ -315,13 +316,59 @@ class TestRepresentation:
 
 class TestCertification:
     def test_reference_example_certifies(self, example):
-        _, gains, _ = recursion.solve_gdre_global(example)
+        tables, gains, _ = recursion.solve_gdre_global(example)
         init = InitialPair(0, np.array([1.0, 1.0]))
         _, control = tree.equilibrium_pair(example, gains, init)
         cert = tree.certify_equilibrium(example, init, control, 0)
         assert cert.verdict
         assert max(cert.stationary_residuals.values()) <= 1e-8
-        assert all(g["min_gap"] >= -1e-9 for g in cert.deviation_gaps)
+        # at the equilibrium the exact worst gap is zero up to g' M^+ g rounding
+        assert all(abs(g["min_gap"]) <= 1e-20 for g in cert.worst_gaps)
+        for k, want in ((0, 14658.96), (1, 179.40)):
+            lam = np.linalg.eigvalsh(recursion.assemble_m2(example, tables, k))[0]
+            assert abs(cert.convexity_values[k] - lam) <= 1e-9 * abs(lam)
+            assert abs(lam - want) <= 5e-3
+
+    def test_gap_and_convexity_terms_reject_alone(self):
+        # residual 5e-9 is within tolerance, but with M = 1e-10 the deviation
+        # v* = -g/M = -50 lowers the cost by g^2/M = 2.5e-7: only the gap sees it
+        p = identity_dynamics_problem()
+        for t, k in p.pairs():
+            p.R[t, k] = 1e-10 * np.ones((1, 1))
+            p.rho[t, k] = 5e-9 * np.ones(1)
+        init = InitialPair(0, np.ones(1))
+        cert = tree.certify_equilibrium(p, init, tree.constant_control(p, 0), 0)
+        assert max(cert.stationary_residuals.values()) <= cert.tol_stationary
+        assert min(cert.convexity_values.values()) >= -cert.tol_convexity
+        assert not cert.verdict
+        for g in cert.worst_gaps:
+            assert g["min_gap"] == pytest.approx(-2.5e-7, rel=1e-9)
+            assert g["realised_gap"] == pytest.approx(-2.5e-7, rel=1e-6)
+        # the zero control is stationary where M < 0, and still no equilibrium
+        for t, k in p.pairs():
+            p.R[t, k] = -1e-3 * np.ones((1, 1))
+            p.rho[t, k] = np.zeros(1)
+        cert = tree.certify_equilibrium(p, init, tree.constant_control(p, 0), 0)
+        assert max(cert.stationary_residuals.values()) == 0.0
+        assert all(g["min_gap"] == 0.0 for g in cert.worst_gaps)
+        assert not cert.verdict
+        assert cert.convexity_values[0] == pytest.approx(-1e-3, rel=1e-9)
+
+    def test_rounding_level_eigenvalue_is_not_inverted(self, rng):
+        # duplicated channels make M_k singular, and polarisation leaves an
+        # eigenvalue of rounding size (about 1e-15) for the zero one; a
+        # gradient part along its direction within tol_stationary must not
+        # be amplified through it into a gap
+        p = duplicated_control_problem(rng)
+        for t, k in p.pairs():
+            p.rho[t, k] = p.rho[t, k] + 1e-9 * np.array([1.0, -1.0])
+        _, gains, _ = recursion.solve_gdre_global(p)
+        init = InitialPair(0, np.ones(2))
+        _, control = tree.equilibrium_pair(p, gains, init)
+        cert = tree.certify_equilibrium(p, init, control, 0)
+        assert min(cert.stationary_residuals.values()) > 1e-9
+        assert cert.verdict
+        assert all(abs(g["min_gap"]) <= 1e-20 for g in cert.worst_gaps)
 
     def test_zeroed_feedback_fails_on_coupled_instance(self, rng):
         p = make_problem(rng, 2, 2, 3, coupled=True)
@@ -389,6 +436,22 @@ class TestCertification:
         np.testing.assert_allclose(j(ub), want, atol=1e-9 * (1 + np.max(np.abs(want))))
 
 
+class TestDeviationMatrix:
+    def test_matches_the_recursion_coefficient(self, rng):
+        # the tree polarises variational costs; assemble_m2 reads the tables
+        cases = [make_problem(rng, *random_dims(rng), convex=bool(j % 2)) for j in range(16)]
+        cases += [duplicated_control_problem(rng), zero_weight_problem()]
+        for p in cases:
+            tables = recursion.solve_symmetric(p)
+            x = rng.normal(size=p.n)
+            cert = tree.certify_equilibrium(p, InitialPair(0, x), tree.constant_control(p, 0), 0)
+            for k in range(p.N):
+                want = recursion.assemble_m2(p, tables, k)
+                bound = 1e-10 * (1.0 + np.linalg.norm(want))
+                assert np.max(np.abs(tree._deviation_matrix(p, k) - want)) <= bound
+                assert abs(cert.convexity_values[k] - np.linalg.eigvalsh(want)[0]) <= bound
+
+
 def uncouple(p):
     """Zero every input block and the control offsets, with R = I: the zero
     control is then stationary with a gradient that is exactly zero."""
@@ -403,7 +466,7 @@ def uncouple(p):
     return p
 
 
-# (n, m, N, t, node-family start, tamper, uncoupled, deviations)
+# (n, m, N, t, node-family start, tamper, uncoupled, reference deviations)
 REFERENCE_CASES = {
     "n_ne_m": (3, 2, 4, 0, False, False, False, 4),
     "n_is_1": (1, 2, 4, 0, False, False, False, 3),
@@ -416,7 +479,7 @@ REFERENCE_CASES = {
 
 
 class TestAgainstPerCallReference:
-    """The batched certification against the per-call code it replaced."""
+    """The exact certificate against the sampled per-call one it replaced."""
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_certificate_and_identity_checks(self, case):
@@ -433,8 +496,7 @@ class TestAgainstPerCallReference:
         star, control = tree.equilibrium_pair(p, gains, init)
         seed = 97 + len(case)
 
-        got = tree.certify_equilibrium(p, init, control, t, deviations=deviations,
-                                       seed=seed, tables=tables)
+        got = tree.certify_equilibrium(p, init, control, t, seed=seed, tables=tables)
         want = ref.certify_equilibrium(p, init, control, t, deviations=deviations, seed=seed)
         cert = got.to_dict()
         assert cert["verdict"] == want["verdict"]
@@ -443,19 +505,25 @@ class TestAgainstPerCallReference:
         def close(a, b, scale):
             assert abs(a - b) <= 1e-12 * (1.0 + scale), (a, b)
 
-        for key in ("stationary_residuals", "convexity_values"):
-            assert cert[key].keys() == want[key].keys()
-            for k, v in want[key].items():
-                close(cert[key][k], v, abs(v))
+        assert cert["stationary_residuals"].keys() == want["stationary_residuals"].keys()
+        for k, v in want["stationary_residuals"].items():
+            close(cert["stationary_residuals"][k], v, abs(v))
         restarted = {}  # the size of each step's restarted cost
         for k in range(t, N):
             j = ref.cost(p, InitialPair(k, star.values[k]), control, k)
             restarted[k] = float(np.max(np.abs(j)))
-        for key in ("deviation_gaps", "descent_gaps"):
-            assert len(cert[key]) == len(want[key]) == 3 * (N - t)
-            for a, b in zip(cert[key], want[key]):
-                assert (a["k"], a["scale"]) == (b["k"], b["scale"])
-                close(a["min_gap"], b["min_gap"], restarted[b["k"]])
+        # the exact values bound every sampled one from below
+        assert cert["convexity_values"].keys() == want["convexity_values"].keys()
+        for k, v in want["convexity_values"].items():
+            assert cert["convexity_values"][k] <= v + 1e-12 * (1.0 + abs(v))
+        assert [g["k"] for g in cert["worst_gaps"]] == list(range(t, N))
+        for g in cert["worst_gaps"]:
+            slack = 1e-12 * (1.0 + restarted[g["k"]])
+            close(g["realised_gap"], g["min_gap"], restarted[g["k"]])
+            sampled = [s["min_gap"] for s in want["deviation_gaps"] + want["descent_gaps"]
+                       if s["k"] == g["k"]]
+            assert len(sampled) == 6
+            assert g["min_gap"] <= min(sampled) + slack, (g, sampled)
 
         draws = np.random.default_rng(seed)
         checks = got.identity_checks
@@ -498,18 +566,26 @@ class TestAgainstPerCallReference:
             assert abs(got - ref.representation_check(p, gains, 0, x, k, tables)) <= 1e-12
 
 
+def imported_names(module):
+    """Every module name an import statement anywhere in ``module`` names."""
+    source = Path(module.__file__).read_text(encoding="utf-8")
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            imported += [name] + [f"{name}.{alias.name}" for alias in node.names]
+    assert imported
+    return imported
+
+
 class TestIndependence:
+    # the tree is evidence for the recursions only while neither uses the other
     def test_tree_imports_neither_recursion_nor_montecarlo(self):
-        # the tree is evidence for the recursions only while it does not use them
-        source = Path(tree.__file__).read_text(encoding="utf-8")
-        imported = []
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Import):
-                imported += [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
-        assert imported
-        for name in imported:
-            parts = set(name.split("."))
-            assert not parts & {"recursion", "montecarlo"}, name
+        for name in imported_names(tree):
+            assert not set(name.split(".")) & {"recursion", "montecarlo"}, name
+
+    def test_recursion_imports_neither_tree_nor_montecarlo(self):
+        for name in imported_names(recursion):
+            assert not set(name.split(".")) & {"tree", "montecarlo"}, name

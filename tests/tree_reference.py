@@ -1,19 +1,23 @@
-"""Per-call exact-tree certification, kept as the reference for the batched one.
+"""Per-call exact-tree certification, kept as the reference for `tree`.
 
 This is the certification `tree` did before it batched its probes: every
 restart, cost, adjoint and variational cost is its own per-level loop over
-(nodes, dim) arrays, and every probe is a separate call.  The descent gaps
-are probed per call as well, at the nodes whose gradient exceeds the
-stationarity tolerance.  Same directions, same seeds; only the
-rounding differs from `tree.certify_equilibrium`.
+(nodes, dim) arrays, and every probe is a separate call.  Its certificate
+is the sampled one `tree` used before the exact one: convexity values are
+minima over unit and seeded random directions, deviation gaps come from
+seeded random directions at the three `DEVIATION_SCALES`, and descent gaps
+from the per-node direction -g/|g| at the nodes whose gradient exceeds the
+stationarity tolerance.  Where the deviation coefficient M_k is PSD,
+every sampled value bounds its exact counterpart from above.
 """
 
 import numpy as np
 
 from meanfield_lq import tree
 from meanfield_lq.model import InitialPair
-from meanfield_lq.tree import (DEVIATION_SCALES, AdaptedProcess, child_mean, child_wmean,
-                               cond_mean, lift)
+from meanfield_lq.tree import AdaptedProcess, child_mean, child_wmean, cond_mean, lift
+
+DEVIATION_SCALES = (1.0, 0.1, 0.01)
 
 
 def roll_forward(p, init, control, t):
@@ -183,7 +187,8 @@ def representation_check(p, gains, t, x, k, tables):
 
 def certify_equilibrium(p, init, control, t, deviations=4, seed=20240801,
                         tol_stationary=1e-8, tol_convexity=1e-9):
-    """The certificate as `EquilibriumCertificate.to_dict()` lays it out."""
+    """The sampled certificate, with its convexity values, deviation gaps and
+    descent gaps, and the verdict they give."""
     residuals = stationarity_residuals(p, init, control, t)
     rng = np.random.default_rng(seed)
     convexity = {}
