@@ -275,8 +275,9 @@ def solve_gdre_global(p: ProblemData, epsilon: float = 0.0,
         verdict_all_pairs=ok,
         per_pair_note=(
             "fixed-pair solvability additionally needs the projected residual "
-            "(I - W Wdag)(H X + beta) = 0 along the realised trajectory; "
-            "see solve_fixed_pair"
+            "(I - W Wdag)(H X + beta) = 0 along the trajectory realised from the "
+            "initial pair; it depends on that pair, so this all-pairs report "
+            "does not test it"
         ),
         range_tolerance=range_tol,
     )

@@ -1,9 +1,11 @@
-"""Two-pass Monte Carlo estimator, kept as the reference for the fused kernel.
+"""Two-pass Monte Carlo estimator, kept as the reference for the blocked kernel.
 
-This is the estimator `montecarlo` used before its single pass: the
-closed-loop rollout keeps every step's (paths, n) states and (paths, m)
-controls, then a second pass costs the (t, .)-family system driven by
-those controls.  Same noise, same estimator; only the rounding differs.
+The closed-loop rollout keeps every step's (paths, n) states and (paths, m)
+controls of all paths at once, then a second pass costs the (t, .)-family
+system driven by those controls.  Every E_t term is the exact mean, carried
+by its own deterministic recursion beside the paths; the noise is the whole
+`draw_noise` matrix, drawn in one call.  Same noise, same estimator as
+`montecarlo`; only the rounding differs.
 """
 
 import numpy as np
@@ -13,30 +15,35 @@ from meanfield_lq.matrices import sym_part
 
 
 def closed_loop_paths(p, gains, x0, t, w):
-    """Per-path equilibrium state and control from the feedback schedule."""
+    """Per-path equilibrium state and control from the feedback schedule,
+    and the exact mean of the control at each step."""
     paths = w.shape[0]
     cal = p.cal
     states = {t: np.tile(x0, (paths, 1))}
-    controls = {}
+    controls, control_means = {}, {}
+    mean = x0
     for k in range(t, p.N):
         xk = states[k]
         uk = gains.control(k, xk)
         controls[k] = uk
+        control_means[k] = gains.Psi[k] @ mean + gains.alpha[k]
         drift = xk @ cal.A(k, k).T + uk @ cal.B(k, k).T + p.f[k, k]
         diff = xk @ cal.C(k, k).T + uk @ cal.D(k, k).T + p.d[k, k]
         states[k + 1] = drift + diff * w[:, k - t][:, None]
-    return states, controls
+        mean = cal.A(k, k) @ mean + cal.B(k, k) @ control_means[k] + p.f[k, k]
+    return states, controls, control_means
 
 
-def family_cost_paths(p, t, x0, controls, w):
-    """Per-path cost of the (t, .)-family system driven by a control table."""
+def family_cost_paths(p, t, x0, controls, control_means, w):
+    """Per-path cost of the (t, .)-family system driven by a control table
+    whose exact per-step means are ``control_means``."""
     paths = w.shape[0]
     xk = np.tile(x0, (paths, 1))
+    mx = x0
     total = np.zeros(paths)
     for k in range(t, p.N):
         uk = controls[k]
-        mx = xk.mean(axis=0)
-        mu = uk.mean(axis=0)
+        mu = control_means[k]
         total += np.einsum("ni,ij,nj->n", xk, p.Q[t, k], xk)
         total += mx @ p.Qbar[t, k] @ mx
         total += np.einsum("ni,ij,nj->n", uk, p.R[t, k], uk)
@@ -48,7 +55,7 @@ def family_cost_paths(p, t, x0, controls, w):
         diff = (xk @ p.C[t, k].T + p.Cbar[t, k] @ mx
                 + uk @ p.D[t, k].T + p.Dbar[t, k] @ mu + p.d[t, k])
         xk = drift + diff * w[:, k - t][:, None]
-    mx = xk.mean(axis=0)
+        mx = p.cal.A(t, k) @ mx + p.cal.B(t, k) @ mu + p.f[t, k]
     total += np.einsum("ni,ij,nj->n", xk, p.G[t], xk)
     total += mx @ p.Gbar[t] @ mx
     total += 2.0 * xk @ p.g[t]
@@ -60,8 +67,8 @@ def simulate(p, init, gains, cfg):
     t = init.t
     x0 = np.asarray(init.x, dtype=float)
     w = mc.draw_noise(cfg, cfg.paths, p.N - t)
-    states, controls = closed_loop_paths(p, gains, x0, t, w)
-    costs = family_cost_paths(p, t, x0, controls, w)
+    states, controls, means = closed_loop_paths(p, gains, x0, t, w)
+    costs = family_cost_paths(p, t, x0, controls, means, w)
     std_error = None
     if cfg.paths > 1:
         std_error = float(costs.std(ddof=1) / np.sqrt(cfg.paths))
@@ -93,11 +100,13 @@ def deviation_gap(p, init, gains, k, perturbation, cfg):
         xk = (cal.A(j, j) @ xk + cal.B(j, j) @ u + p.f[j, j]
               + cal.C(j, j) @ xk + cal.D(j, j) @ u + p.d[j, j])
     w = mc.draw_noise(cfg, cfg.paths, p.N - k)
-    _, controls = closed_loop_paths(p, gains, xk, k, w)
-    base = family_cost_paths(p, k, xk, controls, w)
-    deviated = dict(controls)
-    deviated[k] = controls[k] + np.asarray(perturbation, dtype=float)
-    gap = family_cost_paths(p, k, xk, deviated, w) - base
+    _, controls, means = closed_loop_paths(p, gains, xk, k, w)
+    base = family_cost_paths(p, k, xk, controls, means, w)
+    delta = np.asarray(perturbation, dtype=float)
+    deviated, deviated_means = dict(controls), dict(means)
+    deviated[k] = controls[k] + delta
+    deviated_means[k] = means[k] + delta
+    gap = family_cost_paths(p, k, xk, deviated, deviated_means, w) - base
     se = None
     if cfg.paths > 1:
         se = float(gap.std(ddof=1) / np.sqrt(cfg.paths))

@@ -39,6 +39,24 @@ class TestNoise:
         big = mc.draw_noise(cfg, 200, 3)
         assert np.array_equal(big[:100], small)
 
+    def test_rademacher_signs_follow_the_uniforms(self):
+        u = np.random.Generator(np.random.Philox(key=4)).random((1000, 7))
+        w = mc.draw_noise(mc.SimConfig(paths=1000, seed=4), 1000, 7)
+        assert np.array_equal(w, np.where(u < 0.5, -1.0, 1.0))
+
+    @pytest.mark.parametrize("law", mc.NOISE_LAWS)
+    @pytest.mark.parametrize("steps", [1, 3, 50])
+    def test_blocks_are_rows_of_the_full_matrix(self, law, steps):
+        cfg = mc.SimConfig(paths=41, seed=12, noise_law=law)
+        full = mc.draw_noise(cfg, 41, steps)
+        # at most of these starts, start * steps is not a multiple of the
+        # four words Philox yields per counter step
+        cuts = [0, 1, 2, 7, 13, 14, 30, 41]
+        for lo, hi in zip(cuts, cuts[1:]):
+            assert np.array_equal(mc.draw_noise(cfg, hi - lo, steps, lo), full[lo:hi])
+        for i in range(41):
+            assert np.array_equal(mc.draw_noise(cfg, 1, steps, i), full[i:i + 1])
+
     def test_gaussian_moments(self):
         cfg = mc.SimConfig(paths=200000, seed=3, noise_law="standard_gaussian")
         w = mc.draw_noise(cfg, 200000, 2)
@@ -144,6 +162,34 @@ class TestSimulate:
             tol = 4.0 * (np.sqrt(2.0 / paths) * (np.abs(exact_cov) + np.outer(se, se) * paths))
             assert np.all(np.abs(row["cov"] - exact_cov) <= tol + 1e-12)
 
+    @pytest.mark.parametrize("paths", [1, 100, mc.BLOCK, 2 * mc.BLOCK + 3])
+    def test_draws_each_block_once(self, example_solved, monkeypatch, paths):
+        p, gains = example_solved
+        calls = []
+        draw = mc.draw_noise
+
+        def spy(cfg, rows, steps, start=0):
+            calls.append((start, rows, steps))
+            return draw(cfg, rows, steps, start)
+
+        monkeypatch.setattr(mc, "draw_noise", spy)
+        mc.simulate(p, InitialPair(0, np.ones(2)), gains, mc.SimConfig(paths=paths, seed=2))
+        assert calls == [(s, min(mc.BLOCK, paths - s), p.N) for s in range(0, paths, mc.BLOCK)]
+
+    def test_std_error_is_calibrated(self, example_solved):
+        """The paths are independent once the mean-field terms are exact, so
+        the z-score of the mean cost against the exact tree cost has unit
+        spread over seeds."""
+        p, gains = example_solved
+        init = InitialPair(0, np.array([1.0, 1.0]))
+        _, control = tree.equilibrium_pair(p, gains, init)
+        exact = float(tree.cost(p, init, control, 0)[0])
+        z = []
+        for seed in range(20):
+            res = mc.simulate(p, init, gains, mc.SimConfig(paths=20_000, seed=seed))
+            z.append((res.mean_cost - exact) / res.std_error)
+        assert 0.6 <= np.std(z, ddof=1) <= 1.5
+
     def test_path_sample_shape(self, example_solved):
         p, gains = example_solved
         res = mc.simulate(p, InitialPair(0, np.ones(2)), gains,
@@ -199,11 +245,16 @@ class TestDeviationGap:
             cfg = mc.SimConfig(paths=4000, seed=int(rng.integers(0, 2**31)))
             w = mc.draw_noise(cfg, cfg.paths, p.N - k)
             xk = x0  # treat x0 as the step-k atom directly
-            base, _, _ = mc._rollout(p, gains, k, xk, w)
-            pert, _, _ = mc._rollout(p, gains, k, xk, w, deviation=np.array([0.07, -0.02]))
+            (base, pert), _, _ = mc._rollout(p, gains, k, xk, cfg.paths, _rows(w),
+                                             deviations=(None, np.array([0.07, -0.02])))
             paired = np.var(pert - base)
             independent = np.var(pert) + np.var(base)
             assert paired < independent
+
+
+def _rows(w):
+    """A kernel noise source serving the blocks of a whole noise matrix."""
+    return lambda start, rows: w[start:start + rows]
 
 
 def _solved(dims):
@@ -222,18 +273,20 @@ class TestEnumeratedNoise:
     sign paths, each with weight 2^-(N-t): the kernel fed the full sign
     matrix reproduces the tree cost up to rounding."""
 
-    @pytest.mark.parametrize("dims", [(2, 2, 8), (1, 1, 6), (3, 2, 10), (2, 2, 1), None])
+    @pytest.mark.parametrize("dims", [(2, 2, 8), (1, 1, 6), (3, 2, 10), (2, 2, 1), None,
+                                      (2, 1, 14)])
     def test_mean_cost_equals_tree_cost(self, dims):
+        # (2, 1, 14) has 16384 sign paths, so the kernel runs it in blocks
         p, gains = _solved(dims)
         x0 = np.linspace(-1.0, 1.0, p.n) + 0.5
         steps = p.N
         bits = (np.arange(2**steps)[:, None] >> np.arange(steps)) & 1
         signs = 1.0 - 2.0 * bits
-        costs, moments, _ = mc._rollout(p, gains, 0, x0, signs)
+        costs, moments, _ = mc._rollout(p, gains, 0, x0, len(signs), _rows(signs))
         init = InitialPair(0, x0)
         state, control = tree.equilibrium_pair(p, gains, init)
         exact = float(tree.cost(p, init, control, 0)[0])
-        assert abs(costs.mean() - exact) <= 1e-12 * abs(exact)
+        assert abs(costs[0].mean() - exact) <= 1e-12 * abs(exact)
         for row in moments:
             nodes = state.values[row["k"]]
             scale = 1.0 + np.max(np.abs(nodes))
@@ -252,6 +305,8 @@ class TestAgainstTwoPassReference:
         ((2, 2, 5), 1, 1, "rademacher", 1),
         (None, 0, 5000, "rademacher", 0),
         (None, 1, 5000, "standard_gaussian", 5),
+        (None, 0, 2 * mc.BLOCK + 1, "rademacher", 3),
+        ((2, 2, 6), 2, mc.BLOCK + 500, "standard_gaussian", 2),
     ])
     def test_simulate_matches_reference(self, dims, t, paths, law, keep):
         p, gains = _solved(dims)
@@ -292,16 +347,56 @@ class TestAgainstTwoPassReference:
         assert abs(se - ref_se) <= 1e-10 * ref_se
 
 
+class TestBlockLayout:
+    """A path's cost is a function of its own noise row alone: neither the
+    total path count nor where the block boundaries fall changes it."""
+
+    @pytest.mark.parametrize("law", mc.NOISE_LAWS)
+    @pytest.mark.parametrize("dims", [(2, 2, 6), (3, 2, 5), None])
+    def test_path_costs_are_bitwise_independent_of_blocks(self, dims, law, monkeypatch):
+        p, gains = _solved(dims)
+        x0 = np.linspace(-1.0, 1.0, p.n) + 0.3
+        cfg = mc.SimConfig(paths=600, seed=p.N, noise_law=law)
+        w = mc.draw_noise(cfg, cfg.paths, p.N)
+        devs = (None, np.linspace(0.5, -0.3, p.m))
+        ref, _, _ = mc._rollout(p, gains, 0, x0, cfg.paths, _rows(w), deviations=devs)
+        for block, paths in [(7, 600), (64, 599), (600, 37), (2, 5), (1, 9), (13, 1)]:
+            monkeypatch.setattr(mc, "BLOCK", block)
+            got, _, _ = mc._rollout(p, gains, 0, x0, paths, _rows(w), deviations=devs)
+            assert np.array_equal(got, ref[:, :paths])
+
+    def test_moments_and_sample_are_independent_of_blocks(self, example_solved, monkeypatch):
+        p, gains = example_solved
+        init = InitialPair(0, np.array([0.4, -1.0]))
+        cfg = mc.SimConfig(paths=500, seed=8, keep_paths=20)
+        ref = mc.simulate(p, init, gains, cfg)
+        monkeypatch.setattr(mc, "BLOCK", 7)
+        got = mc.simulate(p, init, gains, cfg)
+        assert got.mean_cost == ref.mean_cost
+        assert np.array_equal(got.path_sample, ref.path_sample)
+        for a, b in zip(got.trajectory_moments, ref.trajectory_moments, strict=True):
+            # the per-block sums add up in another order
+            scale = 1.0 + max(np.max(np.abs(b["mean"])), np.max(np.abs(b["cov"])))
+            assert np.max(np.abs(a["mean"] - b["mean"])) <= 1e-12 * scale
+            assert np.max(np.abs(a["cov"] - b["cov"])) <= 1e-12 * scale
+
+
 def test_simulate_memory_is_bounded_by_the_noise_matrix():
-    """Only the noise matrix is O(N * paths); the rollout keeps O(n * paths)."""
+    """The noise is drawn per block, so the peak stays well below the
+    (paths, N) noise matrix and grows with the path count by little more
+    than the per-path cost vector."""
     p = make_problem(np.random.default_rng(5), 2, 2, 50, scale=0.3)
     _, gains, _ = recursion.solve_gdre_global(p)
-    cfg = mc.SimConfig(paths=10_000, seed=1)
-    noise_bytes = cfg.paths * p.N * 8
-    tracemalloc.start()
-    try:
-        mc.simulate(p, InitialPair(0, np.ones(2)), gains, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * noise_bytes
+
+    def peak(paths):
+        tracemalloc.start()
+        try:
+            mc.simulate(p, InitialPair(0, np.ones(2)), gains, mc.SimConfig(paths=paths, seed=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    paths = 100_000
+    small, big = peak(paths), peak(2 * paths)
+    assert small <= paths * p.N * 8 / 4
+    assert big - small <= 8 * paths + 1_000_000

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meanfield_lq import model, recursion, tree
+from meanfield_lq import model, montecarlo, recursion, tree
 from meanfield_lq.errors import HorizonMismatch
 from meanfield_lq.model import InitialPair
 from meanfield_lq.tree import AdaptedProcess, ScenarioTree
@@ -589,3 +589,7 @@ class TestIndependence:
     def test_recursion_imports_neither_tree_nor_montecarlo(self):
         for name in imported_names(recursion):
             assert not set(name.split(".")) & {"tree", "montecarlo"}, name
+
+    def test_montecarlo_imports_neither_recursion_nor_tree(self):
+        for name in imported_names(montecarlo):
+            assert not set(name.split(".")) & {"recursion", "tree"}, name
