@@ -35,6 +35,7 @@ from .recursion import (
     convexity_margins,
     solve_epsilon,
     solve_gdre_global,
+    solve_shifts,
     solve_symmetric,
 )
 from .montecarlo import SimConfig, SimResult, estimate_deviation_gap, simulate

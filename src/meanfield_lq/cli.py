@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import model, montecarlo as mc, recursion, tree
-from .errors import MeanfieldLQError, NumericalBreakdown, ProblemFormatError
+from .errors import EpsilonNonPositive, MeanfieldLQError, NumericalBreakdown, ProblemFormatError
 from .model import InitialPair, canonical_dumps
 
 EXIT_OK = 0
@@ -175,14 +175,17 @@ def cmd_simulate(args) -> int:
 def cmd_epsilon_sweep(args) -> int:
     started = time.monotonic()
     p, findings, sha = _load_problem(args.input)
+    texts = args.eps.split(",")
     try:
-        eps_list = [float(v) for v in args.eps.split(",")]
+        eps_list = [float(v) for v in texts]
     except ValueError as exc:
         raise MeanfieldLQError(f"bad --eps list {args.eps!r}: {exc}")
-    if not eps_list or any(e <= 0.0 for e in eps_list):
-        raise MeanfieldLQError("--eps values must be strictly positive")
+    for text, eps in zip(texts, eps_list):
+        if not (np.isfinite(eps) and eps > 0.0):
+            raise EpsilonNonPositive(f"--eps values must be finite and > 0, got {text.strip()}")
 
-    _, gains0, report0 = recursion.solve_gdre_global(p)
+    eps_list = sorted(eps_list, reverse=True)
+    (_, gains0, report0), *perturbed = recursion.solve_shifts(p, (0.0, *eps_list))
 
     def gain_norm(g):
         return max(
@@ -196,14 +199,8 @@ def cmd_epsilon_sweep(args) -> int:
             d = max(d, float(np.max(np.abs(g.alpha[k] - gains0.alpha[k]))))
         return d
 
-    rows = []
-    for eps in sorted(eps_list, reverse=True):
-        g_eps, _ = recursion.solve_epsilon(p, eps)
-        rows.append({
-            "eps": eps,
-            "gain_norm": gain_norm(g_eps),
-            "distance_to_unperturbed": gain_dist(g_eps),
-        })
+    rows = [{"eps": eps, "gain_norm": gain_norm(g_eps), "distance_to_unperturbed": gain_dist(g_eps)}
+            for eps, (_, g_eps, _) in zip(eps_list, perturbed)]
     warnings = [f"{f.path}: {f.message}" for f in findings]
     dists = [r["distance_to_unperturbed"] for r in rows]
     if any(b > a for a, b in zip(dists, dists[1:])):

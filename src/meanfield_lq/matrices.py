@@ -16,11 +16,13 @@ from .errors import DimensionMismatch, NonFinite, NonSquare
 UNIT_ROUNDOFF = float(np.finfo(np.float64).eps)
 
 
-def _as_matrix(m, name: str = "matrix") -> np.ndarray:
+def _as_matrix(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """A float matrix (a vector becomes a column); with ``stack``, also a
+    stack of matrices on leading axes."""
     a = np.asarray(m, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
-    if a.ndim != 2:
+    if a.ndim != 2 and not (stack and a.ndim > 2):
         raise DimensionMismatch(f"{name} must be 2-d, got shape {a.shape}")
     return a
 
@@ -35,6 +37,20 @@ def fro(m) -> float:
     return float(np.linalg.norm(np.asarray(m, dtype=float)))
 
 
+def fro_each(m) -> np.ndarray:
+    """Frobenius norm of every matrix in a stack.
+
+    Each norm is the square root of one dot product of the matrix's entries
+    in row order, the arithmetic of ``fro`` on a row-major matrix: a stacked
+    row-times-column ``matmul`` is computed as that dot product.  A
+    pairwise-summed norm (``np.linalg.norm`` with ``axis``) can differ from
+    it in the last bit.
+    """
+    a = np.ascontiguousarray(m, dtype=float)
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    return np.sqrt(np.matmul(flat[..., None, :], flat[..., :, None])[..., 0, 0])
+
+
 @dataclass(frozen=True)
 class PsdVerdict:
     """Outcome of a positive-semidefiniteness test with an explicit margin."""
@@ -45,23 +61,29 @@ class PsdVerdict:
 
 
 def pinv(m) -> np.ndarray:
-    """Moore-Penrose inverse via SVD.
+    """Moore-Penrose inverse via SVD (of every matrix in a stack).
 
     Singular values sigma_i <= max(rows, cols) * u * sigma_max are treated
-    as zero, with u the double-precision unit roundoff.  The input is
-    scale-normalised first (the cutoff criterion is scale-invariant), so
-    extreme magnitudes do not overflow intermediate quantities.
+    as zero, with u the double-precision unit roundoff.  Each matrix is
+    scale-normalised by its largest entry first (the cutoff criterion is
+    scale-invariant), so extreme magnitudes do not overflow intermediate
+    quantities.  A stacked call gives every matrix the bits of its own call.
     """
-    a = _as_matrix(m, "pinv input")
+    a = _as_matrix(m, "pinv input", stack=True)
     if a.size and not np.all(np.isfinite(a)):
         raise NonFinite("pinv: input has non-finite entries")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if scale == 0.0:
-        return a.T.copy()
+    at = np.swapaxes(a, -1, -2)
+    if a.size == 0:
+        return at.copy()
+    scale = np.max(np.abs(a), axis=(-2, -1), keepdims=True)
+    zero = scale == 0.0
+    if zero.any():  # the pseudoinverse of a zero matrix is its transpose
+        scale = np.where(zero, 1.0, scale)
     u, s, vt = np.linalg.svd(a / scale, full_matrices=False)
-    cutoff = max(a.shape) * UNIT_ROUNDOFF * s[0]
+    cutoff = max(a.shape[-2:]) * UNIT_ROUNDOFF * s[..., :1]
     inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return ((vt.T * inv) @ u.T) / scale
+    out = ((np.swapaxes(vt, -1, -2) * inv[..., None, :]) @ np.swapaxes(u, -1, -2)) / scale
+    return np.where(zero, at, out) if zero.any() else out
 
 
 def penrose_residuals(m, m_dag) -> tuple[float, float, float, float]:
@@ -84,17 +106,23 @@ def psd_check(m, tol: float | None = None) -> PsdVerdict:
     ``tol`` defaults to 1e-9 * (1 + ||M||_F).  Callers are expected to pass
     symmetric matrices; the symmetrisation only guards against roundoff.
     """
-    a = _as_matrix(m, "psd_check input")
-    if a.shape[0] != a.shape[1]:
-        raise NonSquare(f"psd_check needs a square matrix, got {a.shape}")
+    return psd_checks(_as_matrix(m, "psd_check input")[None], tol)[0]
+
+
+def psd_checks(m, tol: float | None = None) -> list[PsdVerdict]:
+    """``psd_check`` of every matrix in a stack, by one ``eigvalsh`` call."""
+    a = _as_matrix(m, "psd_check input", stack=True)
+    if a.shape[-2] != a.shape[-1]:
+        raise NonSquare(f"psd_check needs a square matrix, got {a.shape[-2:]}")
     if a.size and not np.all(np.isfinite(a)):
         raise NonFinite("psd_check: input has non-finite entries")
-    if tol is None:
-        tol = 1e-9 * (1.0 + fro(a))
-    if a.size == 0:
-        return PsdVerdict(True, float("inf"), float(tol))
-    lam_min = float(np.linalg.eigvalsh(sym_part(a))[0])
-    return PsdVerdict(lam_min >= -tol, lam_min, float(tol))
+    tols = 1e-9 * (1.0 + fro_each(a)) if tol is None else np.full(a.shape[:-2], tol)
+    if a.shape[-1] == 0:
+        lam = np.full(a.shape[:-2], np.inf)
+    else:
+        lam = np.linalg.eigvalsh(sym_part(a))[..., 0]
+    return [PsdVerdict(bool(v >= -t), float(v), float(t))
+            for v, t in zip(lam.ravel().tolist(), tols.ravel().tolist())]
 
 
 def sym_eigenvalues(m) -> np.ndarray:
@@ -119,8 +147,13 @@ def range_residual(w, v) -> float:
         raise DimensionMismatch(
             f"range_residual: V has {b.shape[0]} rows, W is {a.shape[0]}x{a.shape[1]}"
         )
-    proj = a @ pinv(a)
-    return fro(b - proj @ b) / (1.0 + fro(b))
+    return float(range_residuals(a, pinv(a), b))
+
+
+def range_residuals(w, w_dag, v) -> np.ndarray:
+    """``range_residual`` of every (W, V) pair of two stacks, given W^+."""
+    proj = w @ w_dag
+    return fro_each(v - proj @ v) / (1.0 + fro_each(v))
 
 
 def eig_general_2x2(m) -> tuple[complex, complex]:

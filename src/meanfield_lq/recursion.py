@@ -8,6 +8,11 @@ general solver sweeps stages l = N-1 .. 0 once: at stage l, row l of stage
 l + 1 is final, one pseudoinverse fixes the step-l gains, and rows 0..l
 then advance to stage l together as stacked arrays.  Every value is final
 before anything reads it, which is what makes the order causal.
+
+One sweep can carry several problems that differ only by a shift
+epsilon * I of the control weight in W (`solve_shifts`, which the
+epsilon-sweep uses): they sit on a leading batch axis of the gain-dependent
+tables, and each member's bits are those of its own one-member sweep.
 """
 
 from __future__ import annotations
@@ -115,14 +120,24 @@ def _tables(N: int, **stacks) -> RecursionTables:
     return RecursionTables(N, **{name: Family.full(a) for name, a in stacks.items()})
 
 
+class _Breakdown(NumericalBreakdown):
+    """A breakdown of one member of a batched sweep."""
+
+    def __init__(self, message: str, member: int = 0):
+        super().__init__(message)
+        self.member = member
+
+
 def _check_finite(l: int, row0: int = 0, **stacks) -> None:
-    """Raise NumericalBreakdown if a stage-l stack (rows row0, row0 + 1, ...)
-    holds a non-finite entry, naming the table and its first bad row."""
+    """Raise NumericalBreakdown if a stage-l stack (batch members, then rows
+    row0, row0 + 1, ...) holds a non-finite entry, naming the table and the
+    first bad row of the first bad member."""
     for name, rows in stacks.items():
         if not np.isfinite(rows).all():
-            bad = ~np.isfinite(rows.reshape(len(rows), -1)).all(axis=1)
-            raise NumericalBreakdown(
-                f"stage {l}: {name} is non-finite from row k={row0 + int(np.argmax(bad))}"
+            bad = ~np.isfinite(rows.reshape(rows.shape[:2] + (-1,))).all(axis=2)
+            b = int(np.argmax(bad.any(axis=1)))
+            raise _Breakdown(
+                f"stage {l}: {name} is non-finite from row k={row0 + int(np.argmax(bad[b]))}", b
             )
 
 
@@ -139,7 +154,7 @@ def _symmetric_stage(s: SimpleNamespace, P: np.ndarray, Pc: np.ndarray, l: int):
     cAtPc, cCtP = _t(cA) @ Pcn, _t(cC) @ Pn
     P[rows, l] = mx.sym_part(s.Q[rows, l] + AtP @ A + CtP @ C)
     Pc[rows, l] = mx.sym_part(s.cQ[rows, l] + cAtPc @ cA + cCtP @ cC)
-    _check_finite(l, P=P[rows, l], Pcal=Pc[rows, l])
+    _check_finite(l, P=P[None, rows, l], Pcal=Pc[None, rows, l])
     return AtP, CtP, cAtPc, cCtP
 
 
@@ -163,25 +178,140 @@ def solve_symmetric(p: ProblemData) -> RecursionTables:
     return _tables(N, P=P, Pcal=Pc)
 
 
+def _m2_stack(s: SimpleNamespace, tables: RecursionTables) -> np.ndarray:
+    """Quadratic coefficient of a one-instant control deviation at every
+    step k, as one (N, m, m) stack, from `_stack`'s script sums."""
+    N = len(s.cR)
+    k = np.arange(N)
+    Pc = np.array([tables.Pcal[j, j + 1] for j in range(N)])
+    P = np.array([tables.P[j, j + 1] for j in range(N)])
+    cB, cD = s.cB[k, k], s.cD[k, k]
+    return s.cR[k, k] + _t(cB) @ Pc @ cB + _t(cD) @ P @ cD
+
+
 def assemble_m2(p: ProblemData, tables: RecursionTables, k: int) -> np.ndarray:
     """Quadratic coefficient of a one-instant control deviation at step k."""
-    cal = p.cal
-    cB, cD = cal.B(k, k), cal.D(k, k)
-    return cal.R(k, k) + cB.T @ tables.Pcal[k, k + 1] @ cB + cD.T @ tables.P[k, k + 1] @ cD
+    return _m2_stack(_stack(p), tables)[k]
 
 
-def convexity_margins(p: ProblemData, tables: RecursionTables,
-                      tol: float | None = None) -> tuple[list[PsdVerdict], list[np.ndarray]]:
-    """Per-step PSD verdicts for the deviation-cost coefficients."""
-    verdicts, mats = [], []
-    for k in range(p.N):
-        m2 = assemble_m2(p, tables, k)
-        mats.append(m2)
-        verdicts.append(mx.psd_check(m2, tol))
-    return verdicts, mats
+def convexity_margins(p: ProblemData, tables: RecursionTables, tol: float | None = None,
+                      stacks: SimpleNamespace | None = None
+                      ) -> tuple[list[PsdVerdict], list[np.ndarray]]:
+    """Per-step PSD verdicts for the deviation-cost coefficients, from one
+    stacked eigenvalue call.  ``stacks`` is `_stack(p)`, when the caller
+    already has it."""
+    m2 = _m2_stack(_stack(p) if stacks is None else stacks, tables)
+    return mx.psd_checks(m2, tol), list(m2)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix-vector products of stacks, each that of a single ``a @ v``."""
+    return (a @ v[..., None])[..., 0]
+
+
+def _sweep(p: ProblemData, shifts: tuple, range_tol: float) -> list:
+    """The stage sweep of `solve_gdre_global` for every W-shift in
+    ``shifts`` at once, one (tables, gains, report) per shift.
+
+    T, script-T, pi and the gains carry the shifts on a leading batch
+    axis; P and script-P do not depend on W, so the members share them.
+    Raises `_Breakdown` naming the first member to break down.
+    """
+    N, n, m, nb = p.N, p.n, p.m, len(shifts)
+    s = _stack(p)
+    P, Pc = np.zeros((N, N + 1, n, n)), np.zeros((N, N + 1, n, n))
+    T, Tc = np.zeros((nb, N, N + 1, n, n)), np.zeros((nb, N, N + 1, n, n))
+    pi = np.zeros((nb, N, N + 1, n))
+    P[:, N], Pc[:, N], pi[:, :, N] = s.G, s.cG, s.g
+    W, Wdag = np.zeros((nb, N, m, m)), np.zeros((nb, N, m, m))
+    H, Psi = np.zeros((nb, N, m, n)), np.zeros((nb, N, m, n))
+    beta, alpha = np.zeros((nb, N, m)), np.zeros((nb, N, m))
+    # a zero shift adds nothing: 0 * I would turn a -0.0 in W into +0.0
+    shifted = np.array(shifts) != 0.0
+    shift_eye = np.array(shifts)[shifted, None, None] * np.eye(m)
+
+    for l in range(N - 1, -1, -1):
+        PT = P[l, l + 1] + T[:, l, l + 1]
+        PcTc = Pc[l, l + 1] + Tc[:, l, l + 1]
+        dA, dB, dC, dD = s.cA[l, l], s.cB[l, l], s.cC[l, l], s.cD[l, l]
+        Wl = s.cR[l, l] + dB.T @ PcTc @ dB + dD.T @ PT @ dD
+        if shifted.any():
+            Wl[shifted] += shift_eye
+        Hl = dB.T @ PcTc @ dA + dD.T @ PT @ dC
+        betal = (_mv(dB.T, PcTc @ s.f[l, l] + pi[:, l, l + 1]) + _mv(dD.T, PT @ s.d[l, l])
+                 + s.rho[l, l])
+        _check_finite(l, l, W=Wl[:, None], H=Hl[:, None], beta=betal[:, None])
+        Wdl = mx.pinv(Wl)
+        W[:, l], Wdag[:, l], H[:, l], beta[:, l] = Wl, Wdl, Hl, betal
+        Psi[:, l] = -Wdl @ Hl
+        alpha[:, l] = _mv(-Wdl, betal)
+
+        AtP, CtP, cAtPc, cCtP = _symmetric_stage(s, P, Pc, l)
+        rows = slice(0, l + 1)
+        A, B, C, D = s.A[rows, l], s.B[rows, l], s.C[rows, l], s.D[rows, l]
+        cA, cB, cC, cD = s.cA[rows, l], s.cB[rows, l], s.cC[rows, l], s.cD[rows, l]
+        Tn, Tcn = T[:, rows, l + 1], Tc[:, rows, l + 1]
+        AtT, CtT = _t(A) @ Tn, _t(C) @ Tn
+        cAtTc, cCtT = _t(cA) @ Tcn, _t(cC) @ Tn
+        WdH = (Wdl @ Hl)[:, None]
+        Wdb = _mv(Wdl, betal)
+        wdb = Wdb[:, None, :, None]
+        T[:, rows, l] = (
+            AtT @ dA + CtT @ dC
+            - (AtP @ B + AtT @ dB + CtP @ D + CtT @ dD) @ WdH
+        )
+        Tc[:, rows, l] = (
+            cAtTc @ dA + cCtT @ dC
+            - (cAtPc @ cB + cAtTc @ dB + cCtP @ cD + cCtT @ dD) @ WdH
+        )
+        # vectors as (n, 1) columns: the matrix-vector products of a single row
+        pi[:, rows, l] = (
+            cAtPc @ (s.f[rows, l, :, None] - cB @ wdb)
+            + cAtTc @ (s.f[l, l] - _mv(dB, Wdb))[:, None, :, None]
+            + cCtP @ (s.d[rows, l, :, None] - cD @ wdb)
+            + cCtT @ (s.d[l, l] - _mv(dD, Wdb))[:, None, :, None]
+            + _t(cA) @ pi[:, rows, l + 1, :, None]
+            + s.q[rows, l, :, None]
+        )[..., 0]
+        _check_finite(l, T=T[:, rows, l], Tcal=Tc[:, rows, l], pi=pi[:, rows, l])
+
+    tables = [_tables(N, P=P, Pcal=Pc, T=T[b], Tcal=Tc[b], pi=pi[b]) for b in range(nb)]
+    verdicts, mats = convexity_margins(p, tables[0], stacks=s)
+    margins = [v.min_eigenvalue for v in verdicts]
+    psd = all(v.is_psd for v in verdicts)
+    res_h = mx.range_residuals(W, Wdag, H)
+    res_b = mx.range_residuals(W, Wdag, beta[..., None])
+    out = []
+    for b in range(nb):
+        # finite tables can still have norms that overflow; name the first step, in sweep order
+        for k in range(N - 1, -1, -1):
+            for name, value in (("convexity margin", margins[k]),
+                                ("PSD tolerance", verdicts[k].tolerance_used),
+                                ("range residual of H", res_h[b, k]),
+                                ("range residual of beta", res_b[b, k])):
+                if not np.isfinite(value):
+                    raise _Breakdown(f"stage {k}: {name} is non-finite (table norms overflow)", b)
+        report = SolvabilityReport(
+            convexity_margins=margins,
+            convexity_verdicts=verdicts,
+            M2=mats,
+            rangeH_residuals=res_h[b].tolist(),
+            rangeBeta_residuals=res_b[b].tolist(),
+            verdict_all_pairs=psd and bool((res_h[b] <= range_tol).all()
+                                           and (res_b[b] <= range_tol).all()),
+            per_pair_note=(
+                "fixed-pair solvability additionally needs the projected residual "
+                "(I - W Wdag)(H X + beta) = 0 along the trajectory realised from the "
+                "initial pair; it depends on that pair, so this all-pairs report "
+                "does not test it"
+            ),
+            range_tolerance=range_tol,
+        )
+        gains = GainSchedule(*(list(a[b]) for a in (W, Wdag, H, beta, Psi, alpha)))
+        out.append((tables[b], gains, report))
+    return out
+
+
 def solve_gdre_global(p: ProblemData, epsilon: float = 0.0,
                       range_tol: float = RANGE_TOL) -> tuple[RecursionTables, GainSchedule, SolvabilityReport]:
     """Solve every table and assemble the gain schedule in one stage sweep.
@@ -196,98 +326,38 @@ def solve_gdre_global(p: ProblemData, epsilon: float = 0.0,
     W blocks only (the perturbed-cost variant); the recursions themselves
     are unchanged apart from flowing through the perturbed pseudoinverses.
 
-    Raises NumericalBreakdown when a stage produces a non-finite entry.
+    Raises NumericalBreakdown when a stage produces a non-finite entry; a
+    perturbed problem's message names its epsilon.
     """
-    N, n, m = p.N, p.n, p.m
-    s = _stack(p)
-    P, Pc, T, Tc = (np.zeros((N, N + 1, n, n)) for _ in range(4))
-    pi = np.zeros((N, N + 1, n))
-    P[:, N], Pc[:, N], pi[:, N] = s.G, s.cG, s.g
-    W, Wdag, H, beta, Psi, alpha = ([None] * N for _ in range(6))
+    return solve_shifts(p, (epsilon,), range_tol)[0]
 
-    for l in range(N - 1, -1, -1):
-        PT = P[l, l + 1] + T[l, l + 1]
-        PcTc = Pc[l, l + 1] + Tc[l, l + 1]
-        dA, dB, dC, dD = s.cA[l, l], s.cB[l, l], s.cC[l, l], s.cD[l, l]
-        W[l] = s.cR[l, l] + dB.T @ PcTc @ dB + dD.T @ PT @ dD
-        if epsilon:
-            W[l] = W[l] + epsilon * np.eye(m)
-        H[l] = dB.T @ PcTc @ dA + dD.T @ PT @ dC
-        beta[l] = dB.T @ (PcTc @ s.f[l, l] + pi[l, l + 1]) + dD.T @ (PT @ s.d[l, l]) + s.rho[l, l]
-        _check_finite(l, l, W=W[l][None], H=H[l][None], beta=beta[l][None])
-        Wdag[l] = mx.pinv(W[l])
-        Psi[l] = -Wdag[l] @ H[l]
-        alpha[l] = -Wdag[l] @ beta[l]
 
-        AtP, CtP, cAtPc, cCtP = _symmetric_stage(s, P, Pc, l)
-        rows = slice(0, l + 1)
-        A, B, C, D = s.A[rows, l], s.B[rows, l], s.C[rows, l], s.D[rows, l]
-        cA, cB, cC, cD = s.cA[rows, l], s.cB[rows, l], s.cC[rows, l], s.cD[rows, l]
-        Tn, Tcn = T[rows, l + 1], Tc[rows, l + 1]
-        AtT, CtT = _t(A) @ Tn, _t(C) @ Tn
-        cAtTc, cCtT = _t(cA) @ Tcn, _t(cC) @ Tn
-        WdH = Wdag[l] @ H[l]
-        Wdb = Wdag[l] @ beta[l]
-        wdb = Wdb[:, None]
-        T[rows, l] = (
-            AtT @ dA + CtT @ dC
-            - (AtP @ B + AtT @ dB + CtP @ D + CtT @ dD) @ WdH
-        )
-        Tc[rows, l] = (
-            cAtTc @ dA + cCtT @ dC
-            - (cAtPc @ cB + cAtTc @ dB + cCtP @ cD + cCtT @ dD) @ WdH
-        )
-        # vectors as (n, 1) columns: the matrix-vector products of a single row
-        pi[rows, l] = (
-            cAtPc @ (s.f[rows, l, :, None] - cB @ wdb)
-            + cAtTc @ (s.f[l, l] - dB @ Wdb)[:, None]
-            + cCtP @ (s.d[rows, l, :, None] - cD @ wdb)
-            + cCtT @ (s.d[l, l] - dD @ Wdb)[:, None]
-            + _t(cA) @ pi[rows, l + 1, :, None]
-            + s.q[rows, l, :, None]
-        )[..., 0]
-        _check_finite(l, T=T[rows, l], Tcal=Tc[rows, l], pi=pi[rows, l])
+@np.errstate(over="ignore", invalid="ignore")
+def solve_shifts(p: ProblemData, shifts, range_tol: float = RANGE_TOL
+                 ) -> list[tuple[RecursionTables, GainSchedule, SolvabilityReport]]:
+    """`solve_gdre_global` for every control-weight shift in ``shifts``, in
+    one stage sweep: one (tables, gains, report) per shift, each bit for
+    bit that of its own `solve_gdre_global` call.
 
-    tables = _tables(N, P=P, Pcal=Pc, T=T, Tcal=Tc, pi=pi)
-    gains = GainSchedule(W, Wdag, H, beta, Psi, alpha)
-    verdicts, mats = convexity_margins(p, tables)
-    res_h = [mx.range_residual(W[k], H[k]) for k in range(N)]
-    res_b = [mx.range_residual(W[k], beta[k].reshape(m, 1)) for k in range(N)]
-    # finite tables can still have norms that overflow; name the first step, in sweep order
-    for k in range(N - 1, -1, -1):
-        for name, value in (("convexity margin", verdicts[k].min_eigenvalue),
-                            ("PSD tolerance", verdicts[k].tolerance_used),
-                            ("range residual of H", res_h[k]),
-                            ("range residual of beta", res_b[k])):
-            if not np.isfinite(value):
-                raise NumericalBreakdown(f"stage {k}: {name} is non-finite (table norms overflow)")
-    ok = (
-        all(v.is_psd for v in verdicts)
-        and all(r <= range_tol for r in res_h)
-        and all(r <= range_tol for r in res_b)
-    )
-    report = SolvabilityReport(
-        convexity_margins=[v.min_eigenvalue for v in verdicts],
-        convexity_verdicts=verdicts,
-        M2=mats,
-        rangeH_residuals=res_h,
-        rangeBeta_residuals=res_b,
-        verdict_all_pairs=ok,
-        per_pair_note=(
-            "fixed-pair solvability additionally needs the projected residual "
-            "(I - W Wdag)(H X + beta) = 0 along the trajectory realised from the "
-            "initial pair; it depends on that pair, so this all-pairs report "
-            "does not test it"
-        ),
-        range_tolerance=range_tol,
-    )
-    return tables, gains, report
+    Raises the NumericalBreakdown that solving the shifts one after another
+    would raise first.
+    """
+    shifts = tuple(float(e) for e in shifts)
+    if not shifts:
+        return []
+    try:
+        return _sweep(p, shifts, range_tol)
+    except _Breakdown as exc:
+        if exc.member:  # an earlier member may still break down at a later stage
+            solve_shifts(p, shifts[:exc.member], range_tol)
+        eps = shifts[exc.member]
+        raise NumericalBreakdown(f"{exc} (eps={eps!r})" if eps else str(exc)) from None
 
 
 def solve_epsilon(p: ProblemData, epsilon: float) -> tuple[GainSchedule, RecursionTables]:
     """Gain schedule of the perturbed problem with control weight + eps * I."""
-    if not (epsilon > 0.0):
-        raise EpsilonNonPositive(f"epsilon must be > 0, got {epsilon}")
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise EpsilonNonPositive(f"epsilon must be finite and > 0, got {epsilon}")
     tables, gains, _ = solve_gdre_global(p, epsilon=float(epsilon))
     return gains, tables
 

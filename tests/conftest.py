@@ -95,6 +95,18 @@ def zero_weight_problem(rho=0.0):
     return p
 
 
+def overflowing_member_problem(N=3):
+    """A scalar instance with W = 0 at every step: the unperturbed solve is
+    finite, but a subnormal shift has a pseudoinverse that overflows, and T
+    with it, at stage N - 1."""
+    one, z = np.ones((1, 1)), np.zeros((1, 1))
+    return model.from_time_invariant(
+        1, 1, N, A=one, Abar=z, B=one, Bbar=z, C=z, Cbar=z, D=z, Dbar=z,
+        f=np.zeros(1), d=np.zeros(1), Q=z, Qbar=z, R=-one, Rbar=z, q=np.zeros(1),
+        rho=np.zeros(1), G=one, Gbar=z, g=np.zeros(1),
+    )
+
+
 def duplicated_control_problem(rng, n=2, N=3):
     """Both control channels act identically, so every W is singular by
     construction while H and beta stay inside its column space."""

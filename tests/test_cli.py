@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from meanfield_lq import cli, model
+from meanfield_lq import cli, model, recursion
 from meanfield_lq.model import canonical_dumps
 
 
@@ -215,6 +215,52 @@ class TestEpsilonSweep:
         for row in doc["sweep"]:
             assert np.isfinite(row["gain_norm"])
             assert np.isfinite(row["distance_to_unperturbed"])
+
+
+    @pytest.mark.parametrize("eps", ["inf", "-inf", "1e400", "nan", "1e-4,nan"])
+    def test_non_finite_eps_is_bad_input(self, example_file, tmp_path, capsys, eps):
+        assert run("epsilon-sweep", "--input", example_file, "--out", tmp_path / "s",
+                   f"--eps={eps}") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: --eps values must be finite and > 0, got ")
+        assert not (tmp_path / "s.json").exists()
+
+    def test_rows_equal_separate_solves(self, example_file, tmp_path):
+        from conftest import make_problem
+
+        path = tmp_path / "rand.json"
+        model.save(make_problem(np.random.default_rng(5), 2, 3, 9, convex=False), path)
+        for inp in (example_file, path):
+            p, _ = model.load(inp)
+            out = tmp_path / "sweep"
+            assert run("epsilon-sweep", "--input", inp, "--out", out,
+                       "--eps", "1e-6,0.5,1e-2") == 0
+            doc = json.loads((tmp_path / "sweep.json").read_text())
+            csv = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
+            _, g0, rep0 = recursion.solve_gdre_global(p)
+            assert doc["convexity_margins"] == rep0.convexity_margins
+            assert doc["unperturbed_verdict_all_pairs"] == rep0.verdict_all_pairs
+            for eps, row, line in zip((0.5, 1e-2, 1e-6), doc["sweep"], csv, strict=True):
+                g, _ = recursion.solve_epsilon(p, eps)
+                norm = max(float(np.linalg.norm(g.Psi[k]) + np.linalg.norm(g.alpha[k]))
+                           for k in range(p.N))
+                dist = max(max(float(np.max(np.abs(g.Psi[k] - g0.Psi[k]))),
+                               float(np.max(np.abs(g.alpha[k] - g0.alpha[k]))))
+                           for k in range(p.N))
+                assert row == {"eps": eps, "gain_norm": norm, "distance_to_unperturbed": dist}
+                assert line == ",".join(format(v, ".17g") for v in (eps, norm, dist))
+
+    def test_member_breakdown_names_its_eps(self, tmp_path, capsys):
+        from conftest import overflowing_member_problem
+
+        path = tmp_path / "w0.json"
+        model.save(overflowing_member_problem(), path)
+        assert run("epsilon-sweep", "--input", path, "--out", tmp_path / "s",
+                   "--eps", "1e-2,1e-310") == 2
+        err = capsys.readouterr().err
+        assert err == ("error: numerical breakdown: stage 2: T is non-finite from row k=0 "
+                       "(eps=1e-310)\n")
 
 
 class TestUsage:

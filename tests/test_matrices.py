@@ -82,6 +82,82 @@ class TestPinv:
         assert penrose_ok(a, rounding=True)
 
 
+class TestStackedPinv:
+    """A stack's pseudoinverse is every matrix's own, bit for bit."""
+
+    @staticmethod
+    def assert_each(stack):
+        got = mx.pinv(stack)
+        assert got.shape == stack.shape[:-2] + stack.shape[:-3:-1]
+        for a, d in zip(stack.reshape((-1,) + stack.shape[-2:]),
+                        got.reshape((-1,) + got.shape[-2:])):
+            assert d.tobytes() == mx.pinv(a).tobytes()
+
+    def test_members_match_single_calls(self):
+        rng = np.random.default_rng(11)
+        for d in (1, 2, 3, 5):
+            stack = rng.normal(size=(7, d, d))
+            stack[1] = 0.0
+            stack[2] = -0.0
+            stack[3, 0, 0] = -0.0 if d > 1 else stack[3, 0, 0]
+            if d > 1:  # rank-deficient members
+                u = rng.normal(size=(d, 1))
+                stack[4] = u @ u.T
+                stack[5] = rng.normal(size=(d, d - 1)) @ rng.normal(size=(d - 1, d))
+            stack[6] *= 1e-300
+            stack[0] *= 1e300
+            self.assert_each(stack)
+
+    def test_extreme_scales_and_shapes(self):
+        rng = np.random.default_rng(12)
+        for r, c in ((1, 1), (5, 5), (2, 3), (4, 1)):
+            stack = rng.normal(size=(3, 4, r, c))
+            stack *= 10.0 ** rng.choice([-300, -150, 0, 150, 300], size=(3, 4, 1, 1))
+            stack[0, 0] = 0.0
+            self.assert_each(stack)
+
+    def test_all_zero_stack(self):
+        stack = np.zeros((3, 2, 2))
+        stack[1, 0, 1] = -0.0
+        self.assert_each(stack)
+        assert np.signbit(mx.pinv(stack)[1, 1, 0])
+
+    def test_non_finite_member_raises(self):
+        stack = np.stack([np.eye(2), np.eye(2), np.eye(2)])
+        for bad in (np.nan, np.inf, -np.inf):
+            stack[1, 1, 0] = bad
+            with pytest.raises(NonFinite):
+                mx.pinv(stack)
+
+
+class TestStackedChecks:
+    """fro_each, psd_checks and range_residuals against their per-matrix forms."""
+
+    def test_fro_each_is_fro_of_each_matrix(self):
+        rng = np.random.default_rng(13)
+        for r in range(1, 8):
+            for c in range(1, 8):
+                stack = rng.normal(size=(5, r, c)) * 10.0 ** rng.integers(-150, 150, size=(5, 1, 1))
+                got = mx.fro_each(stack)
+                assert [float(v) for v in got] == [mx.fro(a) for a in stack]
+
+    def test_psd_checks_are_psd_check_of_each_matrix(self):
+        rng = np.random.default_rng(14)
+        for d in (1, 2, 4):
+            a = rng.normal(size=(6, d, d))
+            stack = a + np.swapaxes(a, -1, -2)
+            assert mx.psd_checks(stack) == [mx.psd_check(m) for m in stack]
+            assert mx.psd_checks(stack, tol=0.1) == [mx.psd_check(m, tol=0.1) for m in stack]
+
+    def test_range_residuals_are_range_residual_of_each_pair(self):
+        rng = np.random.default_rng(15)
+        for d, k in ((1, 1), (2, 1), (3, 2), (4, 4)):
+            w = rng.normal(size=(6, d, k)) @ rng.normal(size=(6, k, d))
+            v = rng.normal(size=(6, d, 2))
+            got = mx.range_residuals(w, mx.pinv(w), v)
+            assert [float(r) for r in got] == [mx.range_residual(a, b) for a, b in zip(w, v)]
+
+
 class TestPsdCheck:
     def test_identity(self):
         v = mx.psd_check(np.eye(2), tol=1e-9)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from meanfield_lq import model, recursion, tree
+from meanfield_lq import matrices as mx, model, recursion, tree
 from meanfield_lq.errors import EpsilonNonPositive, NumericalBreakdown
 from meanfield_lq.model import InitialPair
 
 import recursion_reference as rref
 from conftest import (duplicated_control_problem, identity_dynamics_problem, make_problem,
-                      zero_weight_problem)
+                      overflowing_member_problem, zero_weight_problem)
 
 
 def tail_problem(p, s):
@@ -192,6 +192,107 @@ class TestStageSweep:
             recursion.solve_gdre_global(p)
 
 
+BIG = float(np.finfo(float).max)
+
+
+class TestBatchedSweep:
+    """Every member of a multi-shift sweep is its own one-member solve, bit for bit."""
+
+    SHIFTS = (0.0, 3.0, 1e-2, 1e-5)
+
+    @staticmethod
+    def assert_same_solve(got, ref):
+        (tab, gains, rep), (tab_ref, gains_ref, rep_ref) = got, ref
+        for name in ("W", "Wdag", "H", "beta", "Psi", "alpha"):
+            a, b = getattr(gains, name), getattr(gains_ref, name)
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+        for name in ("P", "Pcal", "T", "Tcal", "pi"):
+            a, b = getattr(tab, name), getattr(tab_ref, name)
+            assert list(a) == list(b)
+            assert a.stack.tobytes() == b.stack.tobytes(), name
+        assert model.canonical_dumps(rep.to_dict()) == model.canonical_dumps(rep_ref.to_dict())
+
+    def test_members_equal_their_own_solves(self, rng):
+        cases = [make_problem(rng, n, m, N, **kw)
+                 for n, m, N, kw in ((2, 2, 6, {}), (3, 2, 20, {}), (1, 1, 2, {}),
+                                     (2, 3, 7, {"convex": False}), (2, 2, 12, {"convex": False}),
+                                     (2, 2, 9, {"meanfield": False}),
+                                     (3, 1, 5, {"meanfield": False, "convex": False}))]
+        cases += [duplicated_control_problem(rng), duplicated_control_problem(rng, n=3, N=8),
+                  zero_weight_problem(), zero_weight_problem(1.0)]
+        for p in cases:
+            batch = recursion.solve_shifts(p, self.SHIFTS)
+            assert len(batch) == len(self.SHIFTS)
+            for eps, member in zip(self.SHIFTS, batch):
+                self.assert_same_solve(member, recursion.solve_gdre_global(p, epsilon=eps))
+            self.assert_same_solve(batch[0], recursion.solve_gdre_global(p))
+            gains, tables = recursion.solve_epsilon(p, self.SHIFTS[1])
+            self.assert_same_solve((tables, gains, batch[1][2]), batch[1])
+
+    def test_no_shifts_solve_nothing(self, rng):
+        p = make_problem(rng, 2, 2, 4)
+        assert recursion.solve_shifts(p, ()) == []
+        assert recursion.solve_shifts(p, np.array([])) == []
+
+    def test_member_order_and_repeats_do_not_matter(self, rng):
+        p = make_problem(rng, 2, 2, 8)
+        a = recursion.solve_shifts(p, (1e-3, 0.0, 1e-3))
+        b = recursion.solve_shifts(p, [0.0, 1e-3])
+        self.assert_same_solve(a[0], b[1])
+        self.assert_same_solve(a[2], b[1])
+        self.assert_same_solve(a[1], b[0])
+
+    def test_verdicts_are_the_per_step_checks(self, rng):
+        # the stacked M2, margins and residuals use the sweep's own W+ and
+        # one eigenvalue call; each must be the per-step formula's value
+        for p in (make_problem(rng, 2, 2, 10, convex=False), duplicated_control_problem(rng),
+                  make_problem(rng, 3, 2, 6, scale=1.5)):
+            for tab, gains, rep in recursion.solve_shifts(p, (0.0, 0.5)):
+                for k in range(p.N):
+                    cB, cD = p.cal.B(k, k), p.cal.D(k, k)
+                    m2 = p.cal.R(k, k) + cB.T @ tab.Pcal[k, k + 1] @ cB + cD.T @ tab.P[k, k + 1] @ cD
+                    assert rep.M2[k].tobytes() == m2.tobytes()
+                    assert recursion.assemble_m2(p, tab, k).tobytes() == m2.tobytes()
+                    assert rep.convexity_verdicts[k] == mx.psd_check(m2)
+                    assert rep.rangeH_residuals[k] == mx.range_residual(gains.W[k], gains.H[k])
+                    assert rep.rangeBeta_residuals[k] == mx.range_residual(
+                        gains.W[k], gains.beta[k].reshape(p.m, 1))
+
+    def test_overflowing_member_names_stage_and_eps(self):
+        p = overflowing_member_problem()
+        msg = r"^stage 2: T is non-finite from row k=0 \(eps=1e-310\)$"
+        with pytest.raises(NumericalBreakdown, match=msg):
+            recursion.solve_shifts(p, (0.0, 1e-2, 1e-310))
+        with pytest.raises(NumericalBreakdown, match=msg):
+            recursion.solve_gdre_global(p, epsilon=1e-310)
+        with pytest.raises(NumericalBreakdown, match=msg):
+            recursion.solve_epsilon(p, 1e-310)
+        # the members before it solve as they do alone
+        batch = recursion.solve_shifts(p, (0.0, 1e-2))
+        self.assert_same_solve(batch[0], recursion.solve_gdre_global(p))
+        self.assert_same_solve(batch[1], recursion.solve_gdre_global(p, epsilon=1e-2))
+
+    def test_earlier_member_breakdown_is_reported_first(self):
+        # the shifted member breaks down at stage 4, the unperturbed one
+        # only at stage 3; solved one after another, the unperturbed one
+        # raises first, and so does the sweep
+        z, e = np.zeros((2, 2)), np.eye(2)
+        p = model.from_time_invariant(
+            2, 2, 5, A=1e80 * e, Abar=z, B=e, Bbar=z, C=z, Cbar=z, D=z, Dbar=z,
+            f=np.zeros(2), d=np.zeros(2), Q=e, Qbar=z, R=e, Rbar=z, q=np.zeros(2),
+            rho=np.zeros(2), G=e, Gbar=z, g=np.zeros(2),
+        )
+        p.R[4, 4] = 1e300 * e
+        with pytest.raises(NumericalBreakdown, match=r"^stage 4: W .* \(eps=1\.79"):
+            recursion.solve_gdre_global(p, epsilon=BIG)
+        with pytest.raises(NumericalBreakdown, match=r"^stage 3: P is non-finite from row k=0$"):
+            recursion.solve_shifts(p, (0.0, BIG))
+        with pytest.raises(NumericalBreakdown, match=r"^stage 3: P .* \(eps=0\.5\)$"):
+            recursion.solve_shifts(p, (0.5, BIG))
+
+
 class TestAffineFeedbackTables:
     def test_matches_global_solution_under_solved_feedback(self, rng):
         # random (n, m, N) down to 1, plus singular and zero W
@@ -325,6 +426,11 @@ class TestSolveEpsilon:
             recursion.solve_epsilon(example, 0.0)
         with pytest.raises(EpsilonNonPositive):
             recursion.solve_epsilon(example, -1e-3)
+
+    @pytest.mark.parametrize("eps", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, example, eps):
+        with pytest.raises(EpsilonNonPositive, match="must be finite and > 0"):
+            recursion.solve_epsilon(example, eps)
 
     def test_small_epsilon_close_to_unperturbed(self, example):
         _, gains, _ = recursion.solve_gdre_global(example)
