@@ -10,6 +10,7 @@ its own file and not in the deterministic outputs).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -232,7 +233,10 @@ def cmd_epsilon_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: its actions and groups refer to
+    each other, so every parser built would be cyclic garbage."""
     ap = argparse.ArgumentParser(
         prog="meanfield-lq",
         description="Equilibrium solver and verification toolkit for mean-field LQ control",

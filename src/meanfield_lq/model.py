@@ -12,9 +12,12 @@ writer move a whole family at once.
 from __future__ import annotations
 
 import functools
+import gc
 import json
+import struct
 from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -52,6 +55,13 @@ class Finding:
     severity: str  # "error" | "warning"
     path: str
     message: str
+
+
+def _sound(a: np.ndarray, symmetric: bool) -> bool:
+    """Every entry finite and, if ``symmetric``, every trailing square
+    block exactly symmetric: one pass over the whole array, where the
+    per-block reductions over tiny trailing axes cost several times more."""
+    return bool(np.isfinite(a).all()) and not (symmetric and (a != np.swapaxes(a, -1, -2)).any())
 
 
 class Family(MutableMapping):
@@ -159,10 +169,12 @@ class Family(MutableMapping):
         fit, is non-finite or (if ``symmetric``) is not exactly symmetric."""
         bad = self._triangle()
         if self.stack is not None:
-            blocks = tuple(range(2, self.stack.ndim))
-            ok = self.mask & np.isfinite(self.stack).all(axis=blocks)
-            if symmetric:
-                ok &= (self.stack == np.swapaxes(self.stack, -1, -2)).all(axis=blocks)
+            ok = self.mask
+            if not _sound(self.stack, symmetric):
+                blocks = tuple(range(2, self.stack.ndim))
+                ok = ok & np.isfinite(self.stack).all(axis=blocks)
+                if symmetric:
+                    ok &= (self.stack == np.swapaxes(self.stack, -1, -2)).all(axis=blocks)
             bad &= ~ok
         return list(zip(*(ix.tolist() for ix in np.nonzero(bad))))
 
@@ -330,6 +342,12 @@ def validate(p: ProblemData) -> list[Finding]:
     ):
         if len(lst) != p.N:
             findings.append(Finding("error", name, f"{len(lst)} blocks, expected {p.N}"))
+            continue
+        try:
+            whole = np.asarray(lst, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            whole = None
+        if whole is not None and whole.shape == (p.N, *shape) and _sound(whole, symmetric):
             continue
         for t in range(p.N):
             a = np.asarray(lst[t], dtype=float)
@@ -621,12 +639,54 @@ def to_json(p: ProblemData) -> str:
     return canonical_dumps(doc)
 
 
+def _bad_leaf(value):
+    """The first string or boolean leaf of nested lists, else None.
+
+    `np.asarray` converts both ("3.3" -> 3.3, true -> 1.0); the schema
+    allows numbers only.
+    """
+    if isinstance(value, list):
+        for item in value:
+            bad = _bad_leaf(item)
+            if bad is not None:
+                return bad
+        return None
+    return value if isinstance(value, (str, bool)) else None
+
+
 def _block(value, where: str) -> np.ndarray:
     """One block as a float array; a non-numeric block is a format error."""
     try:
-        return np.asarray(value, dtype=float)
+        a = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"{where}: not a numeric block ({exc})") from exc
+    bad = _bad_leaf(value)
+    if bad is not None:
+        raise ProblemFormatError(f"{where}: not a numeric block (entry {json.dumps(bad)})")
+    return a
+
+
+def _flat(blocks: list, shape: tuple):
+    """The blocks as one (len(blocks), *shape) float array, or None.
+
+    One pass checks the nesting lengths level by level; one `struct` pass
+    converts the leaves, as `np.asarray` would, and refuses any leaf that
+    is not an int or a float: a string, a null, a list, or a row or block
+    that is an object or a string (their keys and characters are strings).
+    Booleans pass; `from_json` screens the text for them.  None sends the
+    caller to its block-by-block path, which words the mismatch.
+    """
+    level = blocks
+    try:
+        for size in shape:
+            if set(map(len, level)) != {size}:
+                return None
+            level = list(chain.from_iterable(level))
+        out = np.empty((len(blocks), *shape))
+        struct.pack_into(f"{len(level)}d", out, 0, *level)
+    except (TypeError, struct.error):
+        return None
+    return out
 
 
 def _parse_key(name: str, key: str) -> tuple[int, int]:
@@ -637,61 +697,106 @@ def _parse_key(name: str, key: str) -> tuple[int, int]:
         raise ProblemFormatError(f"{name}: bad index key {key!r}") from exc
 
 
-def _index(keys: list, N: int):
+def _parse_keys(name: str, keys: tuple) -> tuple[list, list]:
+    """The t and k indices of a family's "t,k" keys, in file order, by one
+    joined split; the first bad key is worded by `_parse_key`."""
+    try:
+        if set(map(str.count, keys, repeat(","))) == {1}:
+            tk = list(map(int, ",".join(keys).split(",")))
+            return tk[0::2], tk[1::2]
+    except ValueError:
+        pass
+    for key in keys:  # raises at the first bad key; only an empty family gets past
+        _parse_key(name, key)
+    return [], []
+
+
+def _index(t: list, k: list, N: int):
     """(t, k) index arrays of keys that are distinct triangle keys, else None."""
-    if not all(0 <= t <= k < N for t, k in keys):
+    if t and (min(t) < 0 or min(k) < 0 or max(t) >= N or max(k) >= N):
         return None
-    t, k = np.array(keys, dtype=np.intp).reshape(-1, 2).T
-    return (t, k) if len(np.unique(t * N + k)) == len(keys) else None
+    t, k = np.array(t, dtype=np.intp), np.array(k, dtype=np.intp)
+    if not (t <= k).all() or len(np.unique(t * N + k)) != len(t):
+        return None
+    return t, k
+
+
+def _counted(name: str, t: list, k: list, N: int):
+    """t, k and their index arrays (or None), once the count is checked.
+
+    A family whose blocks fall short of the declared N(N+1)/2 by more than
+    an error message would list is rejected with its counts, before any
+    array of size N is made, so a file declaring a huge N fails at once.
+    """
+    triangle = N * (N + 1) // 2
+    if N >= 1 and len(t) < triangle - SHOWN_ERRORS:
+        raise ProblemFormatError(f"{name}: {len(t)} blocks for N={N}, which needs {triangle}")
+    return t, k, _index(t, k, N)
 
 
 def _family_entries(name: str, entry, N: int, seen: dict):
-    """Keys, their index arrays (or None) and blocks of one family, in file order.
+    """t and k indices, their index arrays (or None) and blocks of one
+    family, in file order.
 
-    ``seen`` maps the key lists of dict-layout families already read to
-    their keys and index; the families of one file usually share them.
+    ``seen`` maps the key tuples of dict-layout families already read to
+    their indices; the families of one file usually share them.
     """
     if isinstance(entry, dict):
-        names = tuple(entry)
-        if names not in seen:
-            keys = [_parse_key(name, key) for key in names]
-            seen[names] = keys, _index(keys, N)
-        return (*seen[names], list(entry.values()))
+        keys = tuple(entry)
+        if keys not in seen:
+            seen[keys] = _counted(name, *_parse_keys(name, keys), N)
+        return (*seen[keys], list(entry.values()))
     if isinstance(entry, list):
         # dense layout: entry[t][k], null below the diagonal
-        keys, blocks = [], []
+        ts, ks, blocks = [], [], []
         for t, row in enumerate(entry):
             if not isinstance(row, list):
                 raise ProblemFormatError(f"{name}[{t}]: expected a list of blocks")
             for k, block in enumerate(row):
                 if block is not None:
-                    keys.append((t, k))
+                    ts.append(t)
+                    ks.append(k)
                     blocks.append(block)
-        return keys, _index(keys, N), blocks
+        return (*_counted(name, ts, ks, N), blocks)
     raise ProblemFormatError(f"{name}: expected object or list")
 
 
-def _fill(fam: Family, name: str, keys: list, index, blocks: list) -> None:
-    """Store a family's blocks by one conversion and one index assignment;
-    block by block if they do not all fit, so that ``validate`` words them."""
-    try:
-        stacked = np.asarray(blocks, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        stacked = None
-    if index is not None and stacked is not None and stacked.shape == (len(keys),) + fam.shape:
-        fam.assign(*index, stacked)
-        return
-    for (t, k), block in zip(keys, blocks):
-        fam[t, k] = _block(block, f"{name}[{t}][{k}]")
+def _may_hold_booleans(text: str) -> bool:
+    """False unless the text holds a true or a false token.
+
+    Each test looks for one letter first ("u" of true, "s" of false), a
+    memchr scan; no key of a problem file holds either, so a file without
+    booleans never pays for the word searches.
+    """
+    return ("u" in text and "true" in text) or ("s" in text and "false" in text)
+
+
+def _dim(doc: dict, key: str) -> int:
+    value = doc[key]
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ProblemFormatError(f"bad dimensions: {key} is not an integer ({json.dumps(value)})")
 
 
 def from_json(text: str) -> tuple[ProblemData, list[Finding]]:
     """Parse and validate a problem file; raises ProblemFormatError on errors.
 
-    A family whose blocks fall short of the declared N(N+1)/2 by more than
-    an error message would list is rejected with its counts before any
-    storage is allocated, so a file declaring a huge N fails at once.
+    The cyclic garbage collector is paused until the parse tree is gone:
+    the tree holds no cycles and is freed by reference counting, but a
+    collection while it is alive walks every one of its containers (a
+    long-horizon file has about 1.5e5).  The caller's collector state is
+    restored on every exit.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read(text: str) -> tuple[ProblemData, list[Finding]]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -701,32 +806,37 @@ def from_json(text: str) -> tuple[ProblemData, list[Finding]]:
     for key in ("n", "m", "N", "data", "terminal"):
         if key not in doc:
             raise ProblemFormatError(f"missing top-level key {key!r}")
-    try:
-        p = ProblemData(int(doc["n"]), int(doc["m"]), int(doc["N"]))
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"bad dimensions: {exc}") from exc
+    p = ProblemData(_dim(doc, "n"), _dim(doc, "m"), _dim(doc, "N"))
     data = doc["data"]
     if not isinstance(data, dict):
         raise ProblemFormatError("'data' must be an object")
-    triangle = p.N * (p.N + 1) // 2
+    # with a boolean somewhere, every block goes through `_block`, which words it
+    flat = not _may_hold_booleans(text)
     seen = {}
     for name in FAMILY_NAMES:
         if name not in data:
             raise ProblemFormatError(f"missing family {name!r}")
-        keys, index, blocks = _family_entries(name, data[name], p.N, seen)
-        if p.N >= 1 and len(keys) < triangle - SHOWN_ERRORS:
-            raise ProblemFormatError(
-                f"{name}: {len(keys)} blocks for N={p.N}, which needs {triangle}")
-        _fill(getattr(p, name), name, keys, index, blocks)
+        # popped: the family's parse subtree is freed once it is stored
+        ts, ks, index, blocks = _family_entries(name, data.pop(name), p.N, seen)
+        fam = getattr(p, name)
+        stacked = _flat(blocks, fam.shape) if flat and index is not None else None
+        if stacked is not None:
+            fam.assign(*index, stacked)
+            continue
+        for t, k, block in zip(ts, ks, blocks):
+            fam[t, k] = _block(block, f"{name}[{t}][{k}]")
     term = doc["terminal"]
     if not isinstance(term, dict):
         raise ProblemFormatError("'terminal' must be an object")
-    for key in ("G", "Gbar", "g"):
+    for key, shape in (("G", (p.n, p.n)), ("Gbar", (p.n, p.n)), ("g", (p.n,))):
         if key not in term:
             raise ProblemFormatError(f"missing terminal key {key!r}")
-        if not isinstance(term[key], list):
+        blocks = term[key]
+        if not isinstance(blocks, list):
             raise ProblemFormatError(f"{key}: expected a list of blocks")
-        setattr(p, key, [_block(b, f"{key}[{t}]") for t, b in enumerate(term[key])])
+        stacked = _flat(blocks, shape) if flat else None
+        setattr(p, key, list(stacked) if stacked is not None
+                else [_block(b, f"{key}[{t}]") for t, b in enumerate(blocks)])
     findings = validate(p)
     errors = [f for f in findings if f.severity == "error"]
     if errors:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -5,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from meanfield_lq import cli, model, recursion
 from meanfield_lq.model import canonical_dumps
@@ -90,7 +93,12 @@ class TestSolve:
         (lambda d: d["terminal"]["Gbar"].__setitem__(1, {"x": 1}), "Gbar[1]: not a numeric block"),
         (lambda d: d["terminal"].update({"g": 7}), "g: expected a list"),
         (lambda d: d.update({"terminal": 7}), "'terminal' must be an object"),
-    ], ids=["object-block", "dense-row", "terminal-block", "terminal-family", "terminal"])
+        (lambda d: d["data"]["A"]["0,0"].__setitem__(0, ["3.3", True]), "A[0][0]: not a numeric"),
+        (lambda d: d["terminal"]["G"][0].__setitem__(1, [0.0, True]), "G[0]: not a numeric block"),
+        (lambda d: d.update({"n": 2.7}), "bad dimensions: n is not an integer"),
+        (lambda d: d.update({"N": True}), "bad dimensions: N is not an integer"),
+    ], ids=["object-block", "dense-row", "terminal-block", "terminal-family", "terminal",
+            "string-leaf", "boolean-leaf", "fractional-n", "boolean-N"])
     def test_non_numeric_block_exits_one(self, edit, message, tmp_path, capsys):
         doc = json.loads(model.to_json(model.bundled_example()))
         edit(doc)
@@ -99,6 +107,82 @@ class TestSolve:
         assert run("solve", "--input", bad, "--out", tmp_path / "r.json") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
+EXAMPLE_DOC = json.loads(model.to_json(model.bundled_example()))
+BAD_KEYS = ("0;1", "0,1,2", "a,b", "", "1", "0,", " ,1", "0.5,1")
+NOT_NUMBERS = ("3.3", "abc", True, False, None, {"x": 1}, [], [1.0, 2.0])
+NOT_INTEGERS = (2.7, -0.5, "2", True, False, None, [2], {"n": 2}, float("inf"), float("nan"))
+OUT_OF_RANGE = [(t, k) for t in range(4) for k in range(4) if not 0 <= t <= k < 2]
+
+
+@st.composite
+def malformed_documents(draw):
+    """The bundled example with one defect the reader must reject."""
+    doc = json.loads(json.dumps(EXAMPLE_DOC))
+    data, term = doc["data"], doc["terminal"]
+    name = draw(st.sampled_from(model.FAMILY_NAMES))
+    kind = draw(st.sampled_from(["key", "dense", "horizon", "terminal", "leaf", "dim"]))
+    if kind == "key":
+        key = draw(st.sampled_from(sorted(data[name])))
+        data[name][draw(st.sampled_from(BAD_KEYS))] = data[name].pop(key)
+    elif kind == "dense":
+        t, k = draw(st.sampled_from(OUT_OF_RANGE))
+        grid = [[None] * 4 for _ in range(4)]
+        for key, block in data[name].items():
+            i, j = map(int, key.split(","))
+            grid[i][j] = block
+        grid[t][k] = data[name]["0,0"]
+        data[name] = grid
+    elif kind == "horizon":
+        doc["N"] = draw(st.integers(3, 10**12))
+    elif kind == "terminal":
+        blocks = term[draw(st.sampled_from(sorted(term)))]
+        if draw(st.booleans()):
+            blocks.pop(draw(st.integers(0, len(blocks) - 1)))
+        else:
+            blocks.append(blocks[0])
+    elif kind == "leaf":
+        if draw(st.booleans()):
+            block = data[name][draw(st.sampled_from(sorted(data[name])))]
+        else:
+            block = term[draw(st.sampled_from(sorted(term)))][draw(st.integers(0, 1))]
+        i = draw(st.integers(0, len(block) - 1))
+        if isinstance(block[i], list):
+            block, i = block[i], draw(st.integers(0, len(block[i]) - 1))
+        block[i] = draw(st.sampled_from(NOT_NUMBERS))
+    else:
+        doc[draw(st.sampled_from(["n", "m", "N"]))] = draw(st.sampled_from(NOT_INTEGERS))
+    return doc
+
+
+class TestMalformedInput:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=malformed_documents())
+    def test_exits_one_with_one_line(self, doc, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("solve", "--input", bad, "--out", tmp_path / "r.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
+class TestGarbage:
+    def test_run_leaves_no_cyclic_garbage(self, example_file, tmp_path):
+        argv = ("solve", "--input", example_file, "--out", tmp_path / "r.json")
+        prior = gc.isenabled()
+        gc.disable()
+        try:
+            assert run(*argv) == 0  # imports and builds what every later run reuses
+            gc.collect()
+            assert run(*argv) == 0
+            assert gc.collect() == 0
+        finally:
+            if prior:
+                gc.enable()
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import gc
 import json
 import time
 
@@ -11,6 +12,7 @@ from meanfield_lq import model, recursion
 from meanfield_lq.errors import DimensionMismatch, ProblemFormatError
 from meanfield_lq.model import Family, InitialPair
 
+import ingest_reference
 from conftest import make_problem
 
 
@@ -294,6 +296,166 @@ class TestJson:
         del doc["data"]["B"]["0,1"]
         with pytest.raises(ProblemFormatError):
             model.from_json(json.dumps(doc))
+
+
+def _outcome(reader, text):
+    """What a reader makes of a file, bit for bit: the error text, or every
+    family's stack, mask and stray blocks, the terminal lists and the findings."""
+    try:
+        p, findings = reader(text)
+    except ProblemFormatError as exc:
+        return str(exc)
+    families = {}
+    for name in model.FAMILY_NAMES:
+        fam = getattr(p, name)
+        families[name] = (None if fam.stack is None else (fam.stack.tobytes(), fam.mask.tobytes()),
+                          {key: (v.shape, v.tobytes()) for key, v in fam.extra.items()})
+    terminal = {key: [(np.asarray(v).shape, np.asarray(v).tobytes()) for v in getattr(p, key)]
+                for key in ("G", "Gbar", "g")}
+    return (p.n, p.m, p.N), families, terminal, findings
+
+
+# ints (above 2**53 too, which round), -0.0, subnormals and the largest finite floats
+EDGE_LEAVES = (0, -7, 2**53 + 1, -(2**64) - 3, 2**1000 + 1, -0.0, 5e-324, -2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1)
+leaf_values = (st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**70), 2**70)
+               | st.sampled_from(EDGE_LEAVES))
+SYMMETRIC = {name for name, (_, sym) in model.MATRIX_FAMILIES.items() if sym} | {"G", "Gbar"}
+
+
+@st.composite
+def problem_documents(draw):
+    """A valid problem document: dict or dense layout, keys in any order,
+    symmetric weights; with ``comment`` set, a top-level string holding
+    "true" sends every block down the block-by-block path."""
+    n, m, N = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    shapes = model.ProblemData(n, m, 1)
+
+    def blocks(name, count, shape):
+        size = count * int(np.prod(shape))
+        flat = draw(st.lists(leaf_values, min_size=size, max_size=size))
+        out = np.array(flat, dtype=object).reshape(count, *shape)
+        if name in SYMMETRIC:
+            for i in range(shape[0]):
+                for j in range(i):
+                    out[:, i, j] = out[:, j, i]
+        return out.tolist()
+
+    keys = [(t, k) for t in range(N) for k in range(t, N)]
+    dense = draw(st.booleans())
+    data = {}
+    for name in model.FAMILY_NAMES:
+        values = blocks(name, len(keys), shapes.shape_of(name))
+        if dense:
+            grid = [[None] * N for _ in range(N)]
+            for (t, k), block in zip(keys, values):
+                grid[t][k] = block
+            data[name] = grid
+        else:
+            order = draw(st.permutations(range(len(keys))))
+            data[name] = {f"{keys[i][0]},{keys[i][1]}": values[i] for i in order}
+    terminal = {"G": blocks("G", N, (n, n)), "Gbar": blocks("Gbar", N, (n, n)),
+                "g": blocks("g", N, (n,))}
+    doc = {"n": n, "m": m, "N": N, "data": data, "terminal": terminal}
+    if draw(st.booleans()):
+        doc["comment"] = "true"
+    return doc
+
+
+class TestIngestReference:
+    @settings(max_examples=150, deadline=None)
+    @given(problem_documents())
+    def test_valid_documents_read_as_the_reference(self, doc):
+        text = json.dumps(doc)
+        expected = _outcome(ingest_reference.from_json, text)
+        assert not isinstance(expected, str), expected
+        assert _outcome(model.from_json, text) == expected
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda d: d["data"]["A"]["0,1"][1].__setitem__(0, None), "A[0][1]"),
+        (lambda d: d["data"]["f"]["1,1"].__setitem__(1, None), "f[1][1]"),
+        (lambda d: d["terminal"]["G"][1][0].__setitem__(1, None), "G[1]"),
+    ])
+    def test_null_leaf_is_non_finite(self, edit, path):
+        doc = json.loads(model.to_json(model.bundled_example()))
+        edit(doc)
+        text = json.dumps(doc)
+        assert _outcome(model.from_json, text) == f"{path}: non-finite entries"
+        assert _outcome(ingest_reference.from_json, text) == f"{path}: non-finite entries"
+
+    def test_overflowing_integer_is_not_numeric(self):
+        doc = json.loads(model.to_json(model.bundled_example()))
+        doc["data"]["B"]["1,1"][0][1] = 10**400
+        text = json.dumps(doc)
+        expected = "B[1][1]: not a numeric block (int too large to convert to float)"
+        assert _outcome(model.from_json, text) == expected
+        assert _outcome(ingest_reference.from_json, text) == expected
+
+
+# values the schema refuses and np.asarray or int() would convert, and their message
+NOT_NUMBERS = (
+    (lambda d: d["data"]["A"]["0,0"].__setitem__(0, ["3.3", True]),
+     'A[0][0]: not a numeric block (entry "3.3")'),
+    (lambda d: d["data"]["A"]["0,0"].__setitem__(0, [3.3, True]),
+     "A[0][0]: not a numeric block (entry true)"),
+    (lambda d: d["data"]["rho"].__setitem__("1,1", "12"), 'rho[1][1]: not a numeric block (entry "12")'),
+    (lambda d: d["terminal"]["Gbar"][1].__setitem__(1, ["-0.2", 1.0]),
+     'Gbar[1]: not a numeric block (entry "-0.2")'),
+    (lambda d: d["terminal"]["g"].__setitem__(0, [False, 7.8]),
+     "g[0]: not a numeric block (entry false)"),
+    (lambda d: d.update(n=2.7), "bad dimensions: n is not an integer (2.7)"),
+    (lambda d: d.update(N="2"), 'bad dimensions: N is not an integer ("2")'),
+    (lambda d: d.update(N=True), "bad dimensions: N is not an integer (true)"),
+)
+
+
+class TestNotNumbers:
+    @pytest.mark.parametrize("edit, message", NOT_NUMBERS, ids=[
+        "string-leaf", "boolean-leaf", "string-block", "terminal-string-leaf",
+        "terminal-boolean-leaf", "fractional-n", "string-N", "boolean-N"])
+    def test_rejected_naming_the_entry(self, edit, message):
+        doc = json.loads(model.to_json(model.bundled_example()))
+        edit(doc)
+        with pytest.raises(ProblemFormatError) as err:
+            model.from_json(json.dumps(doc))
+        assert str(err.value) == message
+
+    def test_integral_float_dimension_accepted(self):
+        doc = json.loads(model.to_json(model.bundled_example()))
+        doc["N"] = 2.0
+        parsed, findings = model.from_json(json.dumps(doc))
+        assert parsed.N == 2 and type(parsed.N) is int and findings == []
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("text", ["example", "{nope", '{"n": true}'], ids=["ok", "json", "dims"])
+    def test_collector_state_restored(self, enabled, text):
+        if text == "example":
+            text = model.to_json(model.bundled_example())
+        prior = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            try:
+                model.from_json(text)
+            except ProblemFormatError:
+                pass
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if prior else gc.disable)()
+
+    def test_collector_paused_while_the_parse_tree_lives(self, monkeypatch):
+        seen = []
+        validate = model.validate
+
+        def spy(p):
+            seen.append(gc.isenabled())
+            return validate(p)
+
+        monkeypatch.setattr(model, "validate", spy)
+        assert gc.isenabled()
+        model.from_json(model.to_json(model.bundled_example()))
+        assert seen == [False] and gc.isenabled()
 
 
 class TestDeclaredHorizon:
