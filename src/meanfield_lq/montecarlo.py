@@ -151,6 +151,34 @@ def _plan(p: ProblemData, gains, t: int, x0: np.ndarray, deviation):
     return coefs, (G, 2.0 * (G @ my + g)), offset, means
 
 
+def exact_moments(p: ProblemData, gains, init: InitialPair) -> tuple[float, list]:
+    """The exact expected cost and the {"k", "mean", "cov"} moments of x at
+    steps t..N, without sampling.
+
+    The centred state d = z - m of ``_plan`` steps as d <- kd d + (kw d + c) w
+    with w independent of d, of mean 0 and variance 1, so its covariance
+    follows S <- kd S kd' + kw S kw' + c c' from S = 0 at the atom, and the
+    expected cost is the plan's constant plus sum_k tr(weight S_k) plus
+    tr(G S_yy) at the end.  Both noise laws give the same values.
+    """
+    t = init.t
+    if t >= p.N:
+        raise HorizonMismatch(f"initial time {t} >= horizon {p.N}")
+    n = p.n
+    coefs, (G, _), cost, means = _plan(p, gains, t, _atom_state(p, init), None)
+    S = np.zeros((2 * n, 2 * n))
+    covs = [S]
+    for coef, _, c in coefs:
+        weight, kw, kd = coef[:2 * n], coef[2 * n:4 * n], coef[4 * n:]
+        cost += np.sum(weight * S)
+        S = sym_part(kd @ S @ kd.T + kw @ S @ kw.T + np.outer(c, c))
+        covs.append(S)
+    cost += np.sum(G * S[n:, n:])
+    moments = [{"k": t + j, "mean": m[:n], "cov": S[:n, :n]}
+               for j, (m, S) in enumerate(zip(means, covs))]
+    return float(cost), moments
+
+
 def _rollout(p: ProblemData, gains, t: int, x0: np.ndarray, paths: int, noise,
              deviations=(None,), keep: int = 0):
     """Per-path family costs over steps t..N-1, streamed in blocks of paths.

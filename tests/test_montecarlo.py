@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from meanfield_lq import model, montecarlo as mc, recursion, tree
-from meanfield_lq.errors import DimensionMismatch, EmptyConfig
+from meanfield_lq.errors import DimensionMismatch, EmptyConfig, HorizonMismatch
 from meanfield_lq.model import InitialPair
 
 import mc_reference
@@ -291,6 +291,61 @@ class TestEnumeratedNoise:
             nodes = state.values[row["k"]]
             scale = 1.0 + np.max(np.abs(nodes))
             assert np.max(np.abs(row["mean"] - nodes.mean(axis=0))) <= 1e-12 * scale
+
+
+class TestExactMoments:
+    """The second-moment recursion gives the exact expected cost and moments
+    at any horizon: the tree's where the tree reaches, and Monte Carlo's
+    target beyond it."""
+
+    @pytest.mark.parametrize("dims, t, convex", [
+        ((2, 2, 10), 0, True), ((3, 1, 8), 0, False), ((1, 3, 12), 0, True),
+        ((2, 2, 12), 0, False), ((2, 2, 10), 3, True), ((3, 2, 6), 5, False), (None, 0, True),
+        (None, 1, True),
+    ])
+    def test_matches_the_tree(self, dims, t, convex):
+        if dims is None:
+            p, gains = _solved(None)
+        else:
+            p = make_problem(np.random.default_rng(sum(dims) + t), *dims, scale=0.3,
+                             convex=convex)
+            _, gains, _ = recursion.solve_gdre_global(p)
+        init = InitialPair(t, np.linspace(-1.0, 1.0, p.n) + 0.3)
+        cost, moments = mc.exact_moments(p, gains, init)
+        state, control = tree.equilibrium_pair(p, gains, init)
+        exact = float(tree.cost(p, init, control, t)[0])
+        assert abs(cost - exact) <= 1e-12 * abs(exact)
+        assert [r["k"] for r in moments] == list(range(t, p.N + 1))
+        for row in moments:
+            nodes = state.values[row["k"]]
+            centred = nodes - nodes.mean(axis=0)
+            cov = centred.T @ centred / nodes.shape[0]
+            assert np.max(np.abs(row["mean"] - nodes.mean(axis=0))) <= 1e-12 * (
+                1.0 + np.max(np.abs(nodes)))
+            assert np.max(np.abs(row["cov"] - cov)) <= 1e-12 * (1.0 + np.max(np.abs(cov)))
+            assert np.array_equal(row["cov"], row["cov"].T)
+
+    @pytest.mark.parametrize("law", mc.NOISE_LAWS)
+    def test_simulate_is_unbiased_beyond_the_tree(self, law):
+        """At N = 50 the z-scores of the mean cost against the exact value,
+        over a seed set fixed before the noise stream last changed, have unit
+        spread and no bias."""
+        p = make_problem(np.random.default_rng(5), 2, 2, 50, scale=0.3)
+        _, gains, _ = recursion.solve_gdre_global(p)
+        init = InitialPair(0, np.ones(2))
+        exact, _ = mc.exact_moments(p, gains, init)
+        z = []
+        for seed in range(20):
+            res = mc.simulate(p, init, gains, mc.SimConfig(paths=20_000, seed=seed,
+                                                            noise_law=law))
+            z.append((res.mean_cost - exact) / res.std_error)
+        assert 0.6 <= np.std(z, ddof=1) <= 1.5
+        assert abs(np.mean(z)) <= 3.0 / np.sqrt(len(z))
+
+    def test_rejects_initial_time_at_horizon(self, example_solved):
+        p, gains = example_solved
+        with pytest.raises(HorizonMismatch):
+            mc.exact_moments(p, gains, InitialPair(p.N, np.ones(2)))
 
 
 class TestAgainstTwoPassReference:
