@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -69,7 +70,37 @@ def _parse_vector(text: str, n: int) -> np.ndarray:
         raise MeanfieldLQError(f"bad vector {text!r}: {exc}")
     if len(vals) != n:
         raise MeanfieldLQError(f"vector {text!r} has {len(vals)} entries, expected {n}")
+    if not all(math.isfinite(v) for v in vals):
+        raise MeanfieldLQError(f"vector {text!r} has a non-finite entry")
     return np.asarray(vals)
+
+
+def _load_gains(path: str, p) -> "recursion.GainSchedule":
+    """The "gains" object of a report file, checked like a problem file:
+    N entries per field, each a finite array of its (m, n), (m, m) or (m,)
+    shape."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    gains = doc.get("gains") if isinstance(doc, dict) else None
+    if not isinstance(gains, dict):
+        raise ProblemFormatError(f"{path}: no \"gains\" object")
+    n, m = p.n, p.m
+    shapes = {"W": (m, m), "Wdag": (m, m), "H": (m, n), "beta": (m,), "Psi": (m, n),
+              "alpha": (m,)}
+    for name, shape in shapes.items():
+        entries = gains.get(name)
+        if not isinstance(entries, list) or len(entries) != p.N:
+            raise ProblemFormatError(f"gains.{name}: expected a list of {p.N} entries")
+        for k, entry in enumerate(entries):
+            try:
+                ok = np.asarray(entry, dtype=float)
+                ok = ok.shape == shape and np.isfinite(ok).all()
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ProblemFormatError(f"gains.{name}[{k}]: expected finite numbers of shape "
+                                         f"{shape}")
+    return recursion.gains_from_dict(gains)
 
 
 def cmd_solve(args) -> int:
@@ -99,18 +130,17 @@ def cmd_verify(args) -> int:
     p, findings, sha = _load_problem(args.input)
     # certification needs exactly N levels; the depth cap applies without --force
     scen = tree.ScenarioTree(p.N, force=args.force)
-
-    if args.gains:
-        with open(args.gains, encoding="utf-8") as fh:
-            gains = recursion.gains_from_dict(json.load(fh)["gains"])
-        tables, _, report = recursion.solve_gdre_global(p)
-    else:
-        tables, gains, report = recursion.solve_gdre_global(p)
-
     t = args.t
     if not (0 <= t < p.N):
         raise MeanfieldLQError(f"--t must be in 0..{p.N - 1}")
     x = _parse_vector(args.x, p.n)
+
+    if args.gains:
+        gains = _load_gains(args.gains, p)
+        tables, _, report = recursion.solve_gdre_global(p)
+    else:
+        tables, gains, report = recursion.solve_gdre_global(p)
+
     init = InitialPair(t, x)
     _, control = tree.equilibrium_pair(p, gains, init, scen)
     cert = tree.certify_equilibrium(p, init, control, t, seed=args.seed, tree=scen,
@@ -136,11 +166,11 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     started = time.monotonic()
     p, findings, sha = _load_problem(args.input)
-    _, gains, _ = recursion.solve_gdre_global(p)
     t = args.t
     if not (0 <= t < p.N):
         raise MeanfieldLQError(f"--t must be in 0..{p.N - 1}")
     x = _parse_vector(args.x, p.n) if args.x else np.zeros(p.n)
+    _, gains, _ = recursion.solve_gdre_global(p)
     cfg = mc.SimConfig(paths=args.paths, seed=args.seed, noise_law=args.law)
     result = mc.simulate(p, InitialPair(t, x), gains, cfg)
 

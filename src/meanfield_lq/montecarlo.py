@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyConfig, HorizonMismatch
+from .errors import DimensionMismatch, EmptyConfig, HorizonMismatch, NumericalBreakdown
 from .matrices import sym_part
 from .model import InitialPair, ProblemData
 
@@ -77,18 +77,29 @@ def draw_noise(cfg: SimConfig, paths: int, steps: int, start: int = 0) -> np.nda
     """Rows start..start+paths-1 of the (cfg.paths, steps) noise matrix.
 
     Row i depends only on (seed, i), so a block of rows is bit-identical to
-    the same rows of the whole matrix.
+    the same rows of the whole matrix.  A Rademacher sign is 1 - 2 b for
+    the bit b = i * steps + j of the word stream of
+    ``Philox(key=seed).random_raw``: bit b % 64 of word b // 64, counted
+    from the least significant, returned as exact int8 (one byte a sign).
+    A Gaussian entry is ``ndtri`` of one Philox uniform.
     """
     bits = np.random.Philox(key=cfg.seed)
     skip = start * steps
-    bits.advance(skip // 4)  # one Philox counter step yields four 64-bit words
+    if cfg.noise_law == "rademacher":
+        word, offset = divmod(skip, 64)
+        bits.advance(word // 4)  # one Philox counter step yields four 64-bit words
+        bits.random_raw(word % 4)
+        words = bits.random_raw(-(-(offset + paths * steps) // 64))
+        w = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                          bitorder="little").view(np.int8)
+        w *= -2
+        w += 1
+        return w[offset:offset + paths * steps].reshape(paths, steps)
+    bits.advance(skip // 4)
     gen = np.random.Generator(bits)
     if skip % 4:
         gen.random(skip % 4)
     u = gen.random((paths, steps))
-    if cfg.noise_law == "rademacher":
-        u -= 0.5  # exact; u = 0.5 gives +0, hence +1
-        return np.copysign(1.0, u, out=u)
     from scipy.special import ndtri  # not at the top: it is most of the import time
     tiny = 2.0**-53
     return ndtri(np.clip(u, tiny, 1.0 - tiny, out=u), out=u)
@@ -117,10 +128,12 @@ def _plan(p: ProblemData, gains, t: int, x0: np.ndarray, deviation):
     is d <- kd d + (kw d + kw m + cw) w_k and its cost d' weight d + 2 (weight
     m + lin)'d plus a constant.
 
-    Returns the per-step (coef, lin2, cw) with coef = [weight; kw; kd] as
-    one (6n, 2n) matrix, lin2 = 2 (weight m + lin) and cw the centred noise
-    offset; the terminal (G, 2 (G m_y + g)); the sum of all constants; and
-    the exact means m at steps t..N.
+    Returns the per-step (6n, 2n + 1) matrices [weight, lin2; kw, c; kd, 0]
+    with lin2 = 2 (weight m + lin) and c = kw m + cw the centred noise
+    offset, which act on the centred state with a constant row of ones
+    appended; the terminal (G, 2 (G m_y + g)); the sum of all constants;
+    and the exact means m at steps t..N.  Raises NumericalBreakdown at the
+    first step whose mean or constant is not finite.
     """
     n, cal = p.n, p.cal
     zero = np.zeros((n, n))
@@ -143,8 +156,11 @@ def _plan(p: ProblemData, gains, t: int, x0: np.ndarray, deviation):
                              p.B[t, k] @ af + p.Abar[t, k] @ my + p.Bbar[t, k] @ mu + p.f[t, k]])
         cw = np.concatenate([cal.D(k, k) @ alpha + p.d[k, k],
                              p.D[t, k] @ af + p.Cbar[t, k] @ my + p.Dbar[t, k] @ mu + p.d[t, k]])
-        coefs.append((np.vstack([weight, kw, kd]), 2.0 * (weight @ m + lin), kw @ m + cw))
+        bias = np.concatenate([2.0 * (weight @ m + lin), kw @ m + cw, np.zeros(2 * n)])
+        coefs.append(np.column_stack([np.vstack([weight, kw, kd]), bias]))
         m = kd @ m + cd
+        if not (np.isfinite(m).all() and np.isfinite(offset)):
+            raise NumericalBreakdown(f"the exact mean or cost is not finite at step {k}")
         means.append(m)
     G, g, my = p.G[t], p.g[t], m[n:]
     offset += my @ G @ my + 2.0 * g @ my + my @ p.Gbar[t] @ my
@@ -165,15 +181,17 @@ def exact_moments(p: ProblemData, gains, init: InitialPair) -> tuple[float, list
     if t >= p.N:
         raise HorizonMismatch(f"initial time {t} >= horizon {p.N}")
     n = p.n
-    coefs, (G, _), cost, means = _plan(p, gains, t, _atom_state(p, init), None)
-    S = np.zeros((2 * n, 2 * n))
-    covs = [S]
-    for coef, _, c in coefs:
-        weight, kw, kd = coef[:2 * n], coef[2 * n:4 * n], coef[4 * n:]
-        cost += np.sum(weight * S)
-        S = sym_part(kd @ S @ kd.T + kw @ S @ kw.T + np.outer(c, c))
-        covs.append(S)
-    cost += np.sum(G * S[n:, n:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefs, (G, _), cost, means = _plan(p, gains, t, _atom_state(p, init), None)
+        S = np.zeros((2 * n, 2 * n))
+        covs = [S]
+        for coef in coefs:
+            weight, kw, kd = coef[:2 * n, :-1], coef[2 * n:4 * n, :-1], coef[4 * n:, :-1]
+            c = coef[2 * n:4 * n, -1]
+            cost += np.sum(weight * S)
+            S = sym_part(kd @ S @ kd.T + kw @ S @ kw.T + np.outer(c, c))
+            covs.append(S)
+        cost += np.sum(G * S[n:, n:])
     moments = [{"k": t + j, "mean": m[:n], "cov": S[:n, :n]}
                for j, (m, S) in enumerate(zip(means, covs))]
     return float(cost), moments
@@ -195,59 +213,64 @@ def _rollout(p: ProblemData, gains, t: int, x0: np.ndarray, paths: int, noise,
     as a (keep, N-t+1, n) array.
     """
     n, steps = p.n, p.N - t
-    plans = [_plan(p, gains, t, x0, dev) for dev in deviations]
-    means = plans[0][3]
-    costs = np.empty((len(plans), paths))
-    s1 = np.zeros((steps + 1, n))
-    s2 = np.zeros((steps + 1, n, n))
-    sample = np.empty((keep, steps + 1, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        plans = [_plan(p, gains, t, x0, dev) for dev in deviations]
+        means = plans[0][3]
+        costs = np.empty((len(plans), paths))
+        s1 = np.zeros((steps + 1, n))
+        s2 = np.zeros((steps + 1, n, n))
+        sample = np.empty((keep, steps + 1, n))
 
-    for start in range(0, paths, BLOCK):
-        rows = min(BLOCK, paths - start)
-        # a one-column product would go to gemv, which rounds differently
-        # from gemm: pad to two columns so that a path's cost never depends
-        # on the block layout
-        cols = max(rows, 2)
-        w = noise(start, rows)
-        wk = np.zeros(cols)
-        shown = min(keep - start, rows)
-        for i, (coefs, (G, g2), offset, _) in enumerate(plans):
-            d = np.zeros((2 * n, cols))
-            out = np.empty((6 * n, cols))
-            cost = np.full(cols, offset)
+        for start in range(0, paths, BLOCK):
+            rows = min(BLOCK, paths - start)
+            # a one-column product would go to gemv, which rounds differently
+            # from gemm: pad to two columns so that a path's cost never depends
+            # on the block layout
+            cols = max(rows, 2)
+            w = np.ascontiguousarray(noise(start, rows).T)  # step j's noise is row j
+            wk = np.zeros(cols)
+            shown = min(keep - start, rows)
+            for i, (coefs, (G, g2), offset, _) in enumerate(plans):
+                # the centred state over a constant row of ones, which applies
+                # each step's offsets inside its matmul
+                d = np.zeros((2 * n + 1, cols))
+                d[2 * n] = 1.0
+                z = d[:2 * n]
+                out = np.empty((6 * n, cols))
+                cost = np.full(cols, offset)
 
-            def record(j):
-                x = d[:n, :rows]
-                s1[j] += x.sum(axis=1)
-                s2[j] += x @ x.T
-                if shown > 0:
-                    sample[start:start + shown, j] = (x[:, :shown] + means[j][:n, None]).T
+                def record(j):
+                    x = d[:n, :rows]
+                    s1[j] += x.sum(axis=1)
+                    s2[j] += x @ x.T
+                    if shown > 0:
+                        sample[start:start + shown, j] = (x[:, :shown] + means[j][:n, None]).T
 
-            for j, (coef, lin2, cw) in enumerate(coefs):
+                for j, coef in enumerate(coefs):
+                    if i == 0:
+                        record(j)
+                    np.matmul(coef, d, out=out)
+                    q, kwd, kdd = out[:2 * n], out[2 * n:4 * n], out[4 * n:]
+                    cost += np.einsum("in,in->n", q, z)
+                    wk[:rows] = w[j]
+                    kwd *= wk
+                    np.add(kdd, kwd, out=z)
                 if i == 0:
-                    record(j)
-                np.matmul(coef, d, out=out)
-                q, kwd, kdd = out[:2 * n], out[2 * n:4 * n], out[4 * n:]
-                q += lin2[:, None]
-                cost += np.einsum("in,in->n", q, d)
-                kwd += cw[:, None]
-                wk[:rows] = w[:, j]  # one gather of the strided column for all 2n rows
-                kwd *= wk
-                np.add(kdd, kwd, out=d)
-            if i == 0:
-                record(steps)
-            y, q = d[n:], out[:n]
-            np.matmul(G, y, out=q)
-            q += g2[:, None]
-            cost += np.einsum("in,in->n", q, y)
-            costs[i, start:start + rows] = cost[:rows]
+                    record(steps)
+                y, q = d[n:2 * n], out[:n]
+                np.matmul(G, y, out=q)
+                q += g2[:, None]
+                cost += np.einsum("in,in->n", q, y)
+                costs[i, start:start + rows] = cost[:rows]
+        if not np.isfinite(costs).all():
+            raise NumericalBreakdown("a per-path cost is not finite")
 
-    moments = []
-    for j in range(steps + 1):
-        cov = np.zeros((n, n))
-        if paths > 1:
-            cov = sym_part((s2[j] - np.outer(s1[j], s1[j]) / paths) / (paths - 1))
-        moments.append({"k": t + j, "mean": means[j][:n] + s1[j] / paths, "cov": cov})
+        moments = []
+        for j in range(steps + 1):
+            cov = np.zeros((n, n))
+            if paths > 1:
+                cov = sym_part((s2[j] - np.outer(s1[j], s1[j]) / paths) / (paths - 1))
+            moments.append({"k": t + j, "mean": means[j][:n] + s1[j] / paths, "cov": cov})
     return costs, moments, sample
 
 

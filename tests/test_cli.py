@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,42 @@ class TestVerify:
         assert run("verify", "--input", example_file, "--out", tmp_path / "c.json",
                    "--x", "1,1", "--deviations", "4") == 1
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda g: g["Psi"].pop(), "gains.Psi"),
+        (lambda g: g["alpha"].pop(0), "gains.alpha"),
+        (lambda g: g.update(Psi=None), "gains.Psi"),
+        (lambda g: g["W"].__setitem__(1, None), "gains.W[1]"),
+        (lambda g: g["H"].__setitem__(0, [[1.0, 2.0]]), "gains.H[0]"),
+        (lambda g: g["beta"].__setitem__(1, [1.0, 2.0, 3.0]), "gains.beta[1]"),
+        (lambda g: g["Psi"][1][0].__setitem__(1, float("nan")), "gains.Psi[1]"),
+        (lambda g: g["alpha"][0].__setitem__(0, float("inf")), "gains.alpha[0]"),
+        (lambda g: g["Wdag"][0][1].__setitem__(0, "x"), "gains.Wdag[0]"),
+        (lambda g: g.pop("beta"), "gains.beta"),
+    ])
+    def test_malformed_gains_exit_one_naming_the_field(self, example_file, tmp_path, capsys,
+                                                       edit, field):
+        report = tmp_path / "report.json"
+        assert run("solve", "--input", example_file, "--out", report) == 0
+        doc = json.loads(report.read_text())
+        edit(doc["gains"])
+        report.write_text(json.dumps(doc))  # json.dumps writes NaN and Infinity
+        capsys.readouterr()
+        assert run("verify", "--input", example_file, "--out", tmp_path / "c.json",
+                   "--x", "1,1", "--gains", report) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}") and err.count("\n") == 1, err
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("doc", [[], {"gains": []}, {"solvability": {}}])
+    def test_report_without_gains_object_exits_one(self, example_file, tmp_path, capsys, doc):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("verify", "--input", example_file, "--out", tmp_path / "c.json",
+                   "--x", "1,1", "--gains", report) == 1
+        err = capsys.readouterr().err
+        assert "no \"gains\" object" in err and err.count("\n") == 1, err
+
     def test_horizon_over_cap_needs_force(self, tmp_path, rng):
         from conftest import make_problem
 
@@ -256,9 +293,40 @@ class TestSimulate:
         sha = hashlib.sha256(example_file.read_bytes()).hexdigest()
         assert first == f"# input_sha256={sha}"
 
+    def test_overflowing_rollout_exits_two_naming_the_step(self, example_file, tmp_path,
+                                                           capsys):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            assert run("simulate", "--input", example_file, "--out", tmp_path / "s",
+                       "--paths", 1000, "--x", "1e308,1e308") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical breakdown: ") and err.count("\n") == 1, err
+        assert "at step 0" in err
+        assert not (tmp_path / "s.json").exists()
+
     def test_bad_paths_exits_one(self, example_file, tmp_path):
         assert run("simulate", "--input", example_file, "--out", tmp_path / "s",
                    "--paths", 0, "--seed", 1, "--x", "1,1") == 1
+
+
+class TestNonFiniteInitialState:
+    """A non-finite --x is bad input: exit 1 with one line, before any solve."""
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("x", ["nan,1", "inf,1", "1,-inf", "1,1e400"])
+    def test_exits_one_before_solving(self, example_file, tmp_path, capsys, monkeypatch,
+                                      command, x):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the input was checked")
+
+        monkeypatch.setattr(recursion, "solve_gdre_global", no_solve)
+        capsys.readouterr()
+        assert run(command, "--input", example_file, "--out", tmp_path / "o",
+                   "--x", x) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: vector {x!r} has a non-finite entry\n"
+        assert os.listdir(tmp_path) == ["example.json"]
 
 
 class TestEpsilonSweep:

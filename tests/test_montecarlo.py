@@ -39,10 +39,23 @@ class TestNoise:
         big = mc.draw_noise(cfg, 200, 3)
         assert np.array_equal(big[:100], small)
 
-    def test_rademacher_signs_follow_the_uniforms(self):
-        u = np.random.Generator(np.random.Philox(key=4)).random((1000, 7))
-        w = mc.draw_noise(mc.SimConfig(paths=1000, seed=4), 1000, 7)
-        assert np.array_equal(w, np.where(u < 0.5, -1.0, 1.0))
+    def test_rademacher_signs_are_the_raw_philox_bits(self):
+        """The sign of path i at step j is 1 - 2 b for bit b = i * steps + j of
+        the raw word stream, bit b % 64 of word b // 64 counted from the least
+        significant; rebuilt here on integer values, bit by bit."""
+        paths, steps = 1000, 7
+        words = np.random.Philox(key=4).random_raw(-(-paths * steps // 64))
+        expected = np.empty((paths, steps))
+        for i in range(paths):
+            for j in range(steps):
+                b = i * steps + j
+                expected[i, j] = 1.0 - 2.0 * ((int(words[b // 64]) >> (b % 64)) & 1)
+        w = mc.draw_noise(mc.SimConfig(paths=paths, seed=4), paths, steps)
+        assert w.dtype == np.int8
+        assert np.array_equal(w, expected)
+        # a block starting mid-word and mid-counter reads the same bits
+        assert np.array_equal(mc.draw_noise(mc.SimConfig(paths=paths, seed=4), 5, steps, 310),
+                              expected[310:315])
 
     @pytest.mark.parametrize("law", mc.NOISE_LAWS)
     @pytest.mark.parametrize("steps", [1, 3, 50])
