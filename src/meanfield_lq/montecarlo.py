@@ -262,8 +262,8 @@ def _rollout(p: ProblemData, gains, t: int, x0: np.ndarray, paths: int, noise,
                 q += g2[:, None]
                 cost += np.einsum("in,in->n", q, y)
                 costs[i, start:start + rows] = cost[:rows]
-        if not np.isfinite(costs).all():
-            raise NumericalBreakdown("a per-path cost is not finite")
+        if not (np.isfinite(costs).all() and np.isfinite(s2).all()):
+            raise NumericalBreakdown("a per-path cost or second moment is not finite")
 
         moments = []
         for j in range(steps + 1):
@@ -294,7 +294,10 @@ def simulate(p: ProblemData, init: InitialPair, gains, cfg: SimConfig) -> SimRes
     mean_cost = float(costs.mean())
     std_error = None
     if cfg.paths > 1:
-        std_error = float(costs.std(ddof=1) / np.sqrt(cfg.paths))
+        with np.errstate(over="ignore"):
+            std_error = float(costs.std(ddof=1) / np.sqrt(cfg.paths))
+        if not np.isfinite(std_error):
+            raise NumericalBreakdown("the spread of the per-path costs is not finite")
     return SimResult(mean_cost, std_error, moments, sample if keep else None)
 
 
