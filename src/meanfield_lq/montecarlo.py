@@ -3,7 +3,12 @@
 Paths are driven by a counter-based generator (Philox keyed by the seed),
 so the noise of path i is a pure function of (seed, i): growing the path
 count, or drawing the rows of a block on their own, never changes existing
-paths, and reruns are bit-identical.
+paths, and reruns are bit-identical.  The (paths, steps) noise matrix is
+read off the generator's stream in row order.  A Rademacher sign takes one
+bit of the raw 64-bit words: entry (i, j) is 1 - 2 c, where c is bit b % 64
+of word b // 64, counted from the least significant bit, for
+b = i * steps + j.  It is held as an exact int8.  A Gaussian entry takes
+one uniform, mapped through the normal quantile.
 
 The simulation starts from a deterministic information-set atom, where
 every E_t term is an exact mean: the noise is zero-mean and independent of
@@ -17,8 +22,10 @@ constants and the exact mean.  ``_rollout`` then loops over blocks of
 ``BLOCK`` paths: each block draws only its own noise rows and runs every
 step on one cache-resident (2n, BLOCK) state centred on the exact mean,
 accumulating the per-path costs and the sums behind the sample moments.
-Memory is O(n * BLOCK) plus the O(paths) per-path costs, whatever the
-horizon.
+A constant row of ones under the state carries each step's offsets into
+its one matmul.  Memory is O(n * BLOCK) plus the O(paths) per-path costs,
+whatever the horizon.  ``exact_moments`` carries the covariance beside the
+plan's mean instead, and gives the exact cost that the samples estimate.
 """
 
 from __future__ import annotations
@@ -167,6 +174,7 @@ def _plan(p: ProblemData, gains, t: int, x0: np.ndarray, deviation):
     return coefs, (G, 2.0 * (G @ my + g)), offset, means
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the plan raises on a non-finite mean
 def exact_moments(p: ProblemData, gains, init: InitialPair) -> tuple[float, list]:
     """The exact expected cost and the {"k", "mean", "cov"} moments of x at
     steps t..N, without sampling.
@@ -181,22 +189,22 @@ def exact_moments(p: ProblemData, gains, init: InitialPair) -> tuple[float, list
     if t >= p.N:
         raise HorizonMismatch(f"initial time {t} >= horizon {p.N}")
     n = p.n
-    with np.errstate(over="ignore", invalid="ignore"):
-        coefs, (G, _), cost, means = _plan(p, gains, t, _atom_state(p, init), None)
-        S = np.zeros((2 * n, 2 * n))
-        covs = [S]
-        for coef in coefs:
-            weight, kw, kd = coef[:2 * n, :-1], coef[2 * n:4 * n, :-1], coef[4 * n:, :-1]
-            c = coef[2 * n:4 * n, -1]
-            cost += np.sum(weight * S)
-            S = sym_part(kd @ S @ kd.T + kw @ S @ kw.T + np.outer(c, c))
-            covs.append(S)
-        cost += np.sum(G * S[n:, n:])
+    coefs, (G, _), cost, means = _plan(p, gains, t, _atom_state(p, init), None)
+    S = np.zeros((2 * n, 2 * n))
+    covs = [S]
+    for coef in coefs:
+        weight, kw, kd = coef[:2 * n, :-1], coef[2 * n:4 * n, :-1], coef[4 * n:, :-1]
+        c = coef[2 * n:4 * n, -1]
+        cost += np.sum(weight * S)
+        S = sym_part(kd @ S @ kd.T + kw @ S @ kw.T + np.outer(c, c))
+        covs.append(S)
+    cost += np.sum(G * S[n:, n:])
     moments = [{"k": t + j, "mean": m[:n], "cov": S[:n, :n]}
                for j, (m, S) in enumerate(zip(means, covs))]
     return float(cost), moments
 
 
+@np.errstate(over="ignore", invalid="ignore")  # checked: a non-finite result raises
 def _rollout(p: ProblemData, gains, t: int, x0: np.ndarray, paths: int, noise,
              deviations=(None,), keep: int = 0):
     """Per-path family costs over steps t..N-1, streamed in blocks of paths.
@@ -213,64 +221,63 @@ def _rollout(p: ProblemData, gains, t: int, x0: np.ndarray, paths: int, noise,
     as a (keep, N-t+1, n) array.
     """
     n, steps = p.n, p.N - t
-    with np.errstate(over="ignore", invalid="ignore"):
-        plans = [_plan(p, gains, t, x0, dev) for dev in deviations]
-        means = plans[0][3]
-        costs = np.empty((len(plans), paths))
-        s1 = np.zeros((steps + 1, n))
-        s2 = np.zeros((steps + 1, n, n))
-        sample = np.empty((keep, steps + 1, n))
+    plans = [_plan(p, gains, t, x0, dev) for dev in deviations]
+    means = plans[0][3]
+    costs = np.empty((len(plans), paths))
+    s1 = np.zeros((steps + 1, n))
+    s2 = np.zeros((steps + 1, n, n))
+    sample = np.empty((keep, steps + 1, n))
 
-        for start in range(0, paths, BLOCK):
-            rows = min(BLOCK, paths - start)
-            # a one-column product would go to gemv, which rounds differently
-            # from gemm: pad to two columns so that a path's cost never depends
-            # on the block layout
-            cols = max(rows, 2)
-            w = np.ascontiguousarray(noise(start, rows).T)  # step j's noise is row j
-            wk = np.zeros(cols)
-            shown = min(keep - start, rows)
-            for i, (coefs, (G, g2), offset, _) in enumerate(plans):
-                # the centred state over a constant row of ones, which applies
-                # each step's offsets inside its matmul
-                d = np.zeros((2 * n + 1, cols))
-                d[2 * n] = 1.0
-                z = d[:2 * n]
-                out = np.empty((6 * n, cols))
-                cost = np.full(cols, offset)
+    for start in range(0, paths, BLOCK):
+        rows = min(BLOCK, paths - start)
+        # a one-column product would go to gemv, which rounds differently
+        # from gemm: pad to two columns so that a path's cost never depends
+        # on the block layout
+        cols = max(rows, 2)
+        w = np.ascontiguousarray(noise(start, rows).T)  # step j's noise is row j
+        wk = np.zeros(cols)
+        shown = min(keep - start, rows)
+        for i, (coefs, (G, g2), offset, _) in enumerate(plans):
+            # the centred state over a constant row of ones, which applies
+            # each step's offsets inside its matmul
+            d = np.zeros((2 * n + 1, cols))
+            d[2 * n] = 1.0
+            z = d[:2 * n]
+            out = np.empty((6 * n, cols))
+            cost = np.full(cols, offset)
 
-                def record(j):
-                    x = d[:n, :rows]
-                    s1[j] += x.sum(axis=1)
-                    s2[j] += x @ x.T
-                    if shown > 0:
-                        sample[start:start + shown, j] = (x[:, :shown] + means[j][:n, None]).T
+            def record(j):
+                x = d[:n, :rows]
+                s1[j] += x.sum(axis=1)
+                s2[j] += x @ x.T
+                if shown > 0:
+                    sample[start:start + shown, j] = (x[:, :shown] + means[j][:n, None]).T
 
-                for j, coef in enumerate(coefs):
-                    if i == 0:
-                        record(j)
-                    np.matmul(coef, d, out=out)
-                    q, kwd, kdd = out[:2 * n], out[2 * n:4 * n], out[4 * n:]
-                    cost += np.einsum("in,in->n", q, z)
-                    wk[:rows] = w[j]
-                    kwd *= wk
-                    np.add(kdd, kwd, out=z)
+            for j, coef in enumerate(coefs):
                 if i == 0:
-                    record(steps)
-                y, q = d[n:2 * n], out[:n]
-                np.matmul(G, y, out=q)
-                q += g2[:, None]
-                cost += np.einsum("in,in->n", q, y)
-                costs[i, start:start + rows] = cost[:rows]
-        if not (np.isfinite(costs).all() and np.isfinite(s2).all()):
-            raise NumericalBreakdown("a per-path cost or second moment is not finite")
+                    record(j)
+                np.matmul(coef, d, out=out)
+                q, kwd, kdd = out[:2 * n], out[2 * n:4 * n], out[4 * n:]
+                cost += np.einsum("in,in->n", q, z)
+                wk[:rows] = w[j]
+                kwd *= wk
+                np.add(kdd, kwd, out=z)
+            if i == 0:
+                record(steps)
+            y, q = d[n:2 * n], out[:n]
+            np.matmul(G, y, out=q)
+            q += g2[:, None]
+            cost += np.einsum("in,in->n", q, y)
+            costs[i, start:start + rows] = cost[:rows]
+    if not (np.isfinite(costs).all() and np.isfinite(s2).all()):
+        raise NumericalBreakdown("a per-path cost or second moment is not finite")
 
-        moments = []
-        for j in range(steps + 1):
-            cov = np.zeros((n, n))
-            if paths > 1:
-                cov = sym_part((s2[j] - np.outer(s1[j], s1[j]) / paths) / (paths - 1))
-            moments.append({"k": t + j, "mean": means[j][:n] + s1[j] / paths, "cov": cov})
+    moments = []
+    for j in range(steps + 1):
+        cov = np.zeros((n, n))
+        if paths > 1:
+            cov = sym_part((s2[j] - np.outer(s1[j], s1[j]) / paths) / (paths - 1))
+        moments.append({"k": t + j, "mean": means[j][:n] + s1[j] / paths, "cov": cov})
     return costs, moments, sample
 
 
