@@ -75,7 +75,7 @@ def _parse_vector(text: str, n: int) -> np.ndarray:
     return np.asarray(vals)
 
 
-def _load_gains(path: str, p) -> "recursion.GainSchedule":
+def _load_gains(path: str, p) -> recursion.GainSchedule:
     """The "gains" object of a report file, checked like a problem file:
     N entries per field, each a finite array of its (m, n), (m, m) or (m,)
     shape."""
@@ -92,12 +92,8 @@ def _load_gains(path: str, p) -> "recursion.GainSchedule":
         if not isinstance(entries, list) or len(entries) != p.N:
             raise ProblemFormatError(f"gains.{name}: expected a list of {p.N} entries")
         for k, entry in enumerate(entries):
-            try:
-                ok = np.asarray(entry, dtype=float)
-                ok = ok.shape == shape and np.isfinite(ok).all()
-            except (TypeError, ValueError):
-                ok = False
-            if not ok:
+            a = model._block(entry, f"gains.{name}[{k}]")  # strings and booleans fail here
+            if a.shape != shape or not np.isfinite(a).all():
                 raise ProblemFormatError(f"gains.{name}[{k}]: expected finite numbers of shape "
                                          f"{shape}")
     return recursion.gains_from_dict(gains)

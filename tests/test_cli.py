@@ -228,6 +228,7 @@ class TestVerify:
         (lambda g: g["Psi"][1][0].__setitem__(1, float("nan")), "gains.Psi[1]"),
         (lambda g: g["alpha"][0].__setitem__(0, float("inf")), "gains.alpha[0]"),
         (lambda g: g["Wdag"][0][1].__setitem__(0, "x"), "gains.Wdag[0]"),
+        (lambda g: g["alpha"][1].__setitem__(1, True), "gains.alpha[1]"),
         (lambda g: g.pop("beta"), "gains.beta"),
     ])
     def test_malformed_gains_exit_one_naming_the_field(self, example_file, tmp_path, capsys,
