@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
-import json
 import math
 import os
 import sys
@@ -28,11 +26,6 @@ from .model import InitialPair, canonical_dumps
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VIOLATED = 2
-
-
-def _sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -59,8 +52,7 @@ def _write_manifest(out_path: str, command: str, input_path: str, input_sha: str
 def _load_problem(path: str):
     if not os.path.exists(path):
         raise ProblemFormatError(f"input file not found: {path}")
-    p, findings = model.load(path)
-    return p, findings, _sha256(path)
+    return model.load(path)
 
 
 def _parse_vector(text: str, n: int) -> np.ndarray:
@@ -79,8 +71,8 @@ def _load_gains(path: str, p) -> recursion.GainSchedule:
     """The "gains" object of a report file, checked like a problem file:
     N entries per field, each a finite array of its (m, n), (m, m) or (m,)
     shape."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    with open(path, "rb") as fh:
+        doc = model.parse_json(fh.read())
     gains = doc.get("gains") if isinstance(doc, dict) else None
     if not isinstance(gains, dict):
         raise ProblemFormatError(f"{path}: no \"gains\" object")

@@ -13,13 +13,17 @@ from __future__ import annotations
 
 import functools
 import gc
+import hashlib
 import json
+import mmap
+import os
 import struct
 from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
 import numpy as np
+import orjson
 
 from .errors import DimensionMismatch, ProblemFormatError
 
@@ -761,14 +765,18 @@ def _family_entries(name: str, entry, N: int, seen: dict):
     raise ProblemFormatError(f"{name}: expected object or list")
 
 
-def _may_hold_booleans(text: str) -> bool:
+def _may_hold_booleans(data) -> bool:
     """False unless the text holds a true or a false token.
 
     Each test looks for one letter first ("u" of true, "s" of false), a
     memchr scan; no key of a problem file holds either, so a file without
     booleans never pays for the word searches.
     """
-    return ("u" in text and "true" in text) or ("s" in text and "false" in text)
+    u, true, s, false = ("u", "true", "s", "false") if isinstance(data, str) else (
+        b"u", b"true", b"s", b"false")
+    # from 0: an mmap searches from its file position by default
+    return ((data.find(u, 0) >= 0 and data.find(true, 0) >= 0)
+            or (data.find(s, 0) >= 0 and data.find(false, 0) >= 0))
 
 
 def _dim(doc: dict, key: str) -> int:
@@ -778,8 +786,39 @@ def _dim(doc: dict, key: str) -> int:
     raise ProblemFormatError(f"bad dimensions: {key} is not an integer ({json.dumps(value)})")
 
 
-def from_json(text: str) -> tuple[ProblemData, list[Finding]]:
-    """Parse and validate a problem file; raises ProblemFormatError on errors.
+def _json_loads(data):
+    """`json.loads` of a document.  Bytes are decoded as a text-mode read
+    of the file would decode them: UTF-8 with universal newlines, and a
+    BOM kept, which `json` refuses."""
+    if not isinstance(data, str):
+        data = str(data, "utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    return json.loads(data)
+
+
+def parse_json(data):
+    """The value of a JSON document (text, bytes or another buffer such as
+    an mmap), parsed by orjson.
+
+    orjson refuses some documents that `json` reads: NaN and Infinity
+    tokens, numbers beyond the float range and lone surrogates.  It also
+    refuses a BOM, invalid UTF-8 and malformed JSON, which `json` refuses
+    in words of its own.  Only a refused document goes to `json.loads`,
+    whose value or error is then the outcome, as if `json` alone had read
+    it.  Two differences stay: orjson reads an integer beyond 64 bits as
+    its nearest float, where `json` keeps every digit, and it reads
+    documents nested deeper than `json`'s recursion limit (about 1000
+    levels), on which `json` raises RecursionError.
+    """
+    try:
+        return orjson.loads(data if isinstance(data, str) else memoryview(data))
+    except orjson.JSONDecodeError:
+        pass
+    return _json_loads(data)
+
+
+def from_json(data) -> tuple[ProblemData, list[Finding]]:
+    """Parse and validate a problem file, given as text, bytes or another
+    buffer; raises ProblemFormatError on errors.
 
     The cyclic garbage collector is paused until the parse tree is gone:
     the tree holds no cycles and is freed by reference counting, but a
@@ -790,15 +829,18 @@ def from_json(text: str) -> tuple[ProblemData, list[Finding]]:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _read(text)
+        return _read(data)
     finally:
         if enabled:
             gc.enable()
 
 
-def _read(text: str) -> tuple[ProblemData, list[Finding]]:
+def _read(text) -> tuple[ProblemData, list[Finding]]:
     try:
-        doc = json.loads(text)
+        doc = parse_json(text)
+        if isinstance(doc, dict) and any(type(doc.get(key)) is float and abs(doc[key]) >= 2.0**63
+                                         for key in ("n", "m", "N")):
+            doc = _json_loads(text)  # such a dimension may be an integer: `json` keeps its digits
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -852,6 +894,35 @@ def save(p: ProblemData, path) -> None:
         fh.write("\n")
 
 
-def load(path) -> tuple[ProblemData, list[Finding]]:
-    with open(path, encoding="utf-8") as fh:
-        return from_json(fh.read())
+def _read_file(path):
+    """The bytes of a file, read once, into an anonymous memory map of the
+    file's size.
+
+    A map goes back to the system when it is closed.  A bytes object of a
+    few MB comes from the malloc heap, which keeps the space once it is
+    freed: read that way, the long-horizon benchmark's N = 80 input (4.4
+    MB) leaves its peak RSS about 3 MiB higher.  A file whose size reads 0
+    (empty, or a pipe) or changes while it is read is read into bytes.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size:
+            buf = mmap.mmap(-1, size)
+            if fh.readinto(buf) == size and not fh.read(1):
+                return buf
+            buf.close()
+            fh.seek(0)
+        return fh.read()
+
+
+def load(path) -> tuple[ProblemData, list[Finding], str]:
+    """Read a problem file: the problem, its findings and the SHA-256 of
+    the bytes parsed.  The file is read once, so the digest describes
+    exactly those bytes."""
+    data = _read_file(path)
+    try:
+        p, findings = from_json(data)
+        return p, findings, hashlib.sha256(data).hexdigest()
+    finally:
+        if isinstance(data, mmap.mmap):
+            data.close()

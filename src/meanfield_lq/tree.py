@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, HorizonMismatch
+from .errors import DimensionMismatch, HorizonMismatch, NumericalBreakdown
 from .model import InitialPair, ProblemData
 
 MAX_DEPTH = 14
@@ -94,10 +94,6 @@ class AdaptedProcess:
     """Per-node values of a tree-adapted process, keyed by level."""
 
     values: dict = field(default_factory=dict)
-
-    def level_range(self) -> tuple[int, int]:
-        ks = sorted(self.values)
-        return ks[0], ks[-1]
 
     def require(self, lo: int, hi: int, dim: int | None = None):
         for lev in range(lo, hi + 1):
@@ -313,12 +309,14 @@ def cost(p: ProblemData, init: InitialPair, control: AdaptedProcess,
     return _cost(p, t, [_at(xs[l], t) for l in xs], [_at(ctl[l], t) for l in ctl])[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # checked: a non-finite state raises
 def _closed_loop(p: ProblemData, init: InitialPair,
                  policy) -> tuple[AdaptedProcess, AdaptedProcess]:
     """Restart-at-every-step rollout: each step k uses the diagonal (k, k)
     blocks.  States and controls at level k are measurable there, so the
     conditional-mean terms collapse into the summed (calligraphic)
     coefficients and the rollout is node-wise.  ``policy(k, x_k)`` gives u_k.
+    Raises NumericalBreakdown at the first step whose state is not finite.
     """
     cal = p.cal
     state = AdaptedProcess({init.t: init.node_values(p.n)})
@@ -332,6 +330,8 @@ def _closed_loop(p: ProblemData, init: InitialPair,
         nxt = np.empty((2 ** (k + 1), p.n))
         nxt[0::2] = drift + diff
         nxt[1::2] = drift - diff
+        if not np.isfinite(nxt).all():
+            raise NumericalBreakdown(f"the closed-loop state is not finite at step {k}")
         state.values[k + 1] = nxt
     return state, control
 
@@ -482,6 +482,7 @@ class EquilibriumCertificate:
         }
 
 
+@np.errstate(over="ignore", invalid="ignore")  # checked: a non-finite result raises
 def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProcess,
                         t: int, seed: int = 20240801,
                         tol_stationary: float = 1e-8, tol_convexity: float = 1e-9,
@@ -504,7 +505,8 @@ def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProce
     ``tables`` are the solved backward tables of the gains behind
     ``control``.  With them, the same restarts also give the identity checks
     (representation residual, and the cost-difference residual of a seeded
-    direction and step) in ``identity_checks``.
+    direction and step) in ``identity_checks``.  Raises NumericalBreakdown
+    at the first step whose state, cost or reported value is not finite.
     """
     tree = _check_tree(p, tree)
     control.require(t, p.N - 1, p.m)
@@ -539,6 +541,11 @@ def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProce
             representation[str(k)] = _representation_gap(p, k, tables, xs, zs, star)
             difference[str(k)] = _difference_residual(change[-1], lam, grad, ubar,
                                                       ubar @ M @ ubar)
+        reported = [base, residuals[k], convexity[k], gaps[-1]["min_gap"],
+                    gaps[-1]["realised_gap"], representation.get(str(k), 0.0),
+                    difference.get(str(k), 0.0)]
+        if not all(np.isfinite(v).all() for v in reported):
+            raise NumericalBreakdown(f"the restarted cost or certificate is not finite at step {k}")
 
     ok = (
         all(v <= tol_stationary for v in residuals.values())

@@ -71,6 +71,42 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err == "error: numerical breakdown: stage 3: P is non-finite from row k=0\n"
 
+    def test_digest_describes_the_bytes_parsed(self, example_file, tmp_path, monkeypatch):
+        """The file is read once: a change to it after the read does not
+        reach the digest of the outputs."""
+        import hashlib
+
+        original = example_file.read_bytes()
+        from_json = model.from_json
+
+        def rewrite_then_parse(data):
+            example_file.write_bytes(original + b"\n")  # a writer after the read
+            return from_json(data)
+
+        monkeypatch.setattr(model, "from_json", rewrite_then_parse)
+        out = tmp_path / "report.json"
+        assert run("solve", "--input", example_file, "--out", out) == 0
+        sha = hashlib.sha256(original).hexdigest()
+        assert json.loads(out.read_text())["input_sha256"] == sha
+        manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
+        assert manifest["input_sha256"] == sha
+        assert model.load(example_file)[2] == hashlib.sha256(original + b"\n").hexdigest()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda b: b.replace(b'"A"', b'"\xff"', 1),
+         "'utf-8' codec can't decode byte 0xff in position 16: invalid start byte"),
+        (lambda b: b.replace(b"1.3700000000000001", b"NaN", 1), "D[0][0]: non-finite entries"),
+        (lambda b: b"\xef\xbb\xbf" + b,
+         "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ], ids=["invalid-utf8", "nan", "bom"])
+    def test_refused_text_exits_one(self, example_file, tmp_path, capsys, edit, message):
+        """Files the fast parser refuses end as they did with `json` alone."""
+        path = tmp_path / "bad.json"
+        path.write_bytes(edit(example_file.read_bytes()))
+        capsys.readouterr()
+        assert run("solve", "--input", path, "--out", tmp_path / "r.json") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_file_exits_one(self, tmp_path):
         assert run("solve", "--input", tmp_path / "nope.json",
                    "--out", tmp_path / "r.json") == 1
@@ -255,6 +291,21 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "no \"gains\" object" in err and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("x, message", [
+        ("1e308,1e308", "the closed-loop state is not finite at step 0"),
+        ("1e160,1e160", "the restarted cost or certificate is not finite at step 0"),
+    ])
+    def test_overflowing_tree_exits_two(self, example_file, tmp_path, capsys, x, message):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            assert run("verify", "--input", example_file, "--out", tmp_path / "c.json",
+                       "--x", x) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: numerical breakdown: {message}\n"
+        assert "Traceback" not in err
+        assert not (tmp_path / "c.json").exists()
+
     def test_horizon_over_cap_needs_force(self, tmp_path, rng):
         from conftest import make_problem
 
@@ -386,7 +437,7 @@ class TestEpsilonSweep:
         path = tmp_path / "rand.json"
         model.save(make_problem(np.random.default_rng(5), 2, 3, 9, convex=False), path)
         for inp in (example_file, path):
-            p, _ = model.load(inp)
+            p, _, _ = model.load(inp)
             out = tmp_path / "sweep"
             assert run("epsilon-sweep", "--input", inp, "--out", out,
                        "--eps", "1e-6,0.5,1e-2") == 0

@@ -1,8 +1,11 @@
 import gc
 import json
+import struct
 import time
+from decimal import Decimal, localcontext
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -390,6 +393,159 @@ class TestIngestReference:
         expected = "B[1][1]: not a numeric block (int too large to convert to float)"
         assert _outcome(model.from_json, text) == expected
         assert _outcome(ingest_reference.from_json, text) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem_documents())
+    def test_bytes_read_as_their_text(self, doc):
+        text = json.dumps(doc)
+        assert _outcome(model.from_json, text.encode()) == _outcome(model.from_json, text)
+
+
+def _file_outcome(reader, path):
+    """What a reader makes of a file read as text, as `model.load` read
+    files before it read bytes; a text decoding error is its message."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        return f"UnicodeDecodeError: {exc}"
+    return _outcome(reader, text)
+
+
+def _decoded_outcome(read):
+    """`_outcome` of a read from bytes, with a text decoding error as its message."""
+    try:
+        result = read()
+    except UnicodeDecodeError as exc:
+        return f"UnicodeDecodeError: {exc}"
+    except ProblemFormatError as exc:
+        return str(exc)
+    return _outcome(lambda _: result, None)
+
+
+def _load_outcome(path):
+    return _decoded_outcome(lambda: model.load(path)[:2])
+
+
+def _example_text(edit=None):
+    doc = json.loads(model.to_json(model.bundled_example()))
+    if edit is not None:
+        edit(doc)
+    return json.dumps(doc)
+
+
+# documents that orjson refuses and `json` reads or words in its own way;
+# each is text or raw file bytes
+REFUSED = {
+    "nan-leaf": _example_text(lambda d: d["data"]["A"]["0,1"][1].__setitem__(0, float("nan"))),
+    "infinity-leaf": _example_text(lambda d: d["data"]["f"]["1,1"].__setitem__(1, float("inf"))),
+    "minus-infinity-leaf": _example_text(
+        lambda d: d["terminal"]["G"][1][0].__setitem__(1, float("-inf"))),
+    "1e400-leaf": _example_text(
+        lambda d: d["data"]["rho"]["0,0"].__setitem__(0, 1234.5)).replace("1234.5", "1e400"),
+    "10**400-leaf": _example_text(lambda d: d["data"]["B"]["1,1"][0].__setitem__(1, 10**400)),
+    "surrogate-in-family-key": _example_text(
+        lambda d: d["data"]["Q"].__setitem__("0,\ud800", d["data"]["Q"].pop("0,0"))),
+    "surrogate-in-extra-key": _example_text(lambda d: d.update({"note \ud800": 1})),
+    "bom": b"\xef\xbb\xbf" + _example_text().encode(),
+    "invalid-utf8-in-key": _example_text(lambda d: d.update(note=1)).encode().replace(
+        b"note", b"no\xfft"),
+    "invalid-utf8-outside-strings": _example_text().encode() + b" \x80",
+    "overlong-utf8": _example_text(lambda d: d.update(note=1)).encode().replace(
+        b"note", b"\xc0\xafnote"),
+    "empty-file": b"",
+    "crlf-nan-then-malformed": _example_text(
+        lambda d: d["data"]["A"]["0,1"][1].__setitem__(0, float("nan"))
+    ).replace(", ", ",\r\n").replace(": ", ":\r")[:-40],
+}
+
+
+class TestRefusedDocuments:
+    """A document orjson refuses goes to `json`, with the outcome of the
+    reader that used `json` alone: the same message or the same bits."""
+
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_read_as_the_reference(self, name, tmp_path):
+        data = REFUSED[name]
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(data)
+        if isinstance(data, str):
+            assert _outcome(model.from_json, data) == _outcome(ingest_reference.from_json, data)
+            data = data.encode("utf-8", "surrogatepass")
+        path = tmp_path / "refused.json"
+        path.write_bytes(data)
+        expected = _file_outcome(ingest_reference.from_json, path)
+        assert _load_outcome(path) == expected
+        assert _decoded_outcome(lambda: model.from_json(data)) == expected
+
+    def test_expected_outcomes(self, tmp_path):
+        """The refusal cases reach the outcomes they were written for."""
+        outcomes = {}
+        for name, data in REFUSED.items():
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(data if isinstance(data, bytes) else
+                             data.encode("utf-8", "surrogatepass"))
+            outcomes[name] = _load_outcome(path)
+        assert outcomes["nan-leaf"] == "A[0][1]: non-finite entries"
+        assert outcomes["infinity-leaf"] == "f[1][1]: non-finite entries"
+        assert outcomes["minus-infinity-leaf"] == "G[1]: non-finite entries"
+        assert outcomes["1e400-leaf"] == "rho[0][0]: non-finite entries"
+        assert outcomes["10**400-leaf"] == (
+            "B[1][1]: not a numeric block (int too large to convert to float)")
+        assert outcomes["surrogate-in-family-key"] == "Q: bad index key '0,\\ud800'"
+        assert not isinstance(outcomes["surrogate-in-extra-key"], str)
+        assert outcomes["bom"].startswith("not valid JSON: Unexpected UTF-8 BOM")
+        for name in ("invalid-utf8-in-key", "invalid-utf8-outside-strings", "overlong-utf8"):
+            assert outcomes[name].startswith("UnicodeDecodeError: 'utf-8' codec can't decode")
+        assert outcomes["empty-file"] == "not valid JSON: Expecting value: line 1 column 1 (char 0)"
+        assert outcomes["crlf-nan-then-malformed"].startswith("not valid JSON: ")
+
+    def test_integer_dimension_beyond_64_bits_keeps_its_digits(self, monkeypatch):
+        """orjson reads such an integer as its nearest float; the reader
+        rereads the document with `json`, so the message quotes every digit."""
+        text = _example_text(lambda d: d.update(N=10**20 + 1))
+        expected = f"A: 3 blocks for N={10**20 + 1}, which needs {(10**20 + 1) * (10**20 + 2) // 2}"
+        assert _outcome(model.from_json, text) == expected
+        monkeypatch.setattr(model, "parse_json", json.loads)
+        assert _outcome(model.from_json, text) == expected
+
+
+class TestParseFastPath:
+    def test_valid_documents_never_reach_json(self, monkeypatch, tmp_path):
+        text = model.to_json(make_problem(np.random.default_rng(3), 2, 2, 5))
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        expected = _outcome(model.from_json, text)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads called on a valid document")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        assert _outcome(model.from_json, text) == expected
+        assert _outcome(model.from_json, text.encode()) == expected
+        assert _load_outcome(path) == expected
+
+    def test_numbers_parse_as_pythons_float(self):
+        """Random doubles at 16 to 20 digits, subnormals, decimals beside the
+        midpoint of two neighbouring doubles, and integers up to 2**1023
+        parse to the float `json` (that is, `float()`) gives, bit for bit."""
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal(400) * 10.0 ** rng.integers(-300, 300, 400)
+        tokens = [f"{v:.{digits}g}" for v in values for digits in (16, 17, 18, 20)]
+        tokens += [repr(float(v)) for v in rng.random(200) * 2.0**-1022]  # subnormals
+        with localcontext() as ctx:
+            ctx.prec = 1000  # exact: a double has at most 767 significant digits
+            for v in values[:200]:
+                mid = (Decimal(v) + Decimal(np.nextafter(v, np.inf))) / 2
+                step = abs(mid) * Decimal("1e-40")
+                tokens += [str(mid), str(mid - step), str(mid + step)]
+        tokens += [str((int(a) << int(b)) + int(c)) for a, b, c in
+                   zip(rng.integers(1, 2**62, 200), rng.integers(0, 960, 200),
+                       rng.integers(0, 2**62, 200))]
+        tokens += [str(2**1023), str(2**1024 - 2**970 - 1), str(2**64 + 1), "-0", "-0.0"]
+        text = "[" + ",".join(tokens) + "]"
+        expected = [struct.pack("<d", float(v)) for v in json.loads(text)]
+        assert [struct.pack("<d", float(v)) for v in model.parse_json(text)] == expected
 
 
 # values the schema refuses and np.asarray or int() would convert, and their message
