@@ -29,8 +29,11 @@ EXIT_VIOLATED = 2
 
 
 def _write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` as canonical JSON; the text is built before the file is
+    opened, so a document that cannot be serialised leaves the file as it was."""
+    text = canonical_dumps(doc)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canonical_dumps(doc))
+        fh.write(text)
         fh.write("\n")
 
 

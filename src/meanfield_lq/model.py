@@ -783,7 +783,12 @@ def _dim(doc: dict, key: str) -> int:
     value = doc[key]
     if type(value) is int or (type(value) is float and value.is_integer()):
         return int(value)
-    raise ProblemFormatError(f"bad dimensions: {key} is not an integer ({json.dumps(value)})")
+    if isinstance(value, (list, dict)):  # quoted, a deep one would overflow json.dumps
+        quote = "a JSON " + ("array" if isinstance(value, list) else "object")
+    else:
+        quote = json.dumps(value)
+        quote = quote if len(quote) <= 40 else quote[:36] + "...\""
+    raise ProblemFormatError(f"bad dimensions: {key} is not an integer ({quote})")
 
 
 def _json_loads(data):

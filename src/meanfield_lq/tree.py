@@ -9,22 +9,28 @@ Node convention: the level-k node with index i has children 2*i (noise +1)
 and 2*i + 1 (noise -1) at level k+1; node probability is 2**-k.
 
 Layout.  `AdaptedProcess` holds (nodes, dim) arrays per level.  Inside, the
-(t, .)-family system restarted at level t runs on node-last arrays of shape
-(dim, probes, 2**t, 2**(l-t)) at level l: axis 2 is the level-t ancestor,
-the last axis the node within its subtree.  E_t is then a mean over the
-last, contiguous axis, and a child pair is two neighbours on it.
+(t, .)-family system restarted at level t runs on one buffer per level l,
+(rows, probes, 2**t, 2**(l-t)): axis 2 is the level-t ancestor, the last
+axis the node within its subtree.  E_t is an `np.add.reduce` over that
+contiguous axis, never a recursion of means, and a child pair is two
+neighbours on it.  The rows are v = [x; E_t x; 1; u; E_t u] ([x; E_t x; 1]
+at level N); the constant row carries f, d, q, rho and g, and is 0 for the
+variational system.  `_Blocks` builds, once per call from the coefficient
+stacks, the block [drift; diffusion; cost weight W] of each (t, l), so one
+matmul advances a level and gives its node costs v'Wv (`_roll`).
 
 Batch axis.  The probes axis carries controls that differ only at step t,
-the deviations of a one-instant perturbation.  `_roll` and `_cost` advance
-and cost all of them in one pass per level.  The controls the probes share
-after step t are held once, with a probes axis of length 1.  `roll_forward`,
-`cost` and `variation_cost` are the one-probe cases.
+the deviations of a one-instant perturbation, all rolled by one `_roll`;
+the controls they share after step t have a probes axis of length 1.
+`roll_forward`, `cost` and `variation_cost` are the one-probe cases.
 
-Restart cache.  `certify_equilibrium` restarts the candidate once per step
-k from (k, X*_k) (`_restart`: the rolled state, its adjoint and the step-k
-stationarity gradient).  That one restart gives the stationarity residual,
-the base cost of the deviation gaps and the representation and
-cost-difference checks.
+Restart cache.  `certify_equilibrium` restarts the candidate from (k, X*_k)
+once per step k (`_restart`), one restart at a time: stacked on one axis,
+the restarts of a level leave the cache.  Their buffers carry 4n more rows,
+[E_l z; E_k E_l z; E_l (z w); E_k E_l (z w)] of the level-(l+1) adjoint z,
+filled by the backward pass, so that the adjoint and the step-k gradient
+are one matmul a level too.  One restart gives the stationarity residual,
+the base cost of the deviation gaps and the identity checks.
 
 Exact certificate.  The restarted cost is quadratic in the step-k control,
 so a deviation v at a level-k node changes it by 2 <g, v> + v' M_k v, with
@@ -33,9 +39,9 @@ variational system, which starts at zero and whose coefficients are
 deterministic; a variation that is F_k-measurable is one constant vector
 on each level-k subtree, so M_k is the same at every node and the
 node-constant variations determine it.  Polarisation reads it off the
-m(m+1)/2 variations e_i and e_i + e_j (`_deviation_matrix`), one batch of
-probes.  The worst gap
-per node is then -g' M_k^+ g, and its minimisers are a second batch.
+m(m+1)/2 variations e_i and e_i + e_j, one batch of probes and one pass per
+step, and one stacked `eigh` serves every M_k (`_deviation_matrices`).  The
+worst gap per node is -g' M_k^+ g, and its minimisers are a second batch.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, HorizonMismatch, NumericalBreakdown
-from .model import InitialPair, ProblemData
+from .model import FAMILY_NAMES, InitialPair, ProblemData
 
 MAX_DEPTH = 14
 
@@ -124,7 +130,39 @@ def _check_tree(p: ProblemData, tree: ScenarioTree | None) -> ScenarioTree:
 
 
 # ---------------------------------------------------------------------------
-# Node-last kernels.  Arrays are (dim, probes, 2**t, width) for family t.
+# Level kernels.  Buffers are (rows, probes, 2**t, width) for family t.
+
+class _Blocks:
+    """The blocks of every (t, l): ``step``, ``term`` ([adjoint; W] at level N),
+    ``adj`` and ``grad`` (the step-k gradient) on a restart's buffers.  W
+    holds the linear weights in the column of the constant row."""
+
+    def __init__(self, p: ProblemData):
+        n, m, N = self.n, self.m, self.N = p.n, p.m, p.N
+        r = self.r = 2 * n + 1 + 2 * m
+        s = {name: getattr(p, name).stacked() for name in FAMILY_NAMES}
+        X, EX, ONE = slice(0, n), slice(n, 2 * n), 2 * n
+        U, EU = slice(2 * n + 1, r - m), slice(r - m, r)
+        step = self.step = np.zeros((N, N, 2 * n + r, r))
+        for rows, names in ((X, "A Abar f B Bbar"), (EX, "C Cbar d D Dbar")):
+            for col, name in zip((X, EX, ONE, U, EU), names.split()):
+                step[:, :, rows, col] = s[name]
+        W = step[:, :, 2 * n:]
+        for col, name in ((X, "Q"), (EX, "Qbar"), (U, "R"), (EU, "Rbar")):
+            W[:, :, col, col] = s[name]
+        W[:, :, EX, ONE], W[:, :, EU, ONE] = 2.0 * s["q"], 2.0 * s["rho"]
+        G, Gbar, g = (np.asarray(v, dtype=float) for v in (p.G, p.Gbar, p.g))
+        term = self.term = np.zeros((N, 3 * n + 1, 2 * n + 1))
+        term[:, X, X], term[:, X, EX], term[:, X, ONE] = G, Gbar, g
+        term[:, n:][:, X, X], term[:, n:][:, EX, EX], term[:, n:][:, EX, ONE] = G, Gbar, 2.0 * g
+        adj, grad, d = np.zeros((N, N, n, r + 4 * n)), np.zeros((N, m, r + 4 * n)), np.arange(N)
+        adj[..., X], adj[..., EX], adj[..., ONE] = s["Q"], s["Qbar"], s["q"]
+        grad[..., ONE], grad[..., U], grad[..., EU] = s["rho"][d, d], s["R"][d, d], s["Rbar"][d, d]
+        for j, (a, b) in enumerate(zip(("A", "Abar", "C", "Cbar"), ("B", "Bbar", "D", "Dbar"))):
+            adj[..., r + j * n:r + j * n + n] = s[a].transpose(0, 1, 3, 2)
+            grad[..., r + j * n:r + j * n + n] = s[b][d, d].transpose(0, 2, 1)
+        self.adj, self.grad = adj, grad
+
 
 def _columns(proc: AdaptedProcess, lo: int, hi: int) -> dict:
     """Levels lo..hi of a process as contiguous (dim, nodes) arrays."""
@@ -141,11 +179,6 @@ def _rows(v: np.ndarray) -> np.ndarray:
     return v.reshape(v.shape[0], -1).T
 
 
-def _mul(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M applied along the leading (component) axis of a node-last array."""
-    return (M @ v.reshape(v.shape[0], -1)).reshape((M.shape[0],) + v.shape[1:])
-
-
 def _mean(v: np.ndarray) -> np.ndarray:
     """E_t of a node-last array: the mean over each level-t subtree."""
     out = np.add.reduce(v, axis=-1, keepdims=True)
@@ -153,123 +186,100 @@ def _mean(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _col(vec: np.ndarray) -> np.ndarray:
-    return vec[:, None, None, None]
+def _roll(bl: _Blocks, t: int, xs: list, us: list, one: float = 1.0, adjoint: bool = False):
+    """Roll the (t, .)-family system through levels t..N, one matmul a level.
 
-
-def _roll(p: ProblemData, t: int, x0: np.ndarray, us: list, affine: bool = True) -> list:
-    """States of the (t, .)-family system at levels t..N, node-last.
-
-    ``x0`` is the level-t state with the batch's probe count; ``us[l - t]``
-    is the level-l control (None for zero), with that count or one probe.
-    Without ``affine`` the offsets f, d drop out (the variational system).
+    ``xs[0]`` is the level-t state; states that ``xs`` holds for later
+    levels are taken as given, not rolled.  ``us[l - t]`` is the level-l
+    control (None for zero).  ``one`` fills the constant row.  With
+    ``adjoint`` the buffers get the adjoint's rows.  Returns the level
+    buffers, the conditional cost (probes, nodes) and, with ``adjoint``,
+    the level-N adjoint.
     """
-    n = p.n
-    x = x0
-    xs = [x]
-    for l in range(t, p.N):
-        out = _mul(np.vstack((p.A[t, l], p.C[t, l])), x)
-        out += _mul(np.vstack((p.Abar[t, l], p.Cbar[t, l])), _mean(x))
-        u = us[l - t]
-        if u is not None:
-            out += _mul(np.vstack((p.B[t, l], p.D[t, l])), u)
-            out += _mul(np.vstack((p.Bbar[t, l], p.Dbar[t, l])), _mean(u))
-        if affine:
-            out += _col(np.concatenate((p.f[t, l], p.d[t, l])))
-        drift, diff = out[:n], out[n:]
-        x = np.empty(drift.shape + (2,))
-        np.add(drift, diff, out=x[..., 0])
-        np.subtract(drift, diff, out=x[..., 1])
-        x = x.reshape(drift.shape[:-1] + (-1,))
-        xs.append(x)
-    return xs
+    n, m, N, r = bl.n, bl.m, bl.N, bl.r
+    lead = [xs[0].shape[1:3]] + [u.shape[1:3] for u in us[:1] if u is not None]
+    rows = [r + 4 * n * adjoint] * (N - t) + [2 * n + 1]
+    buf = np.empty((rows[0],) + np.broadcast_shapes(*lead) + (1,))
+    bufs, cost, zN = [], 0.0, None
+    for j, l in enumerate(range(t, N + 1)):
+        if j < len(xs):
+            buf[:n] = xs[j]
+        buf[n:2 * n] = _mean(buf[:n])
+        buf[2 * n] = one
+        width = buf.shape[-1]
+        if l == N:
+            out = (bl.term[t] if adjoint else bl.term[t, n:]) @ buf.reshape(2 * n + 1, -1)
+            zN = out[:n] if adjoint else None
+        else:
+            u = np.zeros((m, 1, 1, 1)) if us[j] is None else us[j]
+            buf[2 * n + 1:r - m], buf[r - m:r] = u, _mean(u)
+            out = bl.step[t, l] @ buf[:r].reshape(r, -1)
+            nxt = np.empty((rows[j + 1],) + buf.shape[1:-1] + (2 * width,))
+            x = nxt[:n].reshape(buf[:n].shape + (2,))
+            drift, diff = out[:n].reshape(x.shape[:-1]), out[n:2 * n].reshape(x.shape[:-1])
+            np.add(drift, diff, out=x[..., 0])
+            np.subtract(drift, diff, out=x[..., 1])
+        v = buf[:min(r, len(buf))]
+        cost += np.einsum("ipsw,ipsw->ps", v, out[-len(v):].reshape(v.shape)) / width
+        bufs.append(buf)
+        buf = nxt if l < N else None
+    return bufs, cost, zN
 
 
-def _quad(v: np.ndarray, M: np.ndarray, Mbar: np.ndarray, lin=None) -> np.ndarray:
-    """E_t[v'Mv] + E_t[v]' Mbar E_t[v] (+ 2 lin'E_t[v]) per probe and level-t node."""
-    ev = _mean(v)
-    out = np.einsum("ipsw,ipsw->ps", v, _mul(M, v)) / v.shape[-1]
-    out += np.einsum("ipsw,ipsw->ps", ev, _mul(Mbar, ev))
-    if lin is not None:
-        out += 2.0 * _mul(lin[None, :], ev)[0, ..., 0]
-    return out
+def _restart(bl: _Blocks, k: int, xs: list, us: list):
+    """The (k, .)-family system as ``_roll`` rolls it: its level buffers,
+    cost, adjoint at levels k..N and step-k stationarity gradient."""
+    n, r = bl.n, bl.r
+    bufs, cost, z = _roll(bl, k, xs, us, adjoint=True)
+    zs = [z.reshape((n,) + bufs[-1].shape[1:])]
+    for buf in bufs[-2::-1]:
+        pair = zs[-1].reshape(zs[-1].shape[:-1] + (-1, 2))
+        ez = np.multiply(pair[..., 0] + pair[..., 1], 0.5, out=buf[r:r + n])
+        ezw = np.multiply(pair[..., 0] - pair[..., 1], 0.5, out=buf[r + 2 * n:r + 3 * n])
+        buf[r + n:r + 2 * n] = _mean(ez)
+        buf[r + 3 * n:] = _mean(ezw)
+        zs.append((bl.adj[k, bl.N - len(zs)] @ buf.reshape(len(buf), -1)).reshape(ez.shape))
+    b = bufs[0]
+    grad = (bl.grad[k] @ b.reshape(len(b), -1)).reshape((bl.m,) + b.shape[1:])
+    return bufs, cost, zs[::-1], grad
 
 
-def _cost(p: ProblemData, t: int, xs: list, us: list, affine: bool = True) -> np.ndarray:
-    """Conditional cost of the (t, .)-family system, (probes, 2**t)."""
-    total = 0.0
-    for l in range(t, p.N):
-        total = total + _quad(xs[l - t], p.Q[t, l], p.Qbar[t, l], p.q[t, l] if affine else None)
-        u = us[l - t]
-        if u is not None:
-            total = total + _quad(u, p.R[t, l], p.Rbar[t, l], p.rho[t, l] if affine else None)
-    return total + _quad(xs[-1], p.G[t], p.Gbar[t], p.g[t] if affine else None)
-
-
-def _adjoint(p: ProblemData, k: int, xs: list) -> list:
-    """Adjoint of the (k, .)-family system at levels k..N along states ``xs``."""
-    xN = xs[-1]
-    z = _mul(p.G[k], xN) + _mul(p.Gbar[k], _mean(xN)) + _col(p.g[k])
-    zs = [z]
-    for l in range(p.N - 1, k - 1, -1):
-        pair = z.reshape(z.shape[:-1] + (-1, 2))
-        ez = pair.mean(axis=-1)
-        ezw = 0.5 * (pair[..., 0] - pair[..., 1])
-        x = xs[l - k]
-        z = (_mul(p.A[k, l].T, ez) + _mul(p.Abar[k, l].T, _mean(z))
-             + _mul(p.C[k, l].T, ezw) + _mul(p.Cbar[k, l].T, _mean(ezw))
-             + _mul(p.Q[k, l], x) + _mul(p.Qbar[k, l], _mean(x)) + _col(p.q[k, l]))
-        zs.append(z)
-    return zs[::-1]
-
-
-def _gradient(p: ProblemData, k: int, u: np.ndarray, z1: np.ndarray) -> np.ndarray:
-    """Step-k stationarity gradient from the level-(k+1) adjoint, (m, 1, 2**k, 1)."""
-    cal = p.cal
-    ez = z1.mean(axis=-1, keepdims=True)
-    ezw = 0.5 * (z1[..., :1] - z1[..., 1:])
-    return (_mul(cal.R(k, k), u) + _mul(cal.B(k, k).T, ez)
-            + _mul(cal.D(k, k).T, ezw) + _col(p.rho[k, k]))
-
-
-def _restart(p: ProblemData, k: int, star: dict, ctl: dict):
-    """The system restarted at (k, X*_k) under the control: its node-last
-    controls, states, adjoint and step-k stationarity gradient."""
-    us = [_at(ctl[l], k) for l in range(k, p.N)]
-    xs = _roll(p, k, _at(star[k], k), us)
-    zs = _adjoint(p, k, xs)
-    return us, xs, zs, _gradient(p, k, us[0], zs[1])
-
-
-def _variation(p: ProblemData, k: int, ub: np.ndarray) -> np.ndarray:
+def _variation(bl: _Blocks, k: int, ub: np.ndarray) -> np.ndarray:
     """Costs of step-k variations ``ub`` (m, probes, 1 or 2**k), (probes, nodes)."""
-    us = [ub[..., None]] + [None] * (p.N - k - 1)
-    xs = _roll(p, k, np.zeros((p.n,) + ub.shape[1:] + (1,)), us, affine=False)
-    return _cost(p, k, xs, us, affine=False)
+    us = [ub[..., None]] + [None] * (bl.N - k - 1)
+    return _roll(bl, k, [np.zeros((bl.n,) + ub.shape[1:] + (1,))], us, one=0.0)[1]
 
 
-def _deviation_matrix(p: ProblemData, k: int) -> np.ndarray:
-    """M_k by polarisation of the costs c of the variations e_i and e_i + e_j:
+def _deviation_matrices(bl: _Blocks, t: int) -> np.ndarray:
+    """M_k for k = t..N-1, (N - t, m, m), by polarisation of the costs c of
+    the variations e_i and e_i + e_j, one variational pass per step:
     M_ii = c(e_i), M_ij = (c(e_i + e_j) - c(e_i) - c(e_j)) / 2."""
-    m = p.m
-    i, j = np.triu_indices(m, 1)
-    eye = np.eye(m)
-    c = _variation(p, k, np.concatenate((eye, eye[i] + eye[j])).T[:, :, None])[:, 0]
-    M = np.diag(c[:m])
-    M[i, j] = M[j, i] = 0.5 * (c[m:] - c[i] - c[j])
-    return M
+    m, (i, j), eye = bl.m, np.triu_indices(bl.m, 1), np.eye(bl.m)
+    probes = np.concatenate((eye, eye[i] + eye[j])).T[:, :, None]
+    Ms = np.zeros((bl.N - t, m, m))
+    for k, M in enumerate(Ms, start=t):
+        c = _variation(bl, k, probes)[:, 0]
+        M[np.diag_indices(m)] = c[:m]
+        M[i, j] = M[j, i] = 0.5 * (c[m:] - c[i] - c[j])
+    return Ms
 
 
-def _representation_gap(p: ProblemData, k: int, tables, xs: list, zs: list, star: dict) -> float:
-    """Max node-wise gap between a restart's adjoint and its table form."""
+def _representation_gap(tables, k: int, bufs: list, zs: list, star: dict) -> float:
+    """Max node-wise gap between a restart's adjoint and its table form, one
+    matmul a level of [P | Pcal | T | Tcal | pi] on
+    [x - E x; E x; X* - E X*; E X*; 1]."""
+    n, levels = zs[0].shape[0], range(k, k + len(zs))
+    blocks = np.concatenate([np.array([getattr(tables, name)[k, l] for l in levels])
+                             .reshape(len(zs), n, -1)
+                             for name in ("P", "Pcal", "T", "Tcal", "pi")], axis=2)
     worst = 0.0
-    for l in range(k, p.N + 1):
-        x, xs_l = xs[l - k], _at(star[l], k)
-        ex, es = _mean(x), _mean(xs_l)
-        pred = (_mul(tables.P[k, l], x - ex) + _mul(tables.Pcal[k, l], ex)
-                + _mul(tables.T[k, l], xs_l - es) + _mul(tables.Tcal[k, l], es)
-                + _col(tables.pi[k, l]))
-        worst = max(worst, float(np.max(np.linalg.norm(zs[l - k] - pred, axis=0))))
+    for l, blk, buf, z in zip(levels, blocks, bufs, zs):
+        x, ex, xs_l = buf[:n], buf[n:2 * n], _at(star[l], k)
+        es = _mean(xs_l)
+        rep = np.concatenate((x - ex, ex, xs_l - es, np.broadcast_to(es, xs_l.shape),
+                              buf[2 * n:2 * n + 1]))
+        gap = z.reshape(n, -1) - blk @ rep.reshape(4 * n + 1, -1)
+        worst = max(worst, float(np.sqrt(np.max(np.add.reduce(gap * gap)))))
     return worst
 
 
@@ -282,6 +292,11 @@ def _difference_residual(lhs, lam, grad, ub, quad) -> float:
 # ---------------------------------------------------------------------------
 # Public per-call operations.
 
+def _levels(proc: AdaptedProcess, t: int, hi: int) -> list:
+    """Levels t..hi of a process as one-probe node-last arrays of family t."""
+    return [_at(c, t) for c in _columns(proc, t, hi).values()]
+
+
 def roll_forward(p: ProblemData, init: InitialPair, control: AdaptedProcess,
                  t: int, tree: ScenarioTree | None = None) -> AdaptedProcess:
     """Exact state rollout of the system restarted at family index t.
@@ -293,9 +308,9 @@ def roll_forward(p: ProblemData, init: InitialPair, control: AdaptedProcess,
     control.require(t, p.N - 1, p.m)
     if init.t != t:
         raise HorizonMismatch(f"initial pair is at t={init.t}, rollout starts at {t}")
-    ctl = _columns(control, t, p.N - 1)
-    xs = _roll(p, t, _at(init.node_values(p.n).T, t), [_at(ctl[l], t) for l in ctl])
-    return AdaptedProcess({t + j: _rows(x) for j, x in enumerate(xs)})
+    x0 = _at(init.node_values(p.n).T, t)
+    bufs = _roll(_Blocks(p), t, [x0], _levels(control, t, p.N - 1))[0]
+    return AdaptedProcess({t + j: _rows(b[:p.n]).copy() for j, b in enumerate(bufs)})
 
 
 def cost(p: ProblemData, init: InitialPair, control: AdaptedProcess,
@@ -304,9 +319,7 @@ def cost(p: ProblemData, init: InitialPair, control: AdaptedProcess,
     """Exact conditional cost of the (t, .)-family problem, per level-t node."""
     if state is None:
         state = roll_forward(p, init, control, t, tree)
-    ctl = _columns(control, t, p.N - 1)
-    xs = _columns(state, t, p.N)
-    return _cost(p, t, [_at(xs[l], t) for l in xs], [_at(ctl[l], t) for l in ctl])[0]
+    return _roll(_Blocks(p), t, _levels(state, t, p.N), _levels(control, t, p.N - 1))[1][0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # checked: a non-finite state raises
@@ -361,17 +374,17 @@ def solve_bsde(p: ProblemData, forward_state: AdaptedProcess, k: int,
     """
     _check_tree(p, tree)
     forward_state.require(k, p.N, p.n)
-    xs = _columns(forward_state, k, p.N)
-    zs = _adjoint(p, k, [_at(xs[l], k) for l in xs])
+    zs = _restart(_Blocks(p), k, _levels(forward_state, k, p.N), [None] * (p.N - k))[2]
     return AdaptedProcess({k + j: _rows(z) for j, z in enumerate(zs)})
 
 
 def stationarity_gradient(p: ProblemData, state_k: AdaptedProcess,
                           control: AdaptedProcess, k: int) -> np.ndarray:
     """Left side of the first-order condition at step k, per level-k node."""
-    z1 = solve_bsde(p, state_k, k).values[k + 1]
-    u = control.values[k]
-    return _rows(_gradient(p, k, _at(u.T, k), _at(z1.T, k)))
+    _check_tree(p, None)
+    state_k.require(k, p.N, p.n)
+    us = _levels(control, k, k) + [None] * (p.N - k - 1)
+    return _rows(_restart(_Blocks(p), k, _levels(state_k, k, p.N), us)[3])
 
 
 def stationarity_residuals(p: ProblemData, init: InitialPair, control: AdaptedProcess,
@@ -382,10 +395,11 @@ def stationarity_residuals(p: ProblemData, init: InitialPair, control: AdaptedPr
     candidate control, solved exactly, and the gradient norm is maximised
     over level-k nodes.
     """
-    star = _columns(concatenated_state(p, control, init, tree), t, p.N)
-    ctl = _columns(control, t, p.N - 1)
-    return {k: float(np.max(np.linalg.norm(_restart(p, k, star, ctl)[3], axis=0)))
-            for k in range(t, p.N)}
+    star = concatenated_state(p, control, init, tree)
+    bl = _Blocks(p)
+    return {k: float(np.max(np.linalg.norm(
+        _restart(bl, k, _levels(star, k, k), _levels(control, k, p.N - 1))[3], axis=0)))
+        for k in range(t, p.N)}
 
 
 def variation_cost(p: ProblemData, k: int, ubar, tree: ScenarioTree | None = None):
@@ -399,10 +413,10 @@ def variation_cost(p: ProblemData, k: int, ubar, tree: ScenarioTree | None = Non
     _check_tree(p, tree)
     ub = np.asarray(ubar, dtype=float)
     if ub.shape == (p.m,):
-        return float(_variation(p, k, ub[:, None, None])[0, 0])
+        return float(_variation(_Blocks(p), k, ub[:, None, None])[0, 0])
     if ub.shape != (2**k, p.m):
         raise DimensionMismatch(f"ubar has shape {ub.shape}, expected ({p.m},) or {(2**k, p.m)}")
-    return _variation(p, k, ub.T[:, None, :])[0]
+    return _variation(_Blocks(p), k, ub.T[:, None, :])[0]
 
 
 def deviated_control(control: AdaptedProcess, k: int, delta) -> AdaptedProcess:
@@ -424,14 +438,13 @@ def difference_formula_check(p: ProblemData, k: int, zeta, u: AdaptedProcess,
     _check_tree(p, tree)
     u.require(k, p.N - 1, p.m)
     zeta = InitialPair(k, np.asarray(zeta, dtype=float)).node_values(p.n)
-    star = {k: np.ascontiguousarray(zeta.T)}
     ub = np.asarray(ubar, dtype=float)
     ub_nodes = np.tile(ub, (2**k, 1)) if ub.ndim == 1 else ub
-    us, xs, _, grad = _restart(p, k, star, _columns(u, k, p.N - 1))
-    base = _cost(p, k, xs, us)[0]
+    bl, us = _Blocks(p), _levels(u, k, p.N - 1)
+    bufs, base, _, grad = _restart(bl, k, [_at(zeta.T, k)], us)
     moved = [us[0] + lam * _at(ub_nodes.T, k)] + us[1:]
-    lhs = _cost(p, k, _roll(p, k, xs[0], moved), moved)[0] - base
-    quad = variation_cost(p, k, ub_nodes, tree)
+    lhs = _roll(bl, k, [bufs[0][:p.n]], moved)[1][0] - base[0]
+    quad = _variation(bl, k, ub_nodes.T[:, None, :])[0]
     return _difference_residual(lhs, lam, grad, ub_nodes, quad)
 
 
@@ -446,8 +459,8 @@ def representation_check(p: ProblemData, gains, t: int, x, k: int,
     tree = _check_tree(p, tree)
     star, control = equilibrium_pair(p, gains, InitialPair(t, np.asarray(x, dtype=float)), tree)
     star = _columns(star, k, p.N)
-    _, xs, zs, _ = _restart(p, k, star, _columns(control, k, p.N - 1))
-    return _representation_gap(p, k, tables, xs, zs, star)
+    bufs, _, zs, _ = _restart(_Blocks(p), k, [_at(star[k], k)], _levels(control, k, p.N - 1))
+    return _representation_gap(tables, k, bufs, zs, star)
 
 
 @dataclass
@@ -513,18 +526,17 @@ def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProce
     rng = np.random.default_rng(seed)  # direction and step of each cost-difference check
     star = _columns(concatenated_state(p, control, init, tree), t, p.N)
     ctl = _columns(control, t, p.N - 1)
+    bl = _Blocks(p)
+    Ms = _deviation_matrices(bl, t)
     residuals, convexity, gaps = {}, {}, []
     representation, difference = {}, {}
-    for k in range(t, p.N):
-        us, xs, zs, grad = _restart(p, k, star, ctl)
-        base = _cost(p, k, xs, us)[0]
+    for k, M, w, V in zip(range(t, p.N), Ms, *np.linalg.eigh(Ms)):
+        us = [_at(ctl[l], k) for l in range(k, p.N)]
+        bufs, base, zs, grad = _restart(bl, k, [_at(star[k], k)], us)
         residuals[k] = float(np.max(np.linalg.norm(grad, axis=0)))
-        M = _deviation_matrix(p, k)
-        w, V = np.linalg.eigh(M)
         convexity[k] = float(w[0])
         keep = np.abs(w) > p.m * np.finfo(float).eps * np.max(np.abs(w), initial=0.0)
         Mdag = (V[:, keep] / w[keep]) @ V[:, keep].T
-
         g = grad[:, 0, :, 0]
         vstar = -Mdag @ g
         # the minimisers, then the cost-difference direction, one probe each
@@ -533,12 +545,11 @@ def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProce
             ubar, lam = rng.normal(size=p.m), float(rng.uniform(-1.0, 1.0))
             deltas.append(np.broadcast_to(lam * ubar[:, None, None, None], (p.m, 1, 2**k, 1)))
         moved = [us[0] + np.concatenate(deltas, axis=1)] + us[1:]
-        x0 = np.broadcast_to(xs[0], (p.n,) + moved[0].shape[1:])
-        change = _cost(p, k, _roll(p, k, x0, moved), moved) - base
+        change = _roll(bl, k, [bufs[0][:p.n]], moved)[1] - base
         gaps.append({"k": k, "min_gap": float(np.min(np.sum(g * vstar, axis=0))),
                      "realised_gap": float(np.min(change[0]))})
         if tables is not None:
-            representation[str(k)] = _representation_gap(p, k, tables, xs, zs, star)
+            representation[str(k)] = _representation_gap(tables, k, bufs, zs, star)
             difference[str(k)] = _difference_residual(change[-1], lam, grad, ubar,
                                                       ubar @ M @ ubar)
         reported = [base, residuals[k], convexity[k], gaps[-1]["min_gap"],
@@ -547,21 +558,10 @@ def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProce
         if not all(np.isfinite(v).all() for v in reported):
             raise NumericalBreakdown(f"the restarted cost or certificate is not finite at step {k}")
 
-    ok = (
-        all(v <= tol_stationary for v in residuals.values())
-        and all(v >= -tol_convexity for v in convexity.values())
-        and all(g["min_gap"] >= -tol_convexity for g in gaps)
-    )
-    return EquilibriumCertificate(
-        stationary_residuals=residuals,
-        convexity_values=convexity,
-        worst_gaps=gaps,
-        verdict=ok,
-        tol_stationary=tol_stationary,
-        tol_convexity=tol_convexity,
-        seed=seed,
-        identity_checks=None if tables is None else {
-            "representation_residuals": representation,
-            "difference_formula_residuals": difference,
-        },
-    )
+    lows = [*convexity.values(), *(g["min_gap"] for g in gaps)]
+    ok = (all(v <= tol_stationary for v in residuals.values())
+          and all(v >= -tol_convexity for v in lows))
+    checks = None if tables is None else {"representation_residuals": representation,
+                                          "difference_formula_residuals": difference}
+    return EquilibriumCertificate(residuals, convexity, gaps, ok, tol_stationary, tol_convexity,
+                                  seed, checks)

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from meanfield_lq import cli, model, recursion
+from meanfield_lq.errors import ProblemFormatError
 from meanfield_lq.model import canonical_dumps
 
 
@@ -205,6 +206,63 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+
+class TestDeepDimension:
+    """A dimension given as a deeply nested list is named by its JSON type,
+    not quoted: a quote would be one huge line, or overflow the encoder."""
+
+    @staticmethod
+    def write(example_file, path, key, depth):
+        doc = json.loads(example_file.read_text())
+        doc[key] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', "[" * depth + "2" + "]" * depth))
+
+    @pytest.mark.parametrize("depth", [500, 3000])
+    @pytest.mark.parametrize("key", ["N", "n", "m"])
+    def test_exits_one_with_one_short_line(self, key, depth, example_file, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        self.write(example_file, bad, key, depth)
+        capsys.readouterr()
+        assert run("solve", "--input", bad, "--out", tmp_path / "r.json") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: bad dimensions: {key} is not an integer (a JSON array)\n"
+
+    def test_long_string_is_cut(self, example_file, tmp_path, capsys):
+        doc = json.loads(example_file.read_text())
+        doc["N"] = "9" * 5000
+        bad = tmp_path / "long.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("solve", "--input", bad, "--out", tmp_path / "r.json") == 1
+        quote = '"' + "9" * 35 + '..."'
+        assert capsys.readouterr().err == f"error: bad dimensions: N is not an integer ({quote})\n"
+
+    def test_module_entry_point_prints_no_traceback(self, example_file, tmp_path):
+        bad = tmp_path / "deep.json"
+        self.write(example_file, bad, "N", 3000)
+        done = subprocess.run(
+            [sys.executable, "-m", "meanfield_lq.cli", "solve", "--input", str(bad),
+             "--out", str(tmp_path / "r.json")], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr.count("\n") == 1 and len(done.stderr) < 100, done.stderr
+        assert "Traceback" not in done.stderr
+
+
+class TestWriteJson:
+    def test_unserialisable_document_creates_no_file(self, tmp_path):
+        out = tmp_path / "out.json"
+        with pytest.raises(ProblemFormatError):
+            cli._write_json(str(out), {"value": float("nan")})
+        assert not out.exists()
+
+    def test_unserialisable_document_keeps_the_old_bytes(self, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_bytes(b'{"previous":1}\n')
+        with pytest.raises(ProblemFormatError):
+            cli._write_json(str(out), {"value": [1.0, float("inf")]})
+        assert out.read_bytes() == b'{"previous":1}\n'
 
 
 class TestGarbage:
