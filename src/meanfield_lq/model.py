@@ -5,8 +5,10 @@ pair of indices (t, k) with 0 <= t <= k <= N-1: the data genuinely depend on
 the time the problem is (re)started at, which is the whole point of the
 model.  Each family is one `Family`: a zero-filled (N, N, ...) array with a
 mask of the (t, k) keys present, read and written as a mapping keyed by
-(t, k).  The solver reads the arrays as they are, and the JSON reader and
-writer move a whole family at once.
+(t, k).  `stacks` forms the arrays that every kernel reads (the backward
+sweep, the exact tree and Monte Carlo): the family stacks, the script sums
+A + Abar, ..., G + Gbar and the terminal data.  The JSON reader and writer
+move a whole family at once.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import struct
 from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from types import SimpleNamespace
 
 import numpy as np
 import orjson
@@ -84,7 +87,6 @@ class Family(MutableMapping):
     def __init__(self, rows: int, cols: int, shape: tuple):
         self.rows, self.cols, self.shape = rows, cols, tuple(shape)
         self.stack, self.mask, self.extra = None, None, {}
-        self._views = {}  # views of present stacked blocks, made as they are read
 
     @classmethod
     def full(cls, stack: np.ndarray) -> "Family":
@@ -104,14 +106,9 @@ class Family(MutableMapping):
         self.mask = np.zeros((self.rows, self.cols), dtype=bool)
 
     def __getitem__(self, key):
-        try:  # the tree and Monte Carlo kernels read blocks one by one
-            return self._views[key]
-        except KeyError:
-            pass
         t, k = key
         if self.mask is not None and self._inside(t, k) and self.mask[t, k]:
-            view = self._views[key] = self.stack[t, k]
-            return view
+            return self.stack[t, k]
         return self.extra[key]
 
     def __setitem__(self, key, value) -> None:
@@ -141,7 +138,6 @@ class Family(MutableMapping):
     def _clear(self, t, k) -> None:
         self.mask[t, k] = False
         self.stack[t, k] = 0.0
-        self._views.pop((t, k), None)
 
     def __iter__(self):
         if self.mask is not None:
@@ -216,10 +212,6 @@ class ProblemData:
         """All valid (t, k) index pairs, t <= k <= N-1."""
         return ((t, k) for t in range(self.N) for k in range(t, self.N))
 
-    @property
-    def cal(self) -> "CalligraphicView":
-        return CalligraphicView(self)
-
     def shape_of(self, name: str) -> tuple:
         if name in MATRIX_FAMILIES:
             kind = MATRIX_FAMILIES[name][0]
@@ -237,32 +229,23 @@ class ProblemData:
         return out
 
 
-class CalligraphicView:
-    """Read-only sums of paired blocks: script-A = A + Abar and friends."""
+def stacks(p: ProblemData) -> SimpleNamespace:
+    """The coefficients as arrays, the one source every kernel reads.
 
-    def __init__(self, p: ProblemData):
-        self._p = p
-
-    def A(self, t, k):
-        return self._p.A[t, k] + self._p.Abar[t, k]
-
-    def B(self, t, k):
-        return self._p.B[t, k] + self._p.Bbar[t, k]
-
-    def C(self, t, k):
-        return self._p.C[t, k] + self._p.Cbar[t, k]
-
-    def D(self, t, k):
-        return self._p.D[t, k] + self._p.Dbar[t, k]
-
-    def Q(self, t, k):
-        return self._p.Q[t, k] + self._p.Qbar[t, k]
-
-    def R(self, t, k):
-        return self._p.R[t, k] + self._p.Rbar[t, k]
-
-    def G(self, t):
-        return self._p.G[t] + self._p.Gbar[t]
+    Each family in FAMILY_NAMES is its (N, N, ...) stack, zero off the
+    triangle; cA = A + Abar, cB, cC, cD, cQ and cR are the script sums of
+    the paired stacks; G, Gbar, script-G cG = G + Gbar and g are (N, ...)
+    arrays.  Raises KeyError unless every family holds exactly the
+    triangle's blocks.  Nothing is cached, since `validate` repairs blocks
+    in place.
+    """
+    s = SimpleNamespace(**{name: getattr(p, name).stacked() for name in FAMILY_NAMES})
+    for name in ("A", "B", "C", "D", "Q", "R"):
+        setattr(s, "c" + name, getattr(s, name) + getattr(s, name + "bar"))
+    s.G, s.Gbar = (np.array(v, dtype=float).reshape(p.N, p.n, p.n) for v in (p.G, p.Gbar))
+    s.cG = s.G + s.Gbar
+    s.g = np.array(p.g, dtype=float).reshape(p.N, p.n)
+    return s
 
 
 @dataclass(frozen=True)
@@ -354,23 +337,7 @@ def validate(p: ProblemData) -> list[Finding]:
         if whole is not None and whole.shape == (p.N, *shape) and _sound(whole, symmetric):
             continue
         for t in range(p.N):
-            a = np.asarray(lst[t], dtype=float)
-            if a.shape != shape:
-                findings.append(Finding("error", f"{name}[{t}]", f"shape {a.shape}, expected {shape}"))
-                continue
-            if a.size and not np.all(np.isfinite(a)):
-                findings.append(Finding("error", f"{name}[{t}]", "non-finite entries"))
-                continue
-            if symmetric:
-                defect = float(np.max(np.abs(a - a.T)))
-                if defect > SYM_WARN_REL * (1.0 + float(np.max(np.abs(a)))):
-                    findings.append(Finding("error", f"{name}[{t}]", f"asymmetric (defect {defect:.3g})"))
-                elif defect > 0.0:
-                    lst[t] = 0.5 * (a + a.T)
-                    if defect > SYM_OK:
-                        findings.append(
-                            Finding("warning", f"{name}[{t}]", f"symmetrised (defect {defect:.3g})")
-                        )
+            check_block(name, t, lst[t], shape, symmetric, f"{name}[{t}]")
     return findings
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyConfig, HorizonMismatch, NumericalBreakdown
 from .matrices import sym_part
-from .model import InitialPair, ProblemData
+from .model import InitialPair, ProblemData, stacks
 
 NOISE_LAWS = ("rademacher", "standard_gaussian")
 
@@ -52,7 +52,6 @@ class SimConfig:
     paths: int
     seed: int = 0
     noise_law: str = "rademacher"
-    keep_paths: int = 0
 
     def __post_init__(self):
         if self.paths < 1:
@@ -66,7 +65,6 @@ class SimResult:
     mean_cost: float
     std_error: float | None
     trajectory_moments: list  # [{"k", "mean", "cov"}] for the realised state
-    path_sample: np.ndarray | None
 
     def to_dict(self) -> dict:
         return {
@@ -76,7 +74,6 @@ class SimResult:
                 {"k": int(r["k"]), "mean": r["mean"].tolist(), "cov": r["cov"].tolist()}
                 for r in self.trajectory_moments
             ],
-            "path_sample": None if self.path_sample is None else self.path_sample.tolist(),
         }
 
 
@@ -125,9 +122,11 @@ def _plan(p: ProblemData, gains, t: int, x0: np.ndarray, deviation):
     """The path-independent part of a rollout from the atom x0 at step t.
 
     The closed-loop equilibrium state x and the (t, .)-family state y are
-    stacked as z = [x; y].  The control u = Psi_k x + alpha_k is
-    substituted into the blocks, so a step is z <- kd z + cd + (kw z + cw) w_k
-    and its cost is z' weight z + 2 lin'z plus mean-field terms.  The family
+    stacked as z = [x; y].  Both read `model.stacks`: x steps through the
+    diagonal script sums cA[k, k], ..., cD[k, k], y through the (t, k)
+    blocks.  The control u = Psi_k x + alpha_k is substituted into the
+    blocks, so a step is z <- kd z + cd + (kw z + cw) w_k and its cost is
+    z' weight z + 2 lin'z plus mean-field terms.  The family
     sees alpha_t + ``deviation`` at step t; x always follows the
     equilibrium feedback.  The noise is zero-mean and independent of z_k,
     so the exact mean follows m <- kd m + cd, and every E_t factor (in cd,
@@ -142,7 +141,7 @@ def _plan(p: ProblemData, gains, t: int, x0: np.ndarray, deviation):
     and the exact means m at steps t..N.  Raises NumericalBreakdown at the
     first step whose mean or constant is not finite.
     """
-    n, cal = p.n, p.cal
+    n, s = p.n, stacks(p)
     zero = np.zeros((n, n))
     m = np.concatenate([x0, x0])
     means, coefs, offset = [m], [], 0.0
@@ -151,26 +150,26 @@ def _plan(p: ProblemData, gains, t: int, x0: np.ndarray, deviation):
         psi, alpha = gains.Psi[k], gains.alpha[k]
         af = alpha if deviation is None or k > t else alpha + deviation
         mu = psi @ mx + af
-        R, rho = p.R[t, k], p.rho[t, k]
-        weight = np.block([[psi.T @ R @ psi, zero], [zero, p.Q[t, k]]])
-        lin = np.concatenate([psi.T @ (R @ af + rho), p.q[t, k]])
+        R, rho = s.R[t, k], s.rho[t, k]
+        weight = np.block([[psi.T @ R @ psi, zero], [zero, s.Q[t, k]]])
+        lin = np.concatenate([psi.T @ (R @ af + rho), s.q[t, k]])
         offset += (m @ weight @ m + 2.0 * lin @ m
-                   + my @ p.Qbar[t, k] @ my + mu @ p.Rbar[t, k] @ mu
+                   + my @ s.Qbar[t, k] @ my + mu @ s.Rbar[t, k] @ mu
                    + af @ R @ af + 2.0 * rho @ af)
-        kd = np.block([[cal.A(k, k) + cal.B(k, k) @ psi, zero], [p.B[t, k] @ psi, p.A[t, k]]])
-        kw = np.block([[cal.C(k, k) + cal.D(k, k) @ psi, zero], [p.D[t, k] @ psi, p.C[t, k]]])
-        cd = np.concatenate([cal.B(k, k) @ alpha + p.f[k, k],
-                             p.B[t, k] @ af + p.Abar[t, k] @ my + p.Bbar[t, k] @ mu + p.f[t, k]])
-        cw = np.concatenate([cal.D(k, k) @ alpha + p.d[k, k],
-                             p.D[t, k] @ af + p.Cbar[t, k] @ my + p.Dbar[t, k] @ mu + p.d[t, k]])
+        kd = np.block([[s.cA[k, k] + s.cB[k, k] @ psi, zero], [s.B[t, k] @ psi, s.A[t, k]]])
+        kw = np.block([[s.cC[k, k] + s.cD[k, k] @ psi, zero], [s.D[t, k] @ psi, s.C[t, k]]])
+        cd = np.concatenate([s.cB[k, k] @ alpha + s.f[k, k],
+                             s.B[t, k] @ af + s.Abar[t, k] @ my + s.Bbar[t, k] @ mu + s.f[t, k]])
+        cw = np.concatenate([s.cD[k, k] @ alpha + s.d[k, k],
+                             s.D[t, k] @ af + s.Cbar[t, k] @ my + s.Dbar[t, k] @ mu + s.d[t, k]])
         bias = np.concatenate([2.0 * (weight @ m + lin), kw @ m + cw, np.zeros(2 * n)])
         coefs.append(np.column_stack([np.vstack([weight, kw, kd]), bias]))
         m = kd @ m + cd
         if not (np.isfinite(m).all() and np.isfinite(offset)):
             raise NumericalBreakdown(f"the exact mean or cost is not finite at step {k}")
         means.append(m)
-    G, g, my = p.G[t], p.g[t], m[n:]
-    offset += my @ G @ my + 2.0 * g @ my + my @ p.Gbar[t] @ my
+    G, g, my = s.G[t], s.g[t], m[n:]
+    offset += my @ G @ my + 2.0 * g @ my + my @ s.Gbar[t] @ my
     return coefs, (G, 2.0 * (G @ my + g)), offset, means
 
 
@@ -206,7 +205,7 @@ def exact_moments(p: ProblemData, gains, init: InitialPair) -> tuple[float, list
 
 @np.errstate(over="ignore", invalid="ignore")  # checked: a non-finite result raises
 def _rollout(p: ProblemData, gains, t: int, x0: np.ndarray, paths: int, noise,
-             deviations=(None,), keep: int = 0):
+             deviations=(None,)):
     """Per-path family costs over steps t..N-1, streamed in blocks of paths.
 
     ``noise(start, rows)`` returns rows start..start+rows-1 of the
@@ -215,10 +214,9 @@ def _rollout(p: ProblemData, gains, t: int, x0: np.ndarray, paths: int, noise,
     added to alpha_t), through all steps on one (2n, rows) centred state.
     Only the per-path costs grow with the path count.
 
-    Returns the (len(deviations), paths) costs; the {"k", "mean", "cov"}
+    Returns the (len(deviations), paths) costs and the {"k", "mean", "cov"}
     sample moments of x at steps t..N under the first entry, accumulated
-    as sums centred on the exact mean; and the first ``keep`` paths of x
-    as a (keep, N-t+1, n) array.
+    as sums centred on the exact mean.
     """
     n, steps = p.n, p.N - t
     plans = [_plan(p, gains, t, x0, dev) for dev in deviations]
@@ -226,7 +224,6 @@ def _rollout(p: ProblemData, gains, t: int, x0: np.ndarray, paths: int, noise,
     costs = np.empty((len(plans), paths))
     s1 = np.zeros((steps + 1, n))
     s2 = np.zeros((steps + 1, n, n))
-    sample = np.empty((keep, steps + 1, n))
 
     for start in range(0, paths, BLOCK):
         rows = min(BLOCK, paths - start)
@@ -236,7 +233,6 @@ def _rollout(p: ProblemData, gains, t: int, x0: np.ndarray, paths: int, noise,
         cols = max(rows, 2)
         w = np.ascontiguousarray(noise(start, rows).T)  # step j's noise is row j
         wk = np.zeros(cols)
-        shown = min(keep - start, rows)
         for i, (coefs, (G, g2), offset, _) in enumerate(plans):
             # the centred state over a constant row of ones, which applies
             # each step's offsets inside its matmul
@@ -250,8 +246,6 @@ def _rollout(p: ProblemData, gains, t: int, x0: np.ndarray, paths: int, noise,
                 x = d[:n, :rows]
                 s1[j] += x.sum(axis=1)
                 s2[j] += x @ x.T
-                if shown > 0:
-                    sample[start:start + shown, j] = (x[:, :shown] + means[j][:n, None]).T
 
             for j, coef in enumerate(coefs):
                 if i == 0:
@@ -278,7 +272,7 @@ def _rollout(p: ProblemData, gains, t: int, x0: np.ndarray, paths: int, noise,
         if paths > 1:
             cov = sym_part((s2[j] - np.outer(s1[j], s1[j]) / paths) / (paths - 1))
         moments.append({"k": t + j, "mean": means[j][:n] + s1[j] / paths, "cov": cov})
-    return costs, moments, sample
+    return costs, moments
 
 
 def simulate(p: ProblemData, init: InitialPair, gains, cfg: SimConfig) -> SimResult:
@@ -293,10 +287,8 @@ def simulate(p: ProblemData, init: InitialPair, gains, cfg: SimConfig) -> SimRes
         raise HorizonMismatch(f"initial time {t} >= horizon {p.N}")
     x0 = _atom_state(p, init)
     steps = p.N - t
-    keep = min(cfg.keep_paths, cfg.paths)
-    costs, moments, sample = _rollout(
-        p, gains, t, x0, cfg.paths,
-        lambda start, rows: draw_noise(cfg, rows, steps, start), keep=keep)
+    costs, moments = _rollout(p, gains, t, x0, cfg.paths,
+                              lambda start, rows: draw_noise(cfg, rows, steps, start))
     costs = costs[0]
     mean_cost = float(costs.mean())
     std_error = None
@@ -305,7 +297,7 @@ def simulate(p: ProblemData, init: InitialPair, gains, cfg: SimConfig) -> SimRes
             std_error = float(costs.std(ddof=1) / np.sqrt(cfg.paths))
         if not np.isfinite(std_error):
             raise NumericalBreakdown("the spread of the per-path costs is not finite")
-    return SimResult(mean_cost, std_error, moments, sample if keep else None)
+    return SimResult(mean_cost, std_error, moments)
 
 
 def estimate_deviation_gap(p: ProblemData, init: InitialPair, gains, k: int,
@@ -325,21 +317,21 @@ def estimate_deviation_gap(p: ProblemData, init: InitialPair, gains, k: int,
     hist = [1.0] * (k - t) if history is None else [float(h) for h in history]
     if len(hist) != k - t:
         raise DimensionMismatch(f"history must have length {k - t}")
-    cal = p.cal
+    s = stacks(p)
     xk = x0.copy()
     for j in range(t, k):
         u = gains.Psi[j] @ xk + gains.alpha[j]
-        drift = cal.A(j, j) @ xk + cal.B(j, j) @ u + p.f[j, j]
-        diff = cal.C(j, j) @ xk + cal.D(j, j) @ u + p.d[j, j]
+        drift = s.cA[j, j] @ xk + s.cB[j, j] @ u + s.f[j, j]
+        diff = s.cC[j, j] @ xk + s.cD[j, j] @ u + s.d[j, j]
         xk = drift + diff * hist[j - t]
 
     delta = np.asarray(perturbation, dtype=float)
     if delta.shape != (p.m,):
         raise DimensionMismatch(f"perturbation has shape {delta.shape}, expected ({p.m},)")
     steps = p.N - k
-    costs, _, _ = _rollout(p, gains, k, xk, cfg.paths,
-                           lambda start, rows: draw_noise(cfg, rows, steps, start),
-                           deviations=(None, delta))
+    costs, _ = _rollout(p, gains, k, xk, cfg.paths,
+                        lambda start, rows: draw_noise(cfg, rows, steps, start),
+                        deviations=(None, delta))
     gap = costs[1] - costs[0]
     se = None
     if cfg.paths > 1:

@@ -22,10 +22,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import matrices as mx
+from . import matrices as mx, model
 from .errors import EpsilonNonPositive, NumericalBreakdown
 from .matrices import PsdVerdict
-from .model import FAMILY_NAMES, Family, ProblemData
+from .model import Family, ProblemData
 
 RANGE_TOL = 1e-8
 
@@ -44,12 +44,6 @@ class RecursionTables:
     T: dict = field(default_factory=dict)
     Tcal: dict = field(default_factory=dict)
     pi: dict = field(default_factory=dict)
-
-    def Pbar(self, k, l):
-        return self.Pcal[k, l] - self.P[k, l]
-
-    def Tbar(self, k, l):
-        return self.Tcal[k, l] - self.T[k, l]
 
 
 @dataclass
@@ -95,19 +89,6 @@ class SolvabilityReport:
             "per_pair_note": self.per_pair_note,
             "range_tolerance": float(self.range_tolerance),
         }
-
-
-def _stack(p: ProblemData) -> SimpleNamespace:
-    """The problem's (t, k) families as their (N, N, ...) stacks, zero off
-    the triangle, plus the script sums (cA = A + Abar, ...) and the
-    terminal data G, script-G and g as (N, ...) arrays."""
-    s = SimpleNamespace(**{name: getattr(p, name).stacked() for name in FAMILY_NAMES})
-    for name in ("A", "B", "C", "D", "Q", "R"):
-        setattr(s, "c" + name, getattr(s, name) + getattr(s, name + "bar"))
-    s.G = np.array(p.G, dtype=float).reshape(p.N, p.n, p.n)
-    s.cG = s.G + np.array(p.Gbar, dtype=float).reshape(p.N, p.n, p.n)
-    s.g = np.array(p.g, dtype=float).reshape(p.N, p.n)
-    return s
 
 
 def _t(x: np.ndarray) -> np.ndarray:
@@ -170,7 +151,7 @@ def solve_symmetric(p: ProblemData) -> RecursionTables:
     stage by stage, all rows 0..l of stage l at once.
     """
     N, n = p.N, p.n
-    s = _stack(p)
+    s = model.stacks(p)
     P, Pc = np.zeros((N, N + 1, n, n)), np.zeros((N, N + 1, n, n))
     P[:, N], Pc[:, N] = s.G, s.cG
     for l in range(N - 1, -1, -1):
@@ -180,7 +161,7 @@ def solve_symmetric(p: ProblemData) -> RecursionTables:
 
 def _m2_stack(s: SimpleNamespace, tables: RecursionTables) -> np.ndarray:
     """Quadratic coefficient of a one-instant control deviation at every
-    step k, as one (N, m, m) stack, from `_stack`'s script sums."""
+    step k, as one (N, m, m) stack, from `model.stacks`' script sums."""
     N = len(s.cR)
     k = np.arange(N)
     Pc = np.array([tables.Pcal[j, j + 1] for j in range(N)])
@@ -191,16 +172,16 @@ def _m2_stack(s: SimpleNamespace, tables: RecursionTables) -> np.ndarray:
 
 def assemble_m2(p: ProblemData, tables: RecursionTables, k: int) -> np.ndarray:
     """Quadratic coefficient of a one-instant control deviation at step k."""
-    return _m2_stack(_stack(p), tables)[k]
+    return _m2_stack(model.stacks(p), tables)[k]
 
 
 def convexity_margins(p: ProblemData, tables: RecursionTables, tol: float | None = None,
                       stacks: SimpleNamespace | None = None
                       ) -> tuple[list[PsdVerdict], list[np.ndarray]]:
     """Per-step PSD verdicts for the deviation-cost coefficients, from one
-    stacked eigenvalue call.  ``stacks`` is `_stack(p)`, when the caller
-    already has it."""
-    m2 = _m2_stack(_stack(p) if stacks is None else stacks, tables)
+    stacked eigenvalue call.  ``stacks`` is `model.stacks(p)`, when the
+    caller already has it."""
+    m2 = _m2_stack(model.stacks(p) if stacks is None else stacks, tables)
     return mx.psd_checks(m2, tol), list(m2)
 
 
@@ -218,7 +199,7 @@ def _sweep(p: ProblemData, shifts: tuple, range_tol: float) -> list:
     Raises `_Breakdown` naming the first member to break down.
     """
     N, n, m, nb = p.N, p.n, p.m, len(shifts)
-    s = _stack(p)
+    s = model.stacks(p)
     P, Pc = np.zeros((N, N + 1, n, n)), np.zeros((N, N + 1, n, n))
     T, Tc = np.zeros((nb, N, N + 1, n, n)), np.zeros((nb, N, N + 1, n, n))
     pi = np.zeros((nb, N, N + 1, n))

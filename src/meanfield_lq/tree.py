@@ -15,9 +15,11 @@ axis the node within its subtree.  E_t is an `np.add.reduce` over that
 contiguous axis, never a recursion of means, and a child pair is two
 neighbours on it.  The rows are v = [x; E_t x; 1; u; E_t u] ([x; E_t x; 1]
 at level N); the constant row carries f, d, q, rho and g, and is 0 for the
-variational system.  `_Blocks` builds, once per call from the coefficient
-stacks, the block [drift; diffusion; cost weight W] of each (t, l), so one
-matmul advances a level and gives its node costs v'Wv (`_roll`).
+variational system.  `_Blocks` builds, once per call from `model.stacks`
+(the arrays that the backward sweep and Monte Carlo read too), the block
+[drift; diffusion; cost weight W] of each (t, l), so one matmul advances a
+level and gives its node costs v'Wv (`_roll`).  The closed loop reads the
+diagonal script sums cA[k, k], ..., cD[k, k] of the same stacks.
 
 Batch axis.  The probes axis carries controls that differ only at step t,
 the deviations of a one-instant perturbation, all rolled by one `_roll`;
@@ -51,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, HorizonMismatch, NumericalBreakdown
-from .model import FAMILY_NAMES, InitialPair, ProblemData
+from .model import InitialPair, ProblemData, stacks
 
 MAX_DEPTH = 14
 
@@ -140,7 +142,7 @@ class _Blocks:
     def __init__(self, p: ProblemData):
         n, m, N = self.n, self.m, self.N = p.n, p.m, p.N
         r = self.r = 2 * n + 1 + 2 * m
-        s = {name: getattr(p, name).stacked() for name in FAMILY_NAMES}
+        s = vars(stacks(p))
         X, EX, ONE = slice(0, n), slice(n, 2 * n), 2 * n
         U, EU = slice(2 * n + 1, r - m), slice(r - m, r)
         step = self.step = np.zeros((N, N, 2 * n + r, r))
@@ -151,7 +153,7 @@ class _Blocks:
         for col, name in ((X, "Q"), (EX, "Qbar"), (U, "R"), (EU, "Rbar")):
             W[:, :, col, col] = s[name]
         W[:, :, EX, ONE], W[:, :, EU, ONE] = 2.0 * s["q"], 2.0 * s["rho"]
-        G, Gbar, g = (np.asarray(v, dtype=float) for v in (p.G, p.Gbar, p.g))
+        G, Gbar, g = s["G"], s["Gbar"], s["g"]
         term = self.term = np.zeros((N, 3 * n + 1, 2 * n + 1))
         term[:, X, X], term[:, X, EX], term[:, X, ONE] = G, Gbar, g
         term[:, n:][:, X, X], term[:, n:][:, EX, EX], term[:, n:][:, EX, ONE] = G, Gbar, 2.0 * g
@@ -331,15 +333,15 @@ def _closed_loop(p: ProblemData, init: InitialPair,
     coefficients and the rollout is node-wise.  ``policy(k, x_k)`` gives u_k.
     Raises NumericalBreakdown at the first step whose state is not finite.
     """
-    cal = p.cal
+    s = stacks(p)
     state = AdaptedProcess({init.t: init.node_values(p.n)})
     control = AdaptedProcess()
     for k in range(init.t, p.N):
         xk = state.values[k]
         uk = policy(k, xk)
         control.values[k] = uk
-        drift = xk @ cal.A(k, k).T + uk @ cal.B(k, k).T + p.f[k, k]
-        diff = xk @ cal.C(k, k).T + uk @ cal.D(k, k).T + p.d[k, k]
+        drift = xk @ s.cA[k, k].T + uk @ s.cB[k, k].T + s.f[k, k]
+        diff = xk @ s.cC[k, k].T + uk @ s.cD[k, k].T + s.d[k, k]
         nxt = np.empty((2 ** (k + 1), p.n))
         nxt[0::2] = drift + diff
         nxt[1::2] = drift - diff

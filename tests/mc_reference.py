@@ -14,11 +14,15 @@ from meanfield_lq import montecarlo as mc
 from meanfield_lq.matrices import sym_part
 
 
+def _sums(p, t, k):
+    """The script sums A + Abar, B + Bbar, C + Cbar and D + Dbar of block (t, k)."""
+    return tuple(getattr(p, name)[t, k] + getattr(p, name + "bar")[t, k] for name in "ABCD")
+
+
 def closed_loop_paths(p, gains, x0, t, w):
     """Per-path equilibrium state and control from the feedback schedule,
     and the exact mean of the control at each step."""
     paths = w.shape[0]
-    cal = p.cal
     states = {t: np.tile(x0, (paths, 1))}
     controls, control_means = {}, {}
     mean = x0
@@ -27,10 +31,11 @@ def closed_loop_paths(p, gains, x0, t, w):
         uk = gains.control(k, xk)
         controls[k] = uk
         control_means[k] = gains.Psi[k] @ mean + gains.alpha[k]
-        drift = xk @ cal.A(k, k).T + uk @ cal.B(k, k).T + p.f[k, k]
-        diff = xk @ cal.C(k, k).T + uk @ cal.D(k, k).T + p.d[k, k]
+        cA, cB, cC, cD = _sums(p, k, k)
+        drift = xk @ cA.T + uk @ cB.T + p.f[k, k]
+        diff = xk @ cC.T + uk @ cD.T + p.d[k, k]
         states[k + 1] = drift + diff * w[:, k - t][:, None]
-        mean = cal.A(k, k) @ mean + cal.B(k, k) @ control_means[k] + p.f[k, k]
+        mean = cA @ mean + cB @ control_means[k] + p.f[k, k]
     return states, controls, control_means
 
 
@@ -55,7 +60,8 @@ def family_cost_paths(p, t, x0, controls, control_means, w):
         diff = (xk @ p.C[t, k].T + p.Cbar[t, k] @ mx
                 + uk @ p.D[t, k].T + p.Dbar[t, k] @ mu + p.d[t, k])
         xk = drift + diff * w[:, k - t][:, None]
-        mx = p.cal.A(t, k) @ mx + p.cal.B(t, k) @ mu + p.f[t, k]
+        cA, cB, _, _ = _sums(p, t, k)
+        mx = cA @ mx + cB @ mu + p.f[t, k]
     total += np.einsum("ni,ij,nj->n", xk, p.G[t], xk)
     total += mx @ p.Gbar[t] @ mx
     total += 2.0 * xk @ p.g[t]
@@ -80,11 +86,7 @@ def simulate(p, init, gains, cfg):
         else:
             cov = np.zeros((p.n, p.n))
         moments.append({"k": k, "mean": xk.mean(axis=0), "cov": cov})
-    sample = None
-    if cfg.keep_paths:
-        keep = min(cfg.keep_paths, cfg.paths)
-        sample = np.stack([states[k][:keep] for k in range(t, p.N + 1)], axis=1)
-    return mc.SimResult(float(costs.mean()), std_error, moments, sample)
+    return mc.SimResult(float(costs.mean()), std_error, moments)
 
 
 def deviation_gap(p, init, gains, k, perturbation, cfg):
@@ -93,12 +95,11 @@ def deviation_gap(p, init, gains, k, perturbation, cfg):
     Also returns the mean restarted cost, the scale of the gap's rounding.
     """
     t = init.t
-    cal = p.cal
     xk = np.asarray(init.x, dtype=float).copy()
     for j in range(t, k):
         u = gains.Psi[j] @ xk + gains.alpha[j]
-        xk = (cal.A(j, j) @ xk + cal.B(j, j) @ u + p.f[j, j]
-              + cal.C(j, j) @ xk + cal.D(j, j) @ u + p.d[j, j])
+        cA, cB, cC, cD = _sums(p, j, j)
+        xk = cA @ xk + cB @ u + p.f[j, j] + cC @ xk + cD @ u + p.d[j, j]
     w = mc.draw_noise(cfg, cfg.paths, p.N - k)
     _, controls, means = closed_loop_paths(p, gains, xk, k, w)
     base = family_cost_paths(p, k, xk, controls, means, w)

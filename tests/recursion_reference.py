@@ -33,7 +33,6 @@ def affine_feedback_tables(p: ProblemData, psi, alpha, k: int,
     if tables is None:
         tables = recursion.solve_symmetric(p)
     N = p.N
-    cal = p.cal
     psi = {l: np.asarray(psi[l], dtype=float) for l in range(k, N)}
     alpha = {l: np.asarray(alpha[l], dtype=float) for l in range(k, N)}
     T = {N: np.zeros((p.n, p.n))}
@@ -42,9 +41,9 @@ def affine_feedback_tables(p: ProblemData, psi, alpha, k: int,
     for l in range(N - 1, k - 1, -1):
         A, Ab, C, Cb = p.A[k, l], p.Abar[k, l], p.C[k, l], p.Cbar[k, l]
         B, Bb, D, Db = p.B[k, l], p.Bbar[k, l], p.D[k, l], p.Dbar[k, l]
-        cA, cB, cC, cD = cal.A(k, l), cal.B(k, l), cal.C(k, l), cal.D(k, l)
-        dA, dB = cal.A(l, l), cal.B(l, l)
-        dC, dD = cal.C(l, l), cal.D(l, l)
+        cA, cB, cC, cD = A + Ab, B + Bb, C + Cb, D + Db
+        dA, dB = p.A[l, l] + p.Abar[l, l], p.B[l, l] + p.Bbar[l, l]
+        dC, dD = p.C[l, l] + p.Cbar[l, l], p.D[l, l] + p.Dbar[l, l]
         Pn, Pcn = tables.P[k, l + 1], tables.Pcal[k, l + 1]
         Pbn = Pcn - Pn
         Tn, Tbn = T[l + 1], Tb[l + 1]

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from meanfield_lq import model, recursion
+from meanfield_lq import cli, model, recursion
 from meanfield_lq.errors import DimensionMismatch, ProblemFormatError
 from meanfield_lq.model import Family, InitialPair
 
@@ -65,6 +65,15 @@ def _terminal_asymmetry(doc):
     doc["terminal"]["G"][2][0][1] += 1e-3
 
 
+def _terminal_wrong_shape(doc):
+    doc["terminal"]["g"][3] = [1.0, 2.0, 3.0]
+
+
+def _terminal_gross_asymmetry(doc):
+    Gbar = doc["terminal"]["Gbar"][1]
+    Gbar[0][1] = Gbar[1][0] + 5.0
+
+
 # defect -> findings as (severity, path, message), or the ProblemFormatError text
 DEFECTS = (
     (_missing, "B[1][2]: missing block"),
@@ -77,6 +86,8 @@ DEFECTS = (
     (_out_of_range, "Rbar[0][4]: index out of range; f[3][1]: index out of range"),
     (_dense, []),
     (_terminal_asymmetry, [("warning", "G[2]", "symmetrised (defect 0.001)")]),
+    (_terminal_wrong_shape, "g[3]: shape (3,), expected (2,)"),
+    (_terminal_gross_asymmetry, "Gbar[1]: asymmetric (defect 5)"),
 )
 
 
@@ -125,15 +136,46 @@ class TestValidate:
         assert [f.severity for f in findings] == ["error"]
 
 
-class TestCalligraphicView:
-    def test_sums_are_exact(self, rng):
-        p = make_problem(rng, 2, 2, 3)
-        cal = p.cal
-        for t, k in p.pairs():
-            assert np.array_equal(cal.A(t, k), p.A[t, k] + p.Abar[t, k])
-            assert np.array_equal(cal.R(t, k), p.R[t, k] + p.Rbar[t, k])
-        for t in range(p.N):
-            assert np.array_equal(cal.G(t), p.G[t] + p.Gbar[t])
+class TestStacks:
+    """`model.stacks` is the one source of the arrays every kernel reads."""
+
+    def test_matches_the_blocks(self, rng):
+        for n, m, N in ((2, 2, 3), (1, 3, 5), (3, 1, 4), (2, 2, 1)):
+            p = make_problem(rng, n, m, N, convex=False)
+            s = model.stacks(p)
+            for t, k in p.pairs():
+                for name in model.FAMILY_NAMES:
+                    assert np.array_equal(getattr(s, name)[t, k], getattr(p, name)[t, k])
+                for name in ("A", "B", "C", "D", "Q", "R"):
+                    want = getattr(p, name)[t, k] + getattr(p, name + "bar")[t, k]
+                    assert getattr(s, "c" + name)[t, k].tobytes() == want.tobytes(), name
+            for t in range(N):
+                assert np.array_equal(s.G[t], p.G[t])
+                assert np.array_equal(s.Gbar[t], p.Gbar[t])
+                assert np.array_equal(s.g[t], p.g[t])
+                assert s.cG[t].tobytes() == (p.G[t] + p.Gbar[t]).tobytes()
+            assert s.cA.shape == (N, N, n, n) and s.cR.shape == (N, N, m, m)
+            assert s.G.shape == (N, n, n) and s.g.shape == (N, n)
+
+    def test_missing_or_stray_block_raises(self):
+        missing = model.bundled_example()
+        del missing.B[0, 1]
+        stray = model.bundled_example()
+        stray.rho[1, 0] = np.zeros(2)
+        misshapen = model.bundled_example()
+        misshapen.Q[1, 1] = np.zeros((3, 3))
+        for p in (missing, stray, misshapen):
+            with pytest.raises(KeyError):
+                model.stacks(p)
+
+    def test_cli_maps_the_key_error_to_exit_1(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "p.json"
+        model.save(model.bundled_example(), path)
+        p = model.bundled_example()
+        del p.B[0, 1]
+        monkeypatch.setattr(model, "load", lambda _: (p, [], "0" * 64))
+        assert cli.main(["solve", "--input", str(path), "--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == "error: (0, 1)\n"
 
 
 class TestTimeInvariant:

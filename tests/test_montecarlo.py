@@ -203,12 +203,6 @@ class TestSimulate:
             z.append((res.mean_cost - exact) / res.std_error)
         assert 0.6 <= np.std(z, ddof=1) <= 1.5
 
-    def test_path_sample_shape(self, example_solved):
-        p, gains = example_solved
-        res = mc.simulate(p, InitialPair(0, np.ones(2)), gains,
-                          mc.SimConfig(paths=50, seed=1, keep_paths=8))
-        assert res.path_sample.shape == (8, p.N + 1, p.n)
-
 
 class TestDeviationGap:
     def test_zero_perturbation_zero_gap(self, example_solved):
@@ -258,8 +252,8 @@ class TestDeviationGap:
             cfg = mc.SimConfig(paths=4000, seed=int(rng.integers(0, 2**31)))
             w = mc.draw_noise(cfg, cfg.paths, p.N - k)
             xk = x0  # treat x0 as the step-k atom directly
-            (base, pert), _, _ = mc._rollout(p, gains, k, xk, cfg.paths, _rows(w),
-                                             deviations=(None, np.array([0.07, -0.02])))
+            (base, pert), _ = mc._rollout(p, gains, k, xk, cfg.paths, _rows(w),
+                                          deviations=(None, np.array([0.07, -0.02])))
             paired = np.var(pert - base)
             independent = np.var(pert) + np.var(base)
             assert paired < independent
@@ -295,7 +289,7 @@ class TestEnumeratedNoise:
         steps = p.N
         bits = (np.arange(2**steps)[:, None] >> np.arange(steps)) & 1
         signs = 1.0 - 2.0 * bits
-        costs, moments, _ = mc._rollout(p, gains, 0, x0, len(signs), _rows(signs))
+        costs, moments = mc._rollout(p, gains, 0, x0, len(signs), _rows(signs))
         init = InitialPair(0, x0)
         state, control = tree.equilibrium_pair(p, gains, init)
         exact = float(tree.cost(p, init, control, 0)[0])
@@ -364,22 +358,22 @@ class TestExactMoments:
 class TestAgainstTwoPassReference:
     """The fused kernel computes the two-pass estimator; only rounding differs."""
 
-    @pytest.mark.parametrize("dims, t, paths, law, keep", [
-        ((2, 3, 5), 0, 3000, "rademacher", 4),
-        ((1, 1, 4), 0, 3000, "standard_gaussian", 0),
-        ((3, 2, 1), 0, 2000, "rademacher", 2),
-        ((2, 2, 6), 2, 3000, "standard_gaussian", 3),
-        ((3, 1, 7), 3, 2500, "rademacher", 0),
-        ((2, 2, 5), 1, 1, "rademacher", 1),
-        (None, 0, 5000, "rademacher", 0),
-        (None, 1, 5000, "standard_gaussian", 5),
-        (None, 0, 2 * mc.BLOCK + 1, "rademacher", 3),
-        ((2, 2, 6), 2, mc.BLOCK + 500, "standard_gaussian", 2),
+    @pytest.mark.parametrize("dims, t, paths, law", [
+        ((2, 3, 5), 0, 3000, "rademacher"),
+        ((1, 1, 4), 0, 3000, "standard_gaussian"),
+        ((3, 2, 1), 0, 2000, "rademacher"),
+        ((2, 2, 6), 2, 3000, "standard_gaussian"),
+        ((3, 1, 7), 3, 2500, "rademacher"),
+        ((2, 2, 5), 1, 1, "rademacher"),
+        (None, 0, 5000, "rademacher"),
+        (None, 1, 5000, "standard_gaussian"),
+        (None, 0, 2 * mc.BLOCK + 1, "rademacher"),
+        ((2, 2, 6), 2, mc.BLOCK + 500, "standard_gaussian"),
     ])
-    def test_simulate_matches_reference(self, dims, t, paths, law, keep):
+    def test_simulate_matches_reference(self, dims, t, paths, law):
         p, gains = _solved(dims)
         init = InitialPair(t, np.linspace(-1.0, 1.0, p.n) + 0.3)
-        cfg = mc.SimConfig(paths=paths, seed=p.N + 7, noise_law=law, keep_paths=keep)
+        cfg = mc.SimConfig(paths=paths, seed=p.N + 7, noise_law=law)
         got = mc.simulate(p, init, gains, cfg)
         ref = mc_reference.simulate(p, init, gains, cfg)
         assert abs(got.mean_cost - ref.mean_cost) <= 1e-10 * abs(ref.mean_cost)
@@ -393,12 +387,6 @@ class TestAgainstTwoPassReference:
             assert np.max(np.abs(a["mean"] - b["mean"])) <= 1e-10 * scale
             assert np.max(np.abs(a["cov"] - b["cov"])) <= 1e-10 * scale
             assert np.array_equal(a["cov"], a["cov"].T)
-        if keep:
-            assert got.path_sample.shape == ref.path_sample.shape
-            scale = 1.0 + np.max(np.abs(ref.path_sample))
-            assert np.max(np.abs(got.path_sample - ref.path_sample)) <= 1e-10 * scale
-        else:
-            assert got.path_sample is None
 
     @pytest.mark.parametrize("dims, t, k", [
         ((2, 3, 5), 0, 0), ((1, 1, 4), 0, 2), ((3, 2, 1), 0, 0), ((2, 2, 6), 2, 5), (None, 0, 1),
@@ -427,21 +415,20 @@ class TestBlockLayout:
         cfg = mc.SimConfig(paths=600, seed=p.N, noise_law=law)
         w = mc.draw_noise(cfg, cfg.paths, p.N)
         devs = (None, np.linspace(0.5, -0.3, p.m))
-        ref, _, _ = mc._rollout(p, gains, 0, x0, cfg.paths, _rows(w), deviations=devs)
+        ref, _ = mc._rollout(p, gains, 0, x0, cfg.paths, _rows(w), deviations=devs)
         for block, paths in [(7, 600), (64, 599), (600, 37), (2, 5), (1, 9), (13, 1)]:
             monkeypatch.setattr(mc, "BLOCK", block)
-            got, _, _ = mc._rollout(p, gains, 0, x0, paths, _rows(w), deviations=devs)
+            got, _ = mc._rollout(p, gains, 0, x0, paths, _rows(w), deviations=devs)
             assert np.array_equal(got, ref[:, :paths])
 
-    def test_moments_and_sample_are_independent_of_blocks(self, example_solved, monkeypatch):
+    def test_moments_are_independent_of_blocks(self, example_solved, monkeypatch):
         p, gains = example_solved
         init = InitialPair(0, np.array([0.4, -1.0]))
-        cfg = mc.SimConfig(paths=500, seed=8, keep_paths=20)
+        cfg = mc.SimConfig(paths=500, seed=8)
         ref = mc.simulate(p, init, gains, cfg)
         monkeypatch.setattr(mc, "BLOCK", 7)
         got = mc.simulate(p, init, gains, cfg)
         assert got.mean_cost == ref.mean_cost
-        assert np.array_equal(got.path_sample, ref.path_sample)
         for a, b in zip(got.trajectory_moments, ref.trajectory_moments, strict=True):
             # the per-block sums add up in another order
             scale = 1.0 + max(np.max(np.abs(b["mean"])), np.max(np.abs(b["cov"])))

@@ -112,11 +112,12 @@ class TestSolveGdreGlobal:
     def test_single_step_hand_assembly(self, rng):
         p = make_problem(rng, 2, 2, 1)
         _, gains, _ = recursion.solve_gdre_global(p)
-        cal = p.cal
-        cB, cD = cal.B(0, 0), cal.D(0, 0)
-        W = cal.R(0, 0) + cB.T @ cal.G(0) @ cB + cD.T @ p.G[0] @ cD
-        H = cB.T @ cal.G(0) @ cal.A(0, 0) + cD.T @ p.G[0] @ cal.C(0, 0)
-        beta = cB.T @ (cal.G(0) @ p.f[0, 0] + p.g[0]) + cD.T @ p.G[0] @ p.d[0, 0] + p.rho[0, 0]
+        cA, cB = p.A[0, 0] + p.Abar[0, 0], p.B[0, 0] + p.Bbar[0, 0]
+        cC, cD = p.C[0, 0] + p.Cbar[0, 0], p.D[0, 0] + p.Dbar[0, 0]
+        cR, cG = p.R[0, 0] + p.Rbar[0, 0], p.G[0] + p.Gbar[0]
+        W = cR + cB.T @ cG @ cB + cD.T @ p.G[0] @ cD
+        H = cB.T @ cG @ cA + cD.T @ p.G[0] @ cC
+        beta = cB.T @ (cG @ p.f[0, 0] + p.g[0]) + cD.T @ p.G[0] @ p.d[0, 0] + p.rho[0, 0]
         np.testing.assert_allclose(gains.W[0], W, atol=1e-12)
         np.testing.assert_allclose(gains.H[0], H, atol=1e-12)
         np.testing.assert_allclose(gains.beta[0], beta, atol=1e-12)
@@ -251,8 +252,9 @@ class TestBatchedSweep:
                   make_problem(rng, 3, 2, 6, scale=1.5)):
             for tab, gains, rep in recursion.solve_shifts(p, (0.0, 0.5)):
                 for k in range(p.N):
-                    cB, cD = p.cal.B(k, k), p.cal.D(k, k)
-                    m2 = p.cal.R(k, k) + cB.T @ tab.Pcal[k, k + 1] @ cB + cD.T @ tab.P[k, k + 1] @ cD
+                    cB, cD = p.B[k, k] + p.Bbar[k, k], p.D[k, k] + p.Dbar[k, k]
+                    cR = p.R[k, k] + p.Rbar[k, k]
+                    m2 = cR + cB.T @ tab.Pcal[k, k + 1] @ cB + cD.T @ tab.P[k, k + 1] @ cD
                     assert rep.M2[k].tobytes() == m2.tobytes()
                     assert recursion.assemble_m2(p, tab, k).tobytes() == m2.tobytes()
                     assert rep.convexity_verdicts[k] == mx.psd_check(m2)

@@ -93,9 +93,10 @@ def stationarity_gradient(p, state_k, control, k):
     """Left side of the first-order condition at step k, per level-k node."""
     z = solve_bsde(p, state_k, k)
     zn = z.values[k + 1]
-    cal = p.cal
-    return (control.values[k] @ cal.R(k, k).T + child_mean(zn) @ cal.B(k, k)
-            + child_wmean(zn) @ cal.D(k, k) + p.rho[k, k])
+    cR, cB, cD = (p.R[k, k] + p.Rbar[k, k], p.B[k, k] + p.Bbar[k, k],
+                  p.D[k, k] + p.Dbar[k, k])
+    return (control.values[k] @ cR.T + child_mean(zn) @ cB + child_wmean(zn) @ cD
+            + p.rho[k, k])
 
 
 def stationarity_residuals(p, init, control, t):
@@ -113,10 +114,9 @@ def variation_cost(p, k, ubar):
     ub = np.asarray(ubar, dtype=float)
     scalar_input = ub.ndim == 1
     nodes = np.tile(ub, (2**k, 1)) if scalar_input else ub
-    cal = p.cal
     y = AdaptedProcess({k: np.zeros((2**k, p.n))})
-    jump_drift = nodes @ cal.B(k, k).T
-    jump_diff = nodes @ cal.D(k, k).T
+    jump_drift = nodes @ (p.B[k, k] + p.Bbar[k, k]).T
+    jump_diff = nodes @ (p.D[k, k] + p.Dbar[k, k]).T
     first = np.empty((2 ** (k + 1), p.n))
     first[0::2] = jump_drift + jump_diff
     first[1::2] = jump_drift - jump_diff
@@ -130,7 +130,7 @@ def variation_cost(p, k, ubar):
         nxt[0::2] = drift + diff
         nxt[1::2] = drift - diff
         y.values[l + 1] = nxt
-    total = np.einsum("ni,ij,nj->n", nodes, cal.R(k, k), nodes)
+    total = np.einsum("ni,ij,nj->n", nodes, p.R[k, k] + p.Rbar[k, k], nodes)
     for l in range(k, p.N):
         yl = y.values[l]
         qy = np.einsum("ni,ij,nj->n", yl, p.Q[k, l], yl)
