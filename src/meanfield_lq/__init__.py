@@ -19,7 +19,7 @@ from .errors import (
     NumericalBreakdown,
     ProblemFormatError,
 )
-from .matrices import PsdVerdict, eig_general_2x2, pinv, psd_check, range_residual
+from .matrices import PsdVerdict, pinv, psd_check, range_residual
 from .model import (
     InitialPair,
     ProblemData,
@@ -33,12 +33,11 @@ from .recursion import (
     RecursionTables,
     SolvabilityReport,
     convexity_margins,
-    solve_epsilon,
     solve_gdre_global,
     solve_shifts,
     solve_symmetric,
 )
-from .montecarlo import SimConfig, SimResult, estimate_deviation_gap, simulate
+from .montecarlo import SimConfig, SimResult, simulate
 from .tree import (
     AdaptedProcess,
     EquilibriumCertificate,

@@ -120,6 +120,9 @@ def cmd_verify(args) -> int:
     started = time.monotonic()
     p, findings, sha = _load_problem(args.input)
     # certification needs exactly N levels; the depth cap applies without --force
+    if p.N > tree.MAX_DEPTH and not args.force:
+        raise MeanfieldLQError(f"tree depth {p.N} exceeds the cap {tree.MAX_DEPTH}; "
+                               "pass --force to override")
     scen = tree.ScenarioTree(p.N, force=args.force)
     t = args.t
     if not (0 <= t < p.N):

@@ -1,4 +1,4 @@
-"""Small dense-matrix kernel: pseudoinverse, PSD verdicts, tiny spectra.
+"""Small dense-matrix kernel: pseudoinverse, PSD verdicts, range residuals.
 
 Everything here operates on plain ``numpy`` arrays of modest size (the
 solvers never exceed a few dozen rows), favouring explicit tolerances over
@@ -32,19 +32,14 @@ def sym_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def fro(m) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(m, dtype=float)))
-
-
 def fro_each(m) -> np.ndarray:
     """Frobenius norm of every matrix in a stack.
 
     Each norm is the square root of one dot product of the matrix's entries
-    in row order, the arithmetic of ``fro`` on a row-major matrix: a stacked
-    row-times-column ``matmul`` is computed as that dot product.  A
-    pairwise-summed norm (``np.linalg.norm`` with ``axis``) can differ from
-    it in the last bit.
+    in row order, the arithmetic of ``np.linalg.norm`` on one row-major
+    matrix: a stacked row-times-column ``matmul`` is computed as that dot
+    product.  A pairwise-summed norm (``np.linalg.norm`` with ``axis``) can
+    differ from it in the last bit.
     """
     a = np.ascontiguousarray(m, dtype=float)
     flat = a.reshape(a.shape[:-2] + (-1,))
@@ -86,20 +81,6 @@ def pinv(m) -> np.ndarray:
     return np.where(zero, at, out) if zero.any() else out
 
 
-def penrose_residuals(m, m_dag) -> tuple[float, float, float, float]:
-    """Frobenius residuals of the four Penrose identities for (M, M^+)."""
-    a = _as_matrix(m)
-    d = _as_matrix(m_dag)
-    ad = a @ d
-    da = d @ a
-    return (
-        fro(ad @ a - a),
-        fro(da @ d - d),
-        fro(ad.T - ad),
-        fro(da.T - da),
-    )
-
-
 def psd_check(m, tol: float | None = None) -> PsdVerdict:
     """Smallest eigenvalue of the symmetrised matrix against a tolerance.
 
@@ -125,14 +106,6 @@ def psd_checks(m, tol: float | None = None) -> list[PsdVerdict]:
             for v, t in zip(lam.ravel().tolist(), tols.ravel().tolist())]
 
 
-def sym_eigenvalues(m) -> np.ndarray:
-    """Ascending eigenvalues of the symmetrised matrix."""
-    a = _as_matrix(m, "sym_eigenvalues input")
-    if a.shape[0] != a.shape[1]:
-        raise NonSquare(f"sym_eigenvalues needs a square matrix, got {a.shape}")
-    return np.linalg.eigvalsh(sym_part(a))
-
-
 def range_residual(w, v) -> float:
     """Normalised residual ||(I - W W^+) V||_F / (1 + ||V||_F).
 
@@ -155,27 +128,3 @@ def range_residuals(w, w_dag, v) -> np.ndarray:
     proj = w @ w_dag
     return fro_each(v - proj @ v) / (1.0 + fro_each(v))
 
-
-def eig_general_2x2(m) -> tuple[complex, complex]:
-    """Eigenvalues of a (possibly nonsymmetric) 2x2 matrix.
-
-    Quadratic formula with a cancellation-safe root pairing; complex pairs
-    are returned as conjugates.  Larger nonsymmetric spectra are out of
-    scope for this kernel.
-    """
-    a = _as_matrix(m, "eig_general_2x2 input")
-    if a.shape != (2, 2):
-        raise DimensionMismatch(f"eig_general_2x2 needs a 2x2 matrix, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NonFinite("eig_general_2x2: input has non-finite entries")
-    tr = a[0, 0] + a[1, 1]
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    disc = tr * tr - 4.0 * det
-    if disc < 0.0:
-        s = np.sqrt(-disc)
-        return complex(tr / 2.0, s / 2.0), complex(tr / 2.0, -s / 2.0)
-    s = np.sqrt(disc)
-    # take the larger-magnitude root first, recover the other from det
-    r1 = (tr + s) / 2.0 if tr >= 0.0 else (tr - s) / 2.0
-    r2 = det / r1 if r1 != 0.0 else 0.0
-    return complex(r1), complex(r2)

@@ -118,7 +118,7 @@ def _atom_state(p: ProblemData, init: InitialPair) -> np.ndarray:
     return x
 
 
-def _plan(p: ProblemData, gains, t: int, x0: np.ndarray, deviation):
+def _plan(p: ProblemData, gains, t: int, x0: np.ndarray):
     """The path-independent part of a rollout from the atom x0 at step t.
 
     The closed-loop equilibrium state x and the (t, .)-family state y are
@@ -126,13 +126,11 @@ def _plan(p: ProblemData, gains, t: int, x0: np.ndarray, deviation):
     diagonal script sums cA[k, k], ..., cD[k, k], y through the (t, k)
     blocks.  The control u = Psi_k x + alpha_k is substituted into the
     blocks, so a step is z <- kd z + cd + (kw z + cw) w_k and its cost is
-    z' weight z + 2 lin'z plus mean-field terms.  The family
-    sees alpha_t + ``deviation`` at step t; x always follows the
-    equilibrium feedback.  The noise is zero-mean and independent of z_k,
-    so the exact mean follows m <- kd m + cd, and every E_t factor (in cd,
-    cw and the cost) is read off m.  In the centred state d = z - m a step
-    is d <- kd d + (kw d + kw m + cw) w_k and its cost d' weight d + 2 (weight
-    m + lin)'d plus a constant.
+    z' weight z + 2 lin'z plus mean-field terms.  The noise is zero-mean
+    and independent of z_k, so the exact mean follows m <- kd m + cd, and
+    every E_t factor (in cd, cw and the cost) is read off m.  In the
+    centred state d = z - m a step is d <- kd d + (kw d + kw m + cw) w_k
+    and its cost d' weight d + 2 (weight m + lin)'d plus a constant.
 
     Returns the per-step (6n, 2n + 1) matrices [weight, lin2; kw, c; kd, 0]
     with lin2 = 2 (weight m + lin) and c = kw m + cw the centred noise
@@ -148,20 +146,19 @@ def _plan(p: ProblemData, gains, t: int, x0: np.ndarray, deviation):
     for k in range(t, p.N):
         mx, my = m[:n], m[n:]
         psi, alpha = gains.Psi[k], gains.alpha[k]
-        af = alpha if deviation is None or k > t else alpha + deviation
-        mu = psi @ mx + af
+        mu = psi @ mx + alpha
         R, rho = s.R[t, k], s.rho[t, k]
         weight = np.block([[psi.T @ R @ psi, zero], [zero, s.Q[t, k]]])
-        lin = np.concatenate([psi.T @ (R @ af + rho), s.q[t, k]])
+        lin = np.concatenate([psi.T @ (R @ alpha + rho), s.q[t, k]])
         offset += (m @ weight @ m + 2.0 * lin @ m
                    + my @ s.Qbar[t, k] @ my + mu @ s.Rbar[t, k] @ mu
-                   + af @ R @ af + 2.0 * rho @ af)
+                   + alpha @ R @ alpha + 2.0 * rho @ alpha)
         kd = np.block([[s.cA[k, k] + s.cB[k, k] @ psi, zero], [s.B[t, k] @ psi, s.A[t, k]]])
         kw = np.block([[s.cC[k, k] + s.cD[k, k] @ psi, zero], [s.D[t, k] @ psi, s.C[t, k]]])
         cd = np.concatenate([s.cB[k, k] @ alpha + s.f[k, k],
-                             s.B[t, k] @ af + s.Abar[t, k] @ my + s.Bbar[t, k] @ mu + s.f[t, k]])
+                             s.B[t, k] @ alpha + s.Abar[t, k] @ my + s.Bbar[t, k] @ mu + s.f[t, k]])
         cw = np.concatenate([s.cD[k, k] @ alpha + s.d[k, k],
-                             s.D[t, k] @ af + s.Cbar[t, k] @ my + s.Dbar[t, k] @ mu + s.d[t, k]])
+                             s.D[t, k] @ alpha + s.Cbar[t, k] @ my + s.Dbar[t, k] @ mu + s.d[t, k]])
         bias = np.concatenate([2.0 * (weight @ m + lin), kw @ m + cw, np.zeros(2 * n)])
         coefs.append(np.column_stack([np.vstack([weight, kw, kd]), bias]))
         m = kd @ m + cd
@@ -188,7 +185,7 @@ def exact_moments(p: ProblemData, gains, init: InitialPair) -> tuple[float, list
     if t >= p.N:
         raise HorizonMismatch(f"initial time {t} >= horizon {p.N}")
     n = p.n
-    coefs, (G, _), cost, means = _plan(p, gains, t, _atom_state(p, init), None)
+    coefs, (G, _), cost, means = _plan(p, gains, t, _atom_state(p, init))
     S = np.zeros((2 * n, 2 * n))
     covs = [S]
     for coef in coefs:
@@ -204,24 +201,20 @@ def exact_moments(p: ProblemData, gains, init: InitialPair) -> tuple[float, list
 
 
 @np.errstate(over="ignore", invalid="ignore")  # checked: a non-finite result raises
-def _rollout(p: ProblemData, gains, t: int, x0: np.ndarray, paths: int, noise,
-             deviations=(None,)):
+def _rollout(p: ProblemData, gains, t: int, x0: np.ndarray, paths: int, noise):
     """Per-path family costs over steps t..N-1, streamed in blocks of paths.
 
     ``noise(start, rows)`` returns rows start..start+rows-1 of the
     (paths, N - t) noise matrix.  Each block of ``BLOCK`` paths is drawn
-    once and rolled, for every entry of ``deviations`` (None or an m-vector
-    added to alpha_t), through all steps on one (2n, rows) centred state.
+    once and rolled through all steps on one (2n, rows) centred state.
     Only the per-path costs grow with the path count.
 
-    Returns the (len(deviations), paths) costs and the {"k", "mean", "cov"}
-    sample moments of x at steps t..N under the first entry, accumulated
-    as sums centred on the exact mean.
+    Returns the (paths,) costs and the {"k", "mean", "cov"} sample moments
+    of x at steps t..N, accumulated as sums centred on the exact mean.
     """
     n, steps = p.n, p.N - t
-    plans = [_plan(p, gains, t, x0, dev) for dev in deviations]
-    means = plans[0][3]
-    costs = np.empty((len(plans), paths))
+    coefs, (G, g2), offset, means = _plan(p, gains, t, x0)
+    costs = np.empty(paths)
     s1 = np.zeros((steps + 1, n))
     s2 = np.zeros((steps + 1, n, n))
 
@@ -233,36 +226,29 @@ def _rollout(p: ProblemData, gains, t: int, x0: np.ndarray, paths: int, noise,
         cols = max(rows, 2)
         w = np.ascontiguousarray(noise(start, rows).T)  # step j's noise is row j
         wk = np.zeros(cols)
-        for i, (coefs, (G, g2), offset, _) in enumerate(plans):
-            # the centred state over a constant row of ones, which applies
-            # each step's offsets inside its matmul
-            d = np.zeros((2 * n + 1, cols))
-            d[2 * n] = 1.0
-            z = d[:2 * n]
-            out = np.empty((6 * n, cols))
-            cost = np.full(cols, offset)
-
-            def record(j):
-                x = d[:n, :rows]
-                s1[j] += x.sum(axis=1)
-                s2[j] += x @ x.T
-
-            for j, coef in enumerate(coefs):
-                if i == 0:
-                    record(j)
-                np.matmul(coef, d, out=out)
-                q, kwd, kdd = out[:2 * n], out[2 * n:4 * n], out[4 * n:]
-                cost += np.einsum("in,in->n", q, z)
-                wk[:rows] = w[j]
-                kwd *= wk
-                np.add(kdd, kwd, out=z)
-            if i == 0:
-                record(steps)
-            y, q = d[n:2 * n], out[:n]
-            np.matmul(G, y, out=q)
-            q += g2[:, None]
-            cost += np.einsum("in,in->n", q, y)
-            costs[i, start:start + rows] = cost[:rows]
+        # the centred state over a constant row of ones, which applies each
+        # step's offsets inside its matmul
+        d = np.zeros((2 * n + 1, cols))
+        d[2 * n] = 1.0
+        z, x = d[:2 * n], d[:n, :rows]
+        out = np.empty((6 * n, cols))
+        cost = np.full(cols, offset)
+        for j, coef in enumerate(coefs):
+            s1[j] += x.sum(axis=1)
+            s2[j] += x @ x.T
+            np.matmul(coef, d, out=out)
+            q, kwd, kdd = out[:2 * n], out[2 * n:4 * n], out[4 * n:]
+            cost += np.einsum("in,in->n", q, z)
+            wk[:rows] = w[j]
+            kwd *= wk
+            np.add(kdd, kwd, out=z)
+        s1[steps] += x.sum(axis=1)
+        s2[steps] += x @ x.T
+        y, q = d[n:2 * n], out[:n]
+        np.matmul(G, y, out=q)
+        q += g2[:, None]
+        cost += np.einsum("in,in->n", q, y)
+        costs[start:start + rows] = cost[:rows]
     if not (np.isfinite(costs).all() and np.isfinite(s2).all()):
         raise NumericalBreakdown("a per-path cost or second moment is not finite")
 
@@ -289,7 +275,6 @@ def simulate(p: ProblemData, init: InitialPair, gains, cfg: SimConfig) -> SimRes
     steps = p.N - t
     costs, moments = _rollout(p, gains, t, x0, cfg.paths,
                               lambda start, rows: draw_noise(cfg, rows, steps, start))
-    costs = costs[0]
     mean_cost = float(costs.mean())
     std_error = None
     if cfg.paths > 1:
@@ -299,41 +284,3 @@ def simulate(p: ProblemData, init: InitialPair, gains, cfg: SimConfig) -> SimRes
             raise NumericalBreakdown("the spread of the per-path costs is not finite")
     return SimResult(mean_cost, std_error, moments)
 
-
-def estimate_deviation_gap(p: ProblemData, init: InitialPair, gains, k: int,
-                           perturbation, cfg: SimConfig,
-                           history=None) -> tuple[float, float | None]:
-    """Paired estimate of the one-instant deviation cost gap at step k.
-
-    Conditions on an information-set atom at k (noise history ``history``,
-    all +1 by default), rolls the equilibrium pair forward under common
-    random numbers, and compares the restarted cost of the deviated control
-    (shifted by ``perturbation`` at step k only) against the candidate.
-    """
-    t = init.t
-    if not (t <= k < p.N):
-        raise HorizonMismatch(f"deviation step {k} outside {{{t}..{p.N - 1}}}")
-    x0 = _atom_state(p, init)
-    hist = [1.0] * (k - t) if history is None else [float(h) for h in history]
-    if len(hist) != k - t:
-        raise DimensionMismatch(f"history must have length {k - t}")
-    s = stacks(p)
-    xk = x0.copy()
-    for j in range(t, k):
-        u = gains.Psi[j] @ xk + gains.alpha[j]
-        drift = s.cA[j, j] @ xk + s.cB[j, j] @ u + s.f[j, j]
-        diff = s.cC[j, j] @ xk + s.cD[j, j] @ u + s.d[j, j]
-        xk = drift + diff * hist[j - t]
-
-    delta = np.asarray(perturbation, dtype=float)
-    if delta.shape != (p.m,):
-        raise DimensionMismatch(f"perturbation has shape {delta.shape}, expected ({p.m},)")
-    steps = p.N - k
-    costs, _ = _rollout(p, gains, k, xk, cfg.paths,
-                        lambda start, rows: draw_noise(cfg, rows, steps, start),
-                        deviations=(None, delta))
-    gap = costs[1] - costs[0]
-    se = None
-    if cfg.paths > 1:
-        se = float(gap.std(ddof=1) / np.sqrt(cfg.paths))
-    return float(gap.mean()), se

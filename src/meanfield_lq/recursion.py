@@ -23,7 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import matrices as mx, model
-from .errors import EpsilonNonPositive, NumericalBreakdown
+from .errors import NumericalBreakdown
 from .matrices import PsdVerdict
 from .model import Family, ProblemData
 
@@ -170,19 +170,14 @@ def _m2_stack(s: SimpleNamespace, tables: RecursionTables) -> np.ndarray:
     return s.cR[k, k] + _t(cB) @ Pc @ cB + _t(cD) @ P @ cD
 
 
-def assemble_m2(p: ProblemData, tables: RecursionTables, k: int) -> np.ndarray:
-    """Quadratic coefficient of a one-instant control deviation at step k."""
-    return _m2_stack(model.stacks(p), tables)[k]
-
-
-def convexity_margins(p: ProblemData, tables: RecursionTables, tol: float | None = None,
+def convexity_margins(p: ProblemData, tables: RecursionTables,
                       stacks: SimpleNamespace | None = None
                       ) -> tuple[list[PsdVerdict], list[np.ndarray]]:
     """Per-step PSD verdicts for the deviation-cost coefficients, from one
     stacked eigenvalue call.  ``stacks`` is `model.stacks(p)`, when the
     caller already has it."""
     m2 = _m2_stack(model.stacks(p) if stacks is None else stacks, tables)
-    return mx.psd_checks(m2, tol), list(m2)
+    return mx.psd_checks(m2), list(m2)
 
 
 def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -190,7 +185,7 @@ def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[..., None])[..., 0]
 
 
-def _sweep(p: ProblemData, shifts: tuple, range_tol: float) -> list:
+def _sweep(p: ProblemData, shifts: tuple) -> list:
     """The stage sweep of `solve_gdre_global` for every W-shift in
     ``shifts`` at once, one (tables, gains, report) per shift.
 
@@ -278,23 +273,22 @@ def _sweep(p: ProblemData, shifts: tuple, range_tol: float) -> list:
             M2=mats,
             rangeH_residuals=res_h[b].tolist(),
             rangeBeta_residuals=res_b[b].tolist(),
-            verdict_all_pairs=psd and bool((res_h[b] <= range_tol).all()
-                                           and (res_b[b] <= range_tol).all()),
+            verdict_all_pairs=psd and bool((res_h[b] <= RANGE_TOL).all()
+                                           and (res_b[b] <= RANGE_TOL).all()),
             per_pair_note=(
                 "fixed-pair solvability additionally needs the projected residual "
                 "(I - W Wdag)(H X + beta) = 0 along the trajectory realised from the "
                 "initial pair; it depends on that pair, so this all-pairs report "
                 "does not test it"
             ),
-            range_tolerance=range_tol,
+            range_tolerance=RANGE_TOL,
         )
         gains = GainSchedule(*(list(a[b]) for a in (W, Wdag, H, beta, Psi, alpha)))
         out.append((tables[b], gains, report))
     return out
 
 
-def solve_gdre_global(p: ProblemData, epsilon: float = 0.0,
-                      range_tol: float = RANGE_TOL) -> tuple[RecursionTables, GainSchedule, SolvabilityReport]:
+def solve_gdre_global(p: ProblemData) -> tuple[RecursionTables, GainSchedule, SolvabilityReport]:
     """Solve every table and assemble the gain schedule in one stage sweep.
 
     For l = N-1 .. 0: the gains of step l are assembled (and their
@@ -303,44 +297,34 @@ def solve_gdre_global(p: ProblemData, epsilon: float = 0.0,
     Each row's arithmetic is that of a per-cell update, operand for
     operand, so a row does not depend on how many rows share its stage.
 
-    ``epsilon`` > 0 adds epsilon * I to the control weight sum inside the
-    W blocks only (the perturbed-cost variant); the recursions themselves
-    are unchanged apart from flowing through the perturbed pseudoinverses.
-
-    Raises NumericalBreakdown when a stage produces a non-finite entry; a
-    perturbed problem's message names its epsilon.
+    Raises NumericalBreakdown when a stage produces a non-finite entry.
     """
-    return solve_shifts(p, (epsilon,), range_tol)[0]
+    return solve_shifts(p, (0.0,))[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def solve_shifts(p: ProblemData, shifts, range_tol: float = RANGE_TOL
+def solve_shifts(p: ProblemData, shifts
                  ) -> list[tuple[RecursionTables, GainSchedule, SolvabilityReport]]:
     """`solve_gdre_global` for every control-weight shift in ``shifts``, in
     one stage sweep: one (tables, gains, report) per shift, each bit for
-    bit that of its own `solve_gdre_global` call.
+    bit that of its own one-member sweep.  A shift eps adds eps * I to the
+    control weight sum inside the W blocks only (the perturbed-cost
+    variant); the recursions themselves are unchanged apart from flowing
+    through the perturbed pseudoinverses.
 
     Raises the NumericalBreakdown that solving the shifts one after another
-    would raise first.
+    would raise first; a shifted member's message names its eps.
     """
     shifts = tuple(float(e) for e in shifts)
     if not shifts:
         return []
     try:
-        return _sweep(p, shifts, range_tol)
+        return _sweep(p, shifts)
     except _Breakdown as exc:
         if exc.member:  # an earlier member may still break down at a later stage
-            solve_shifts(p, shifts[:exc.member], range_tol)
+            solve_shifts(p, shifts[:exc.member])
         eps = shifts[exc.member]
         raise NumericalBreakdown(f"{exc} (eps={eps!r})" if eps else str(exc)) from None
-
-
-def solve_epsilon(p: ProblemData, epsilon: float) -> tuple[GainSchedule, RecursionTables]:
-    """Gain schedule of the perturbed problem with control weight + eps * I."""
-    if not (np.isfinite(epsilon) and epsilon > 0.0):
-        raise EpsilonNonPositive(f"epsilon must be finite and > 0, got {epsilon}")
-    tables, gains, _ = solve_gdre_global(p, epsilon=float(epsilon))
-    return gains, tables
 
 
 def gains_to_dict(gains: GainSchedule) -> dict:

@@ -56,6 +56,8 @@ from .errors import DimensionMismatch, HorizonMismatch, NumericalBreakdown
 from .model import InitialPair, ProblemData, stacks
 
 MAX_DEPTH = 14
+TOL_STATIONARY = 1e-8
+TOL_CONVEXITY = 1e-9
 
 
 class ScenarioTree:
@@ -69,32 +71,6 @@ class ScenarioTree:
                 f"tree depth {depth} exceeds the cap {MAX_DEPTH}; pass force=True to override"
             )
         self.depth = depth
-
-
-def cond_mean(values: np.ndarray, level: int, k: int) -> np.ndarray:
-    """Conditional expectation given level k of a level-`level` process."""
-    if k > level:
-        raise HorizonMismatch(f"cannot condition level {level} on later level {k}")
-    v = np.asarray(values, dtype=float)
-    width = 2 ** (level - k)
-    return v.reshape(2**k, width, -1).mean(axis=1)
-
-
-def lift(values: np.ndarray, k: int, level: int) -> np.ndarray:
-    """Broadcast a level-k process to its level-`level` descendants."""
-    if level < k:
-        raise HorizonMismatch(f"cannot lift level {k} down to {level}")
-    return np.repeat(np.asarray(values, dtype=float), 2 ** (level - k), axis=0)
-
-
-def child_mean(values: np.ndarray) -> np.ndarray:
-    """E_l of a level-(l+1) process: plain average of the two children."""
-    return 0.5 * (values[0::2] + values[1::2])
-
-
-def child_wmean(values: np.ndarray) -> np.ndarray:
-    """E_l of (level-(l+1) process * w_l): signed half-difference of children."""
-    return 0.5 * (values[0::2] - values[1::2])
 
 
 @dataclass
@@ -112,15 +88,6 @@ class AdaptedProcess:
                 raise DimensionMismatch(f"level {lev} has {v.shape[0]} nodes, expected {2**lev}")
             if dim is not None and v.shape[1] != dim:
                 raise DimensionMismatch(f"level {lev} has dim {v.shape[1]}, expected {dim}")
-
-    def copy(self) -> "AdaptedProcess":
-        return AdaptedProcess({k: v.copy() for k, v in self.values.items()})
-
-
-def constant_control(p: ProblemData, t: int, value=None) -> AdaptedProcess:
-    """Control process equal to one fixed vector (default zero) at every node."""
-    vec = np.zeros(p.m) if value is None else np.asarray(value, dtype=float)
-    return AdaptedProcess({k: np.tile(vec, (2**k, 1)) for k in range(t, p.N)})
 
 
 def _check_tree(p: ProblemData, tree: ScenarioTree | None) -> ScenarioTree:
@@ -421,14 +388,6 @@ def variation_cost(p: ProblemData, k: int, ubar, tree: ScenarioTree | None = Non
     return _variation(_Blocks(p), k, ub.T[:, None, :])[0]
 
 
-def deviated_control(control: AdaptedProcess, k: int, delta) -> AdaptedProcess:
-    """Copy of a control with the level-k values shifted by ``delta``."""
-    out = control.copy()
-    d = np.asarray(delta, dtype=float)
-    out.values[k] = out.values[k] + d
-    return out
-
-
 def difference_formula_check(p: ProblemData, k: int, zeta, u: AdaptedProcess,
                              ubar, lam: float, tree: ScenarioTree | None = None) -> float:
     """Residual of the exact cost-difference expansion at step k.
@@ -500,7 +459,6 @@ class EquilibriumCertificate:
 @np.errstate(over="ignore", invalid="ignore")  # checked: a non-finite result raises
 def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProcess,
                         t: int, seed: int = 20240801,
-                        tol_stationary: float = 1e-8, tol_convexity: float = 1e-9,
                         tree: ScenarioTree | None = None,
                         tables=None) -> EquilibriumCertificate:
     """Exact certification: stationarity, convexity and the worst deviation.
@@ -511,8 +469,8 @@ def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProce
     The convexity value is lambda_min(M_k), and the per-node worst gap
     ``min_gap`` is -g' M_k^+ g, at v* = -M_k^+ g.  ``realised_gap`` is the
     cost change of rolling every node's v* on the tree; it is reported
-    only.  The verdict needs every residual max |g| <= tol_stationary and
-    every lambda_min and min_gap >= -tol_convexity.  That covers every
+    only.  The verdict needs every residual max |g| <= TOL_STATIONARY and
+    every lambda_min and min_gap >= -TOL_CONVEXITY.  That covers every
     deviation: a non-PSD M_k fails the convexity term, and a part of g
     outside range(M_k), along which the cost is unbounded below, is no
     longer than g.
@@ -561,9 +519,9 @@ def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProce
             raise NumericalBreakdown(f"the restarted cost or certificate is not finite at step {k}")
 
     lows = [*convexity.values(), *(g["min_gap"] for g in gaps)]
-    ok = (all(v <= tol_stationary for v in residuals.values())
-          and all(v >= -tol_convexity for v in lows))
+    ok = (all(v <= TOL_STATIONARY for v in residuals.values())
+          and all(v >= -TOL_CONVEXITY for v in lows))
     checks = None if tables is None else {"representation_residuals": representation,
                                           "difference_formula_residuals": difference}
-    return EquilibriumCertificate(residuals, convexity, gaps, ok, tol_stationary, tol_convexity,
+    return EquilibriumCertificate(residuals, convexity, gaps, ok, TOL_STATIONARY, TOL_CONVEXITY,
                                   seed, checks)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from meanfield_lq import model
+from meanfield_lq.tree import AdaptedProcess
 
 
 def rand_psd(rng, d, scale=0.5):
@@ -124,6 +125,24 @@ def duplicated_control_problem(rng, n=2, N=3):
         p.Rbar[t, k] = np.zeros((m, m))
         p.rho[t, k] = float(rng.normal()) * np.ones(m)
     return p
+
+
+def constant_control(p, t, value=None):
+    """Control process equal to one fixed vector (default zero) at every node."""
+    vec = np.zeros(p.m) if value is None else np.asarray(value, dtype=float)
+    return AdaptedProcess({k: np.tile(vec, (2**k, 1)) for k in range(t, p.N)})
+
+
+def fro(m):
+    """Frobenius norm."""
+    return float(np.linalg.norm(np.asarray(m, dtype=float)))
+
+
+def penrose_residuals(a, d):
+    """Frobenius residuals of the four Penrose identities for (M, M^+)."""
+    a, d = np.asarray(a, dtype=float), np.asarray(d, dtype=float)
+    ad, da = a @ d, d @ a
+    return fro(ad @ a - a), fro(da @ d - d), fro(ad.T - ad), fro(da.T - da)
 
 
 def random_dims(rng, max_nm=3, max_N=5):

@@ -88,27 +88,3 @@ def simulate(p, init, gains, cfg):
         moments.append({"k": k, "mean": xk.mean(axis=0), "cov": cov})
     return mc.SimResult(float(costs.mean()), std_error, moments)
 
-
-def deviation_gap(p, init, gains, k, perturbation, cfg):
-    """`montecarlo.estimate_deviation_gap` (default history) by the two passes.
-
-    Also returns the mean restarted cost, the scale of the gap's rounding.
-    """
-    t = init.t
-    xk = np.asarray(init.x, dtype=float).copy()
-    for j in range(t, k):
-        u = gains.Psi[j] @ xk + gains.alpha[j]
-        cA, cB, cC, cD = _sums(p, j, j)
-        xk = cA @ xk + cB @ u + p.f[j, j] + cC @ xk + cD @ u + p.d[j, j]
-    w = mc.draw_noise(cfg, cfg.paths, p.N - k)
-    _, controls, means = closed_loop_paths(p, gains, xk, k, w)
-    base = family_cost_paths(p, k, xk, controls, means, w)
-    delta = np.asarray(perturbation, dtype=float)
-    deviated, deviated_means = dict(controls), dict(means)
-    deviated[k] = controls[k] + delta
-    deviated_means[k] = means[k] + delta
-    gap = family_cost_paths(p, k, xk, deviated, deviated_means, w) - base
-    se = None
-    if cfg.paths > 1:
-        se = float(gap.std(ddof=1) / np.sqrt(cfg.paths))
-    return float(gap.mean()), se, float(base.mean())

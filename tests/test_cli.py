@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from meanfield_lq import cli, model, recursion
+from meanfield_lq import cli, model, recursion, tree
 from meanfield_lq.errors import ProblemFormatError
 from meanfield_lq.model import canonical_dumps
 
@@ -364,14 +364,19 @@ class TestVerify:
         assert "Traceback" not in err
         assert not (tmp_path / "c.json").exists()
 
-    def test_horizon_over_cap_needs_force(self, tmp_path, rng):
+    def test_horizon_over_cap_needs_force(self, tmp_path, rng, capsys):
         from conftest import make_problem
 
-        p = make_problem(rng, 1, 1, 15)
+        N = tree.MAX_DEPTH + 1
+        p = make_problem(rng, 1, 1, N)
         path = tmp_path / "deep.json"
         model.save(p, path)
         assert run("verify", "--input", path, "--out", tmp_path / "c.json",
                    "--t", 0, "--x", "1") == 1
+        # the hint names the command-line option, not the library keyword
+        assert capsys.readouterr().err == (f"error: tree depth {N} exceeds the cap "
+                                           f"{tree.MAX_DEPTH}; pass --force to override\n")
+        assert not (tmp_path / "c.json").exists()
 
 
 class TestSimulate:
@@ -452,8 +457,9 @@ class TestEpsilonSweep:
         assert not any("monotonically" in w for w in doc["warnings"])
 
     def test_zero_epsilon_rejected(self, example_file, tmp_path):
-        assert run("epsilon-sweep", "--input", example_file, "--out", tmp_path / "s",
-                   "--eps", "0") == 1
+        for eps in ("0", "-1e-3"):
+            assert run("epsilon-sweep", "--input", example_file, "--out", tmp_path / "s",
+                       f"--eps={eps}") == 1
 
     def test_singular_weight_instance_emits_table(self, tmp_path, rng):
         from conftest import make_problem
@@ -505,7 +511,7 @@ class TestEpsilonSweep:
             assert doc["convexity_margins"] == rep0.convexity_margins
             assert doc["unperturbed_verdict_all_pairs"] == rep0.verdict_all_pairs
             for eps, row, line in zip((0.5, 1e-2, 1e-6), doc["sweep"], csv, strict=True):
-                g, _ = recursion.solve_epsilon(p, eps)
+                _, g, _ = recursion.solve_shifts(p, (eps,))[0]
                 norm = max(float(np.linalg.norm(g.Psi[k]) + np.linalg.norm(g.alpha[k]))
                            for k in range(p.N))
                 dist = max(max(float(np.max(np.abs(g.Psi[k] - g0.Psi[k]))),

@@ -7,6 +7,8 @@ from hypothesis.extra.numpy import arrays
 from meanfield_lq import matrices as mx
 from meanfield_lq.errors import DimensionMismatch, NonFinite, NonSquare
 
+from conftest import fro, penrose_residuals
+
 
 def penrose_ok(a, tol_factor=1e-10, rounding=False):
     # each identity bounded relative to its own scale: reconstruction
@@ -16,16 +18,16 @@ def penrose_ok(a, tol_factor=1e-10, rounding=False):
     # value just above the rank cutoff leaves M-dagger determined only to
     # that relative accuracy, so no pinv can do better there
     d = mx.pinv(a)
-    r1, r2, r3, r4 = mx.penrose_residuals(a, d)
-    cond_scale = mx.fro(a) * mx.fro(d)
+    r1, r2, r3, r4 = penrose_residuals(a, d)
+    cond_scale = fro(a) * fro(d)
     if np.isnan(cond_scale):  # 0 * inf from under/overflowing norms
         cond_scale = np.inf
     rel = tol_factor
     if rounding:
         rel += max(np.shape(a)) * mx.UNIT_ROUNDOFF * cond_scale
     return (
-        r1 <= rel * (1.0 + mx.fro(a))
-        and r2 <= rel * (1.0 + mx.fro(d))
+        r1 <= rel * (1.0 + fro(a))
+        and r2 <= rel * (1.0 + fro(d))
         and r3 <= tol_factor * (1.0 + cond_scale)
         and r4 <= tol_factor * (1.0 + cond_scale)
     )
@@ -69,7 +71,7 @@ class TestPinv:
         for _ in range(40):
             a = rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 9))))
             back = mx.pinv(mx.pinv(a))
-            assert np.max(np.abs(back - a)) <= 1e-8 * (1.0 + mx.fro(a))
+            assert np.max(np.abs(back - a)) <= 1e-8 * (1.0 + fro(a))
 
     @settings(max_examples=60, deadline=None)
     @given(arrays(np.float64, (3, 2),
@@ -139,7 +141,7 @@ class TestStackedChecks:
             for c in range(1, 8):
                 stack = rng.normal(size=(5, r, c)) * 10.0 ** rng.integers(-150, 150, size=(5, 1, 1))
                 got = mx.fro_each(stack)
-                assert [float(v) for v in got] == [mx.fro(a) for a in stack]
+                assert [float(v) for v in got] == [fro(a) for a in stack]
 
     def test_psd_checks_are_psd_check_of_each_matrix(self):
         rng = np.random.default_rng(14)
@@ -186,7 +188,7 @@ class TestPsdCheck:
             pmat = np.eye(d)[perm]
             v1 = mx.psd_check(a)
             v2 = mx.psd_check(pmat.T @ a @ pmat)
-            assert abs(v1.min_eigenvalue - v2.min_eigenvalue) < 1e-12 * (1 + mx.fro(a))
+            assert abs(v1.min_eigenvalue - v2.min_eigenvalue) < 1e-12 * (1 + fro(a))
 
 
 class TestRangeResidual:
@@ -213,32 +215,3 @@ class TestRangeResidual:
         with pytest.raises(DimensionMismatch):
             mx.range_residual(np.eye(2), np.ones((3, 1)))
 
-
-class TestEig2x2:
-    def test_diagonal(self):
-        r1, r2 = mx.eig_general_2x2([[2.0, 0.0], [0.0, 3.0]])
-        assert sorted([r1.real, r2.real]) == [2.0, 3.0]
-        assert r1.imag == r2.imag == 0.0
-
-    def test_reference_nonsymmetric_block(self):
-        # integer-printed reference matrix from the bundled example study
-        r = sorted(mx.eig_general_2x2([[12637.0, 932.0], [-6334.0, 3464.0]]),
-                   key=lambda z: -z.real)
-        assert abs(r[0].real - 11940.0) / 11940.0 < 0.01
-        assert abs(r[1].real - 4160.0) / 4160.0 < 0.01
-
-    def test_rotation_matrix(self):
-        r1, r2 = mx.eig_general_2x2([[0.0, 1.0], [-1.0, 0.0]])
-        assert {r1, r2} == {1j, -1j}
-
-    def test_matches_characteristic_polynomial(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            a = rng.normal(size=(2, 2)) * 4.0
-            for r in mx.eig_general_2x2(a):
-                val = (a[0, 0] - r) * (a[1, 1] - r) - a[0, 1] * a[1, 0]
-                assert abs(val) <= 1e-9 * (1.0 + mx.fro(a) ** 2)
-
-    def test_wrong_shape(self):
-        with pytest.raises(DimensionMismatch):
-            mx.eig_general_2x2(np.eye(3))

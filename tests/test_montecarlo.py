@@ -8,7 +8,7 @@ from meanfield_lq.errors import DimensionMismatch, EmptyConfig, HorizonMismatch
 from meanfield_lq.model import InitialPair
 
 import mc_reference
-from conftest import make_problem
+from conftest import constant_control, make_problem
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +143,7 @@ class TestSimulate:
             Psi=[np.zeros((p.m, p.n))] * p.N, alpha=[np.zeros(p.m)] * p.N,
         )
         init = InitialPair(0, np.array([1.0, 1.0]))
-        exact = float(tree.cost(p, init, tree.constant_control(p, 0), 0)[0])
+        exact = float(tree.cost(p, init, constant_control(p, 0), 0)[0])
         res = mc.simulate(p, init, zero, mc.SimConfig(paths=100_000, seed=19))
         assert np.isfinite(exact)
         assert abs(res.mean_cost - exact) <= 3.0 * res.std_error
@@ -204,61 +204,6 @@ class TestSimulate:
         assert 0.6 <= np.std(z, ddof=1) <= 1.5
 
 
-class TestDeviationGap:
-    def test_zero_perturbation_zero_gap(self, example_solved):
-        p, gains = example_solved
-        gap, se = mc.estimate_deviation_gap(p, InitialPair(0, np.ones(2)), gains, 1,
-                                            np.zeros(2), mc.SimConfig(paths=2000, seed=3))
-        assert gap == 0.0 and se == 0.0
-
-    def test_gap_matches_tree_value(self, example_solved):
-        p, gains = example_solved
-        init = InitialPair(0, np.array([1.0, 1.0]))
-        delta = np.array([1.0, 0.0])
-        gap, se = mc.estimate_deviation_gap(p, init, gains, 1, delta,
-                                            mc.SimConfig(paths=60000, seed=11))
-        _, control = tree.equilibrium_pair(p, gains, init)
-        star = tree.concatenated_state(p, control, init)
-        restart = InitialPair(1, star.values[1])
-        base = tree.cost(p, restart, control, 1)
-        pert = tree.cost(p, restart, tree.deviated_control(control, 1, delta), 1)
-        exact = float((pert - base)[0])  # the (+1) atom matches the default history
-        assert abs(gap - exact) <= 4.0 * se
-
-    def test_negated_gains_produce_negative_gap(self, rng):
-        p = make_problem(rng, 2, 2, 3, coupled=True)
-        _, gains, _ = recursion.solve_gdre_global(p)
-        bad = recursion.GainSchedule(
-            gains.W, gains.Wdag, gains.H, gains.beta,
-            [-s for s in gains.Psi], [-a for a in gains.alpha],
-        )
-        init = InitialPair(0, rng.normal(size=2) + 0.5)
-        worst = np.inf
-        for delta in (np.array([1.0, 0.0]), np.array([-1.0, 0.0]),
-                      np.array([0.0, 1.0]), np.array([0.0, -1.0])):
-            gap, se = mc.estimate_deviation_gap(p, init, bad, 0, delta,
-                                                mc.SimConfig(paths=4000, seed=17))
-            worst = min(worst, gap + 3.0 * (se or 0.0))
-        assert worst < 0.0
-
-    def test_common_random_numbers_reduce_variance(self, rng):
-        # modest deviations keep the paired costs positively correlated;
-        # very large ones can decorrelate them and lose the pairing gain
-        for _ in range(10):
-            p = make_problem(rng, 2, 2, 3, coupled=True)
-            _, gains, _ = recursion.solve_gdre_global(p)
-            x0 = rng.normal(size=2)
-            k = 1
-            cfg = mc.SimConfig(paths=4000, seed=int(rng.integers(0, 2**31)))
-            w = mc.draw_noise(cfg, cfg.paths, p.N - k)
-            xk = x0  # treat x0 as the step-k atom directly
-            (base, pert), _ = mc._rollout(p, gains, k, xk, cfg.paths, _rows(w),
-                                          deviations=(None, np.array([0.07, -0.02])))
-            paired = np.var(pert - base)
-            independent = np.var(pert) + np.var(base)
-            assert paired < independent
-
-
 def _rows(w):
     """A kernel noise source serving the blocks of a whole noise matrix."""
     return lambda start, rows: w[start:start + rows]
@@ -293,7 +238,7 @@ class TestEnumeratedNoise:
         init = InitialPair(0, x0)
         state, control = tree.equilibrium_pair(p, gains, init)
         exact = float(tree.cost(p, init, control, 0)[0])
-        assert abs(costs[0].mean() - exact) <= 1e-12 * abs(exact)
+        assert abs(costs.mean() - exact) <= 1e-12 * abs(exact)
         for row in moments:
             nodes = state.values[row["k"]]
             scale = 1.0 + np.max(np.abs(nodes))
@@ -388,20 +333,6 @@ class TestAgainstTwoPassReference:
             assert np.max(np.abs(a["cov"] - b["cov"])) <= 1e-10 * scale
             assert np.array_equal(a["cov"], a["cov"].T)
 
-    @pytest.mark.parametrize("dims, t, k", [
-        ((2, 3, 5), 0, 0), ((1, 1, 4), 0, 2), ((3, 2, 1), 0, 0), ((2, 2, 6), 2, 5), (None, 0, 1),
-    ])
-    def test_deviation_gap_matches_reference(self, dims, t, k):
-        p, gains = _solved(dims)
-        init = InitialPair(t, np.linspace(-1.0, 1.0, p.n) + 0.3)
-        delta = np.linspace(0.5, -0.3, p.m)
-        cfg = mc.SimConfig(paths=3000, seed=k + 3)
-        gap, se = mc.estimate_deviation_gap(p, init, gains, k, delta, cfg)
-        ref_gap, ref_se, cost = mc_reference.deviation_gap(p, init, gains, k, delta, cfg)
-        # the gap is a difference of two costs, so it rounds on their scale
-        assert abs(gap - ref_gap) <= 1e-10 * (abs(ref_gap) + abs(cost))
-        assert abs(se - ref_se) <= 1e-10 * ref_se
-
 
 class TestBlockLayout:
     """A path's cost is a function of its own noise row alone: neither the
@@ -414,12 +345,11 @@ class TestBlockLayout:
         x0 = np.linspace(-1.0, 1.0, p.n) + 0.3
         cfg = mc.SimConfig(paths=600, seed=p.N, noise_law=law)
         w = mc.draw_noise(cfg, cfg.paths, p.N)
-        devs = (None, np.linspace(0.5, -0.3, p.m))
-        ref, _ = mc._rollout(p, gains, 0, x0, cfg.paths, _rows(w), deviations=devs)
+        ref, _ = mc._rollout(p, gains, 0, x0, cfg.paths, _rows(w))
         for block, paths in [(7, 600), (64, 599), (600, 37), (2, 5), (1, 9), (13, 1)]:
             monkeypatch.setattr(mc, "BLOCK", block)
-            got, _ = mc._rollout(p, gains, 0, x0, paths, _rows(w), deviations=devs)
-            assert np.array_equal(got, ref[:, :paths])
+            got, _ = mc._rollout(p, gains, 0, x0, paths, _rows(w))
+            assert np.array_equal(got, ref[:paths])
 
     def test_moments_are_independent_of_blocks(self, example_solved, monkeypatch):
         p, gains = example_solved

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from meanfield_lq import matrices as mx, model, recursion, tree
-from meanfield_lq.errors import EpsilonNonPositive, NumericalBreakdown
+from meanfield_lq.errors import NumericalBreakdown
 from meanfield_lq.model import InitialPair
 
 import recursion_reference as rref
@@ -227,10 +227,8 @@ class TestBatchedSweep:
             batch = recursion.solve_shifts(p, self.SHIFTS)
             assert len(batch) == len(self.SHIFTS)
             for eps, member in zip(self.SHIFTS, batch):
-                self.assert_same_solve(member, recursion.solve_gdre_global(p, epsilon=eps))
+                self.assert_same_solve(member, recursion.solve_shifts(p, (eps,))[0])
             self.assert_same_solve(batch[0], recursion.solve_gdre_global(p))
-            gains, tables = recursion.solve_epsilon(p, self.SHIFTS[1])
-            self.assert_same_solve((tables, gains, batch[1][2]), batch[1])
 
     def test_no_shifts_solve_nothing(self, rng):
         p = make_problem(rng, 2, 2, 4)
@@ -256,7 +254,6 @@ class TestBatchedSweep:
                     cR = p.R[k, k] + p.Rbar[k, k]
                     m2 = cR + cB.T @ tab.Pcal[k, k + 1] @ cB + cD.T @ tab.P[k, k + 1] @ cD
                     assert rep.M2[k].tobytes() == m2.tobytes()
-                    assert recursion.assemble_m2(p, tab, k).tobytes() == m2.tobytes()
                     assert rep.convexity_verdicts[k] == mx.psd_check(m2)
                     assert rep.rangeH_residuals[k] == mx.range_residual(gains.W[k], gains.H[k])
                     assert rep.rangeBeta_residuals[k] == mx.range_residual(
@@ -268,13 +265,11 @@ class TestBatchedSweep:
         with pytest.raises(NumericalBreakdown, match=msg):
             recursion.solve_shifts(p, (0.0, 1e-2, 1e-310))
         with pytest.raises(NumericalBreakdown, match=msg):
-            recursion.solve_gdre_global(p, epsilon=1e-310)
-        with pytest.raises(NumericalBreakdown, match=msg):
-            recursion.solve_epsilon(p, 1e-310)
+            recursion.solve_shifts(p, (1e-310,))
         # the members before it solve as they do alone
         batch = recursion.solve_shifts(p, (0.0, 1e-2))
         self.assert_same_solve(batch[0], recursion.solve_gdre_global(p))
-        self.assert_same_solve(batch[1], recursion.solve_gdre_global(p, epsilon=1e-2))
+        self.assert_same_solve(batch[1], recursion.solve_shifts(p, (1e-2,))[0])
 
     def test_earlier_member_breakdown_is_reported_first(self):
         # the shifted member breaks down at stage 4, the unperturbed one
@@ -288,7 +283,7 @@ class TestBatchedSweep:
         )
         p.R[4, 4] = 1e300 * e
         with pytest.raises(NumericalBreakdown, match=r"^stage 4: W .* \(eps=1\.79"):
-            recursion.solve_gdre_global(p, epsilon=BIG)
+            recursion.solve_shifts(p, (BIG,))
         with pytest.raises(NumericalBreakdown, match=r"^stage 3: P is non-finite from row k=0$"):
             recursion.solve_shifts(p, (0.0, BIG))
         with pytest.raises(NumericalBreakdown, match=r"^stage 3: P .* \(eps=0\.5\)$"):
@@ -423,20 +418,12 @@ class TestGainSerialization:
 
 
 class TestSolveEpsilon:
-    def test_rejects_non_positive(self, example):
-        with pytest.raises(EpsilonNonPositive):
-            recursion.solve_epsilon(example, 0.0)
-        with pytest.raises(EpsilonNonPositive):
-            recursion.solve_epsilon(example, -1e-3)
-
-    @pytest.mark.parametrize("eps", [np.inf, -np.inf, np.nan])
-    def test_rejects_non_finite(self, example, eps):
-        with pytest.raises(EpsilonNonPositive, match="must be finite and > 0"):
-            recursion.solve_epsilon(example, eps)
+    """The perturbed problem with control weight + eps * I, solved as a
+    one-member `solve_shifts` (the epsilon-sweep checks eps itself)."""
 
     def test_small_epsilon_close_to_unperturbed(self, example):
         _, gains, _ = recursion.solve_gdre_global(example)
-        g_eps, _ = recursion.solve_epsilon(example, 1e-6)
+        _, g_eps, _ = recursion.solve_shifts(example, (1e-6,))[0]
         dist = max(np.max(np.abs(g_eps.Psi[k] - gains.Psi[k])) for k in range(example.N))
         assert dist < 1e-4
 
@@ -444,7 +431,7 @@ class TestSolveEpsilon:
         _, gains, _ = recursion.solve_gdre_global(example)
 
         def dist(eps):
-            g_eps, _ = recursion.solve_epsilon(example, eps)
+            _, g_eps, _ = recursion.solve_shifts(example, (eps,))[0]
             return max(
                 max(np.max(np.abs(g_eps.Psi[k] - gains.Psi[k])),
                     np.max(np.abs(g_eps.alpha[k] - gains.alpha[k])))
@@ -459,7 +446,7 @@ class TestSolveEpsilon:
         for t, k in p.pairs():
             p.R[t, k] = np.zeros((1, 1))
             p.rho[t, k] = np.array([0.3 + 0.1 * k])
-        gains, _ = recursion.solve_epsilon(p, 1.0)
+        _, gains, _ = recursion.solve_shifts(p, (1.0,))[0]
         for k in range(p.N):
             assert np.allclose(gains.W[k], np.eye(1))
             assert np.max(np.abs(gains.Psi[k])) == 0.0
@@ -468,7 +455,8 @@ class TestSolveEpsilon:
     def test_zero_epsilon_path_is_bitwise_identical(self, rng):
         p = make_problem(rng, 2, 2, 3)
         t1, g1, _ = recursion.solve_gdre_global(p)
-        t2, g2, _ = recursion.solve_gdre_global(p, epsilon=0.0)
+        # the zero member of a sweep with a live shift
+        t2, g2, _ = recursion.solve_shifts(p, (0.0, 1e-3))[0]
         for k in range(p.N):
             assert np.array_equal(g1.W[k], g2.W[k])
             assert np.array_equal(g1.Psi[k], g2.Psi[k])

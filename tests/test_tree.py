@@ -10,8 +10,8 @@ from meanfield_lq.model import InitialPair
 from meanfield_lq.tree import AdaptedProcess, ScenarioTree
 
 import tree_reference as ref
-from conftest import (duplicated_control_problem, identity_dynamics_problem, make_problem,
-                      random_dims, zero_weight_problem)
+from conftest import (constant_control, duplicated_control_problem, identity_dynamics_problem,
+                      make_problem, random_dims, zero_weight_problem)
 
 
 def all_ones_scalar_problem(N=2):
@@ -33,10 +33,10 @@ class TestTreeBasics:
 
     def test_tower_property(self, rng):
         vals = rng.normal(size=(2**5, 3))
-        inner = tree.cond_mean(vals, 5, 3)
+        inner = ref.cond_mean(vals, 5, 3)
         # identical up to summation order
         np.testing.assert_allclose(
-            tree.cond_mean(inner, 3, 1), tree.cond_mean(vals, 5, 1), rtol=0, atol=1e-14
+            ref.cond_mean(inner, 3, 1), ref.cond_mean(vals, 5, 1), rtol=0, atol=1e-14
         )
 
     def test_child_moments_realise_unit_noise(self, rng):
@@ -47,8 +47,8 @@ class TestTreeBasics:
         child = np.empty((8, 2))
         child[0::2] = a + b
         child[1::2] = a - b
-        np.testing.assert_allclose(tree.child_mean(child), a, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(tree.child_wmean(child), b, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(ref.child_mean(child), a, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(ref.child_wmean(child), b, rtol=0, atol=1e-15)
 
 
 class TestRollForward:
@@ -60,7 +60,7 @@ class TestRollForward:
             p.D[t, k] = np.zeros((2, 2))
             p.Dbar[t, k] = np.zeros((2, 2))
             p.d[t, k] = np.zeros(2)
-        control = tree.constant_control(p, 0, rng.normal(size=2))
+        control = constant_control(p, 0, rng.normal(size=2))
         state = tree.roll_forward(p, InitialPair(0, rng.normal(size=2)), control, 0)
         for k in range(1, p.N + 1):
             v = state.values[k]
@@ -68,7 +68,7 @@ class TestRollForward:
 
     def test_all_ones_scalar_hand_values(self):
         p = all_ones_scalar_problem()
-        control = tree.constant_control(p, 0)
+        control = constant_control(p, 0)
         state = tree.roll_forward(p, InitialPair(0, np.ones(1)), control, 0)
         np.testing.assert_array_equal(state.values[1][:, 0], [4.0, 0.0])
         # by hand: X2 = 2*(X1 + E0 X1)/2 summed drift/diffusion with E0 X1 = 2
@@ -99,7 +99,7 @@ class TestCost:
         p.G = [np.zeros((2, 2))] * p.N
         p.Gbar = [np.zeros((2, 2))] * p.N
         p.g = [np.zeros(2)] * p.N
-        control = tree.constant_control(p, 0, rng.normal(size=2))
+        control = constant_control(p, 0, rng.normal(size=2))
         j = tree.cost(p, InitialPair(0, rng.normal(size=2)), control, 0)
         assert np.array_equal(j, np.zeros(1))
 
@@ -111,13 +111,13 @@ class TestCost:
             f=np.zeros(1), d=np.zeros(1), Q=z, Qbar=z, R=z, Rbar=z,
             q=np.zeros(1), rho=np.zeros(1), G=one, Gbar=z, g=np.zeros(1),
         )
-        j = tree.cost(p, InitialPair(0, np.ones(1)), tree.constant_control(p, 0), 0)
+        j = tree.cost(p, InitialPair(0, np.ones(1)), constant_control(p, 0), 0)
         # X1 = 1 +/- 1, so E[X1^2] = (4 + 0) / 2
         assert j[0] == 2.0
 
     def test_conditional_costs_per_node(self, rng):
         p = make_problem(rng, 2, 1, 3)
-        control = tree.constant_control(p, 1, rng.normal(size=1))
+        control = constant_control(p, 1, rng.normal(size=1))
         fam = rng.normal(size=(2, 2))
         j = tree.cost(p, InitialPair(1, fam), control, 1)
         assert j.shape == (2,)
@@ -140,11 +140,11 @@ class TestSolveBsde:
         p.G = [np.eye(n)] * 3
         p.Gbar = [z.copy()] * 3
         p.g = [np.zeros(n)] * 3
-        control = tree.constant_control(p, 0, np.zeros(1))
+        control = constant_control(p, 0, np.zeros(1))
         state = tree.roll_forward(p, InitialPair(0, rng.normal(size=n)), control, 0)
         zproc = tree.solve_bsde(p, state, 0)
         for l in range(0, 4):
-            want = tree.lift(tree.cond_mean(state.values[3], 3, l), l, l)
+            want = ref.lift(ref.cond_mean(state.values[3], 3, l), l, l)
             np.testing.assert_allclose(zproc.values[l], want, atol=1e-12)
 
     def test_scalar_two_step_vs_enumeration(self, rng):
@@ -187,7 +187,7 @@ class TestStationarity:
             p.R[t, k] = np.eye(2)
             p.Rbar[t, k] = np.zeros((2, 2))
             p.rho[t, k] = np.zeros(2)
-        control = tree.constant_control(p, 0)
+        control = constant_control(p, 0)
         res = tree.stationarity_residuals(p, InitialPair(0, rng.normal(size=2)), control, 0)
         assert all(v == 0.0 for v in res.values())
 
@@ -240,7 +240,7 @@ class TestJhat:
             tab = recursion.solve_symmetric(p)
             k = int(rng.integers(0, 4))
             ub = rng.normal(size=2)
-            want = float(ub @ recursion.assemble_m2(p, tab, k) @ ub)
+            want = float(ub @ recursion.convexity_margins(p, tab)[1][k] @ ub)
             assert abs(tree.variation_cost(p, k, ub) - want) <= 1e-9 * (1.0 + abs(want))
 
     def test_node_varying_variation(self, rng):
@@ -248,7 +248,7 @@ class TestJhat:
         tab = recursion.solve_symmetric(p)
         ub = rng.normal(size=(2, 2))
         got = tree.variation_cost(p, 1, ub)
-        m2 = recursion.assemble_m2(p, tab, 1)
+        m2 = recursion.convexity_margins(p, tab)[1][1]
         want = np.einsum("ni,ij,nj->n", ub, m2, ub)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
@@ -325,7 +325,7 @@ class TestCertification:
         # at the equilibrium the exact worst gap is zero up to g' M^+ g rounding
         assert all(abs(g["min_gap"]) <= 1e-20 for g in cert.worst_gaps)
         for k, want in ((0, 14658.96), (1, 179.40)):
-            lam = np.linalg.eigvalsh(recursion.assemble_m2(example, tables, k))[0]
+            lam = np.linalg.eigvalsh(recursion.convexity_margins(example, tables)[1][k])[0]
             assert abs(cert.convexity_values[k] - lam) <= 1e-9 * abs(lam)
             assert abs(lam - want) <= 5e-3
 
@@ -337,7 +337,7 @@ class TestCertification:
             p.R[t, k] = 1e-10 * np.ones((1, 1))
             p.rho[t, k] = 5e-9 * np.ones(1)
         init = InitialPair(0, np.ones(1))
-        cert = tree.certify_equilibrium(p, init, tree.constant_control(p, 0), 0)
+        cert = tree.certify_equilibrium(p, init, constant_control(p, 0), 0)
         assert max(cert.stationary_residuals.values()) <= cert.tol_stationary
         assert min(cert.convexity_values.values()) >= -cert.tol_convexity
         assert not cert.verdict
@@ -348,7 +348,7 @@ class TestCertification:
         for t, k in p.pairs():
             p.R[t, k] = -1e-3 * np.ones((1, 1))
             p.rho[t, k] = np.zeros(1)
-        cert = tree.certify_equilibrium(p, init, tree.constant_control(p, 0), 0)
+        cert = tree.certify_equilibrium(p, init, constant_control(p, 0), 0)
         assert max(cert.stationary_residuals.values()) == 0.0
         assert all(g["min_gap"] == 0.0 for g in cert.worst_gaps)
         assert not cert.verdict
@@ -402,7 +402,7 @@ class TestCertification:
             p.R[t, k] = np.eye(2)
             p.Rbar[t, k] = np.zeros((2, 2))
             p.rho[t, k] = np.zeros(2)
-        control = tree.constant_control(p, 0)
+        control = constant_control(p, 0)
         cert = tree.certify_equilibrium(p, InitialPair(0, rng.normal(size=2)), control, 0)
         assert cert.verdict
 
@@ -416,7 +416,7 @@ class TestCertification:
         init = InitialPair(k, zeta)
 
         def j(ub):
-            return tree.cost(p, init, tree.deviated_control(u, k, ub - u.values[k]), k)
+            return tree.cost(p, init, ref.deviated_control(u, k, ub - u.values[k]), k)
 
         zero = np.zeros(2)
         e = np.eye(2)
@@ -429,7 +429,7 @@ class TestCertification:
             lin[i] = (jp - jm) / 4.0
         jpp = j(e[0] + e[1])
         m_fit[0, 1] = m_fit[1, 0] = float((jpp - j(e[0]) - j(e[1]) + j0)[0]) / 2.0
-        m2 = recursion.assemble_m2(p, tab, k)
+        m2 = recursion.convexity_margins(p, tab)[1][k]
         np.testing.assert_allclose(m_fit, m2, atol=1e-9 * (1 + np.max(np.abs(m2))))
         ub = rng.normal(size=2)
         want = j0 + ub @ m2 @ ub + 2.0 * lin.T @ ub
@@ -438,17 +438,16 @@ class TestCertification:
 
 class TestDeviationMatrix:
     def test_matches_the_recursion_coefficient(self, rng):
-        # the tree polarises variational costs; assemble_m2 reads the tables
+        # the tree polarises variational costs; convexity_margins reads the tables
         cases = [make_problem(rng, *random_dims(rng), convex=bool(j % 2)) for j in range(16)]
         cases += [duplicated_control_problem(rng), zero_weight_problem()]
         for p in cases:
             tables = recursion.solve_symmetric(p)
             x = rng.normal(size=p.n)
-            cert = tree.certify_equilibrium(p, InitialPair(0, x), tree.constant_control(p, 0), 0)
+            cert = tree.certify_equilibrium(p, InitialPair(0, x), constant_control(p, 0), 0)
             stack = tree._deviation_matrices(tree._Blocks(p), 0)
             assert stack.shape == (p.N, p.m, p.m)
-            for k in range(p.N):
-                want = recursion.assemble_m2(p, tables, k)
+            for k, want in enumerate(recursion.convexity_margins(p, tables)[1]):
                 bound = 1e-10 * (1.0 + np.linalg.norm(want))
                 assert np.max(np.abs(stack[k] - want)) <= bound
                 assert abs(cert.convexity_values[k] - np.linalg.eigvalsh(want)[0]) <= bound
@@ -604,3 +603,17 @@ class TestIndependence:
     def test_montecarlo_imports_neither_recursion_nor_tree(self):
         for name in imported_names(montecarlo):
             assert not set(name.split(".")) & {"recursion", "tree"}, name
+
+    def test_reference_takes_only_processes_and_closed_loop_from_tree(self):
+        # the per-call oracle keeps its own level helpers: what it reads of
+        # `tree`, by import or attribute, is the process type and the
+        # closed-loop rollout it restarts from
+        source = ast.parse(Path(ref.__file__).read_text(encoding="utf-8"))
+        used = set()
+        for node in ast.walk(source):
+            if isinstance(node, ast.ImportFrom) and node.module == "meanfield_lq.tree":
+                used |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "tree":
+                used.add(node.attr)
+        assert used and used <= {"AdaptedProcess", "concatenated_state", "equilibrium_pair"}

@@ -9,15 +9,46 @@ seeded random directions at the three `DEVIATION_SCALES`, and descent gaps
 from the per-node direction -g/|g| at the nodes whose gradient exceeds the
 stationarity tolerance.  Where the deviation coefficient M_k is PSD,
 every sampled value bounds its exact counterpart from above.
+
+The level helpers (conditional means, lifts, child moments) are its own:
+of `tree` it takes only the process type and the closed-loop rollouts.
 """
 
 import numpy as np
 
 from meanfield_lq import tree
 from meanfield_lq.model import InitialPair
-from meanfield_lq.tree import AdaptedProcess, child_mean, child_wmean, cond_mean, lift
+from meanfield_lq.tree import AdaptedProcess
 
 DEVIATION_SCALES = (1.0, 0.1, 0.01)
+
+
+def cond_mean(values, level, k):
+    """Conditional expectation given level k of a level-`level` process."""
+    width = 2 ** (level - k)
+    return np.asarray(values, dtype=float).reshape(2**k, width, -1).mean(axis=1)
+
+
+def lift(values, k, level):
+    """Broadcast a level-k process to its level-`level` descendants."""
+    return np.repeat(np.asarray(values, dtype=float), 2 ** (level - k), axis=0)
+
+
+def child_mean(values):
+    """E_l of a level-(l+1) process: plain average of the two children."""
+    return 0.5 * (values[0::2] + values[1::2])
+
+
+def child_wmean(values):
+    """E_l of (level-(l+1) process * w_l): signed half-difference of children."""
+    return 0.5 * (values[0::2] - values[1::2])
+
+
+def deviated_control(control, k, delta):
+    """Copy of a control with the level-k values shifted by ``delta``."""
+    out = AdaptedProcess({l: v.copy() for l, v in control.values.items()})
+    out.values[k] = out.values[k] + np.asarray(delta, dtype=float)
+    return out
 
 
 def roll_forward(p, init, control, t):
@@ -154,7 +185,7 @@ def difference_formula_check(p, k, zeta, u, ubar, lam):
     ub_nodes = np.tile(ub, (2**k, 1)) if ub.ndim == 1 else ub
     state = roll_forward(p, init, u, k)
     j_base = cost(p, init, u, k, state=state)
-    j_pert = cost(p, init, tree.deviated_control(u, k, lam * ub_nodes), k)
+    j_pert = cost(p, init, deviated_control(u, k, lam * ub_nodes), k)
     lhs = j_pert - j_base
     grad = stationarity_gradient(p, state, u, k)
     quad = variation_cost(p, k, ub_nodes)
@@ -211,7 +242,7 @@ def certify_equilibrium(p, init, control, t, deviations=4, seed=20240801,
             for _ in range(max(1, deviations // 2)):
                 v = rng.normal(size=p.m)
                 delta = scale * v / np.linalg.norm(v)
-                pert = cost(p, restart, tree.deviated_control(control, k, delta), k)
+                pert = cost(p, restart, deviated_control(control, k, delta), k)
                 worst = min(worst, float(np.min(pert - base)))
             gaps.append({"k": k, "scale": scale, "min_gap": worst})
         grad = stationarity_gradient(p, state, control, k)
@@ -219,7 +250,7 @@ def certify_equilibrium(p, init, control, t, deviations=4, seed=20240801,
         direction = np.zeros_like(grad)
         direction[moving] = -grad[moving] / np.linalg.norm(grad[moving], axis=1)[:, None]
         for scale in DEVIATION_SCALES:
-            pert = cost(p, restart, tree.deviated_control(control, k, scale * direction), k)
+            pert = cost(p, restart, deviated_control(control, k, scale * direction), k)
             gap = np.where(moving, pert - base, 0.0)
             descent.append({"k": k, "scale": scale, "min_gap": float(np.min(gap))})
 
