@@ -1,8 +1,11 @@
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from meanfield_lq import matrices as mx, model, recursion, tree
-from meanfield_lq.errors import NumericalBreakdown
+from meanfield_lq import cli, matrices as mx, model, recursion, tree
+from meanfield_lq.errors import EpsilonNonPositive, NumericalBreakdown
 from meanfield_lq.model import InitialPair
 
 import recursion_reference as rref
@@ -420,6 +423,25 @@ class TestGainSerialization:
 class TestSolveEpsilon:
     """The perturbed problem with control weight + eps * I, solved as a
     one-member `solve_shifts` (the epsilon-sweep checks eps itself)."""
+
+    @staticmethod
+    def sweep(example, tmp_path, eps):
+        path = tmp_path / "example.json"
+        model.save(example, path)
+        out = tmp_path / "s"
+        cli.cmd_epsilon_sweep(SimpleNamespace(input=str(path), out=str(out), eps=eps))
+
+    def test_rejects_non_positive(self, example, tmp_path):
+        with pytest.raises(EpsilonNonPositive):
+            self.sweep(example, tmp_path, "0")
+        with pytest.raises(EpsilonNonPositive):
+            self.sweep(example, tmp_path, "-1e-3")
+        assert sorted(os.listdir(tmp_path)) == ["example.json"]
+
+    @pytest.mark.parametrize("eps", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, example, tmp_path, eps):
+        with pytest.raises(EpsilonNonPositive, match="must be finite and > 0"):
+            self.sweep(example, tmp_path, f"1e-2,{eps}")
 
     def test_small_epsilon_close_to_unperturbed(self, example):
         _, gains, _ = recursion.solve_gdre_global(example)
