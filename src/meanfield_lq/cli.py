@@ -1,10 +1,12 @@
 """Command-line surface: solve, verify, simulate, epsilon-sweep.
 
 Exit codes are a stable contract: 0 = success/certified, 2 = computed but a
-numerical condition is violated, 1 = usage or input error.  Every output
-file embeds the SHA-256 of the input problem file; a sidecar manifest
-records the full run context (including wall time, which is why it lives in
-its own file and not in the deterministic outputs).
+numerical condition is violated, 1 = usage or input error.  Every command
+writes its files through `_write_outputs`: a JSON document, a CSV table if
+the command has one, and a sidecar manifest.  Each file embeds the SHA-256
+of the input problem file; the manifest records the full run context
+(including wall time, which is why it lives in its own file and not in the
+deterministic outputs).
 """
 
 from __future__ import annotations
@@ -28,34 +30,43 @@ EXIT_INPUT = 1
 EXIT_VIOLATED = 2
 
 
-def _write_json(path: str, doc: dict) -> None:
-    """Write ``doc`` as canonical JSON; the text is built before the file is
-    opened, so a document that cannot be serialised leaves the file as it was."""
-    text = canonical_dumps(doc)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-        fh.write("\n")
+def _write_outputs(args, sha: str, warnings: list, body: dict, tolerances: dict | None = None,
+                   table: tuple | None = None) -> str:
+    """Write a command's files and return the path of its JSON document.
 
-
-def _write_manifest(out_path: str, command: str, input_path: str, input_sha: str,
-                    seed, tolerances: dict, outputs: list, started: float) -> None:
-    doc = {
-        "command": command,
-        "input": input_path,
-        "input_sha256": input_sha,
-        "seed": seed,
-        "tolerances": tolerances,
-        "outputs": outputs,
-        "tool_version": __version__,
-        "wall_time_s": time.monotonic() - started,
-    }
-    _write_json(out_path + ".manifest.json", doc)
+    The document is ``body`` under a header: the command, the tool version,
+    the input digest and the warnings.  A command with a ``table`` (column
+    names, then rows of numbers) takes --out as a prefix and writes
+    <out>.json and <out>.csv, whose first line is the input digest and
+    whose cells print with 17 significant digits; otherwise --out is the
+    document's path.  The manifest <out>.manifest.json records the input,
+    the seed (the command's --seed, if it has one), ``tolerances``, the
+    files written and the wall time since `main` parsed the arguments.
+    """
+    json_path = args.out if table is None else args.out + ".json"
+    header = {"command": args.command, "tool_version": __version__, "input_sha256": sha}
+    model.write_text(json_path, canonical_dumps({**header, "warnings": warnings, **body}))
+    outputs = [json_path]
+    if table is not None:
+        head, rows = table
+        lines = [f"# input_sha256={sha}", ",".join(head)]
+        lines += [",".join(format(v, ".17g") for v in row) for row in rows]
+        outputs.append(args.out + ".csv")
+        model.write_text(outputs[-1], "\n".join(lines))
+    manifest = {**header, "input": args.input, "seed": getattr(args, "seed", None),
+                "tolerances": tolerances or {}, "outputs": outputs,
+                "wall_time_s": time.monotonic() - args.started}
+    model.write_text(args.out + ".manifest.json", canonical_dumps(manifest))
+    return json_path
 
 
 def _load_problem(path: str):
+    """The problem of a file, its findings worded as warnings, and the
+    digest of its bytes."""
     if not os.path.exists(path):
         raise ProblemFormatError(f"input file not found: {path}")
-    return model.load(path)
+    p, findings, sha = model.load(path)
+    return p, [f"{f.path}: {f.message}" for f in findings], sha
 
 
 def _parse_vector(text: str, n: int) -> np.ndarray:
@@ -68,6 +79,13 @@ def _parse_vector(text: str, n: int) -> np.ndarray:
     if not all(math.isfinite(v) for v in vals):
         raise MeanfieldLQError(f"vector {text!r} has a non-finite entry")
     return np.asarray(vals)
+
+
+def _initial_pair(p, t: int, x: str | None) -> InitialPair:
+    """The start of --t and --x; with no --x the state is zero."""
+    if not 0 <= t < p.N:
+        raise MeanfieldLQError(f"--t must be in 0..{p.N - 1}")
+    return InitialPair(t, np.zeros(p.n) if x is None else _parse_vector(x, p.n))
 
 
 def _load_gains(path: str, p) -> recursion.GainSchedule:
@@ -95,111 +113,65 @@ def _load_gains(path: str, p) -> recursion.GainSchedule:
 
 
 def cmd_solve(args) -> int:
-    started = time.monotonic()
-    p, findings, sha = _load_problem(args.input)
+    p, warnings, sha = _load_problem(args.input)
     tables, gains, report = recursion.solve_gdre_global(p)
-    doc = {
-        "command": "solve",
-        "tool_version": __version__,
-        "input_sha256": sha,
-        "warnings": [f"{f.path}: {f.message}" for f in findings],
-        "gains": recursion.gains_to_dict(gains),
-        "solvability": report.to_dict(),
-    }
+    body = {"gains": recursion.gains_to_dict(gains), "solvability": report.to_dict()}
     if args.tables:
-        doc["tables"] = recursion.tables_to_dict(tables)
-    _write_json(args.out, doc)
-    _write_manifest(args.out, "solve", args.input, sha, None,
-                    {"range": report.range_tolerance, "psd": "1e-9*(1+||M||_F)"},
-                    [args.out], started)
-    print(f"solve: verdict_all_pairs={report.verdict_all_pairs} -> {args.out}")
+        body["tables"] = recursion.tables_to_dict(tables)
+    out = _write_outputs(args, sha, warnings, body,
+                         {"range": report.range_tolerance, "psd": "1e-9*(1+||M||_F)"})
+    print(f"solve: verdict_all_pairs={report.verdict_all_pairs} -> {out}")
     return EXIT_OK if report.verdict_all_pairs else EXIT_VIOLATED
 
 
 def cmd_verify(args) -> int:
-    started = time.monotonic()
-    p, findings, sha = _load_problem(args.input)
-    # certification needs exactly N levels; the depth cap applies without --force
-    if p.N > tree.MAX_DEPTH and not args.force:
-        raise MeanfieldLQError(f"tree depth {p.N} exceeds the cap {tree.MAX_DEPTH}; "
-                               "pass --force to override")
-    scen = tree.ScenarioTree(p.N, force=args.force)
-    t = args.t
-    if not (0 <= t < p.N):
-        raise MeanfieldLQError(f"--t must be in 0..{p.N - 1}")
-    x = _parse_vector(args.x, p.n)
-
+    p, warnings, sha = _load_problem(args.input)
+    scen = tree.ScenarioTree(p.N)  # certification needs exactly N levels, within the depth cap
+    init = _initial_pair(p, args.t, args.x)
     if args.gains:
         gains = _load_gains(args.gains, p)
         tables, _, report = recursion.solve_gdre_global(p)
     else:
         tables, gains, report = recursion.solve_gdre_global(p)
 
-    init = InitialPair(t, x)
     _, control = tree.equilibrium_pair(p, gains, init, scen)
-    cert = tree.certify_equilibrium(p, init, control, t, seed=args.seed, tree=scen,
+    cert = tree.certify_equilibrium(p, init, control, init.t, seed=args.seed, tree=scen,
                                     tables=tables)
-    doc = {
-        "command": "verify",
-        "tool_version": __version__,
-        "input_sha256": sha,
-        "warnings": [f"{f.path}: {f.message}" for f in findings],
-        "initial_pair": {"t": t, "x": x.tolist()},
+    body = {
+        "initial_pair": {"t": init.t, "x": init.x.tolist()},
         "certificate": cert.to_dict(),
         "identity_checks": cert.identity_checks,
         "solvability": report.to_dict(),
     }
-    _write_json(args.out, doc)
-    _write_manifest(args.out, "verify", args.input, sha, args.seed,
-                    {"stationary": cert.tol_stationary, "convexity": cert.tol_convexity},
-                    [args.out], started)
-    print(f"verify: verdict={cert.verdict} -> {args.out}")
+    out = _write_outputs(args, sha, warnings, body,
+                         {"stationary": cert.tol_stationary, "convexity": cert.tol_convexity})
+    print(f"verify: verdict={cert.verdict} -> {out}")
     return EXIT_OK if cert.verdict else EXIT_VIOLATED
 
 
 def cmd_simulate(args) -> int:
-    started = time.monotonic()
-    p, findings, sha = _load_problem(args.input)
-    t = args.t
-    if not (0 <= t < p.N):
-        raise MeanfieldLQError(f"--t must be in 0..{p.N - 1}")
-    x = _parse_vector(args.x, p.n) if args.x else np.zeros(p.n)
+    p, warnings, sha = _load_problem(args.input)
+    init = _initial_pair(p, args.t, args.x)
     _, gains, _ = recursion.solve_gdre_global(p)
     cfg = mc.SimConfig(paths=args.paths, seed=args.seed, noise_law=args.law)
-    result = mc.simulate(p, InitialPair(t, x), gains, cfg)
+    result = mc.simulate(p, init, gains, cfg)
 
-    json_path = args.out + ".json"
-    csv_path = args.out + ".csv"
-    doc = {
-        "command": "simulate",
-        "tool_version": __version__,
-        "input_sha256": sha,
-        "warnings": [f"{f.path}: {f.message}" for f in findings],
+    body = {
         "config": {"paths": args.paths, "seed": args.seed, "noise_law": args.law,
-                   "t": t, "x": x.tolist()},
+                   "t": init.t, "x": init.x.tolist()},
         "result": result.to_dict(),
     }
-    _write_json(json_path, doc)
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# input_sha256={sha}\n")
-        head = ["k"] + [f"mean_{i}" for i in range(p.n)]
-        head += [f"cov_{i}{j}" for i in range(p.n) for j in range(p.n)]
-        fh.write(",".join(head) + "\n")
-        for row in result.trajectory_moments:
-            cells = [str(row["k"])]
-            cells += [format(v, ".17g") for v in row["mean"]]
-            cells += [format(v, ".17g") for v in np.asarray(row["cov"]).ravel()]
-            fh.write(",".join(cells) + "\n")
-    _write_manifest(args.out, "simulate", args.input, sha, args.seed, {},
-                    [json_path, csv_path], started)
+    head = ["k"] + [f"mean_{i}" for i in range(p.n)]
+    head += [f"cov_{i}{j}" for i in range(p.n) for j in range(p.n)]
+    rows = [[r["k"], *r["mean"], *np.ravel(r["cov"])] for r in result.trajectory_moments]
+    out = _write_outputs(args, sha, warnings, body, table=(head, rows))
     se = "null" if result.std_error is None else f"{result.std_error:.6g}"
-    print(f"simulate: mean_cost={result.mean_cost:.6g} std_error={se} -> {json_path}")
+    print(f"simulate: mean_cost={result.mean_cost:.6g} std_error={se} -> {out}")
     return EXIT_OK
 
 
 def cmd_epsilon_sweep(args) -> int:
-    started = time.monotonic()
-    p, findings, sha = _load_problem(args.input)
+    p, warnings, sha = _load_problem(args.input)
     texts = args.eps.split(",")
     try:
         eps_list = [float(v) for v in texts]
@@ -226,34 +198,21 @@ def cmd_epsilon_sweep(args) -> int:
 
     rows = [{"eps": eps, "gain_norm": gain_norm(g_eps), "distance_to_unperturbed": gain_dist(g_eps)}
             for eps, (_, g_eps, _) in zip(eps_list, perturbed)]
-    warnings = [f"{f.path}: {f.message}" for f in findings]
     dists = [r["distance_to_unperturbed"] for r in rows]
     if any(b > a for a, b in zip(dists, dists[1:])):
         warnings.append("gain distance does not decrease monotonically over the sweep")
     norms = [r["gain_norm"] for r in rows]
     if norms and norms[-1] > 10.0 * max(norms[0], 1e-30):
         warnings.append("gain norms grow sharply as eps decreases (possible unbounded family)")
-    doc = {
-        "command": "epsilon-sweep",
-        "tool_version": __version__,
-        "input_sha256": sha,
-        "warnings": warnings,
+    body = {
         "convexity_margins": report0.convexity_margins,
         "unperturbed_verdict_all_pairs": report0.verdict_all_pairs,
         "sweep": rows,
     }
-    json_path = args.out + ".json"
-    csv_path = args.out + ".csv"
-    _write_json(json_path, doc)
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# input_sha256={sha}\n")
-        fh.write("eps,gain_norm,distance_to_unperturbed\n")
-        for r in rows:
-            fh.write(",".join(format(r[c], ".17g")
-                              for c in ("eps", "gain_norm", "distance_to_unperturbed")) + "\n")
-    _write_manifest(args.out, "epsilon-sweep", args.input, sha, None, {}, [json_path, csv_path],
-                    started)
-    print(f"epsilon-sweep: {len(rows)} points -> {json_path}")
+    columns = ("eps", "gain_norm", "distance_to_unperturbed")
+    out = _write_outputs(args, sha, warnings, body,
+                         table=(columns, [[r[c] for c in columns] for r in rows]))
+    print(f"epsilon-sweep: {len(rows)} points -> {out}")
     return EXIT_OK
 
 
@@ -279,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", required=True)
     v.add_argument("--t", type=int, default=0)
     v.add_argument("--x", required=True, help="comma-separated initial state, e.g. 1,1")
-    v.add_argument("--force", action="store_true", help="override the tree depth cap")
     v.add_argument("--gains", help="report file to take gains from (tamper check)")
     v.add_argument("--seed", type=int, default=20240801,
                    help="seed of the cost-difference identity check")
@@ -310,6 +268,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the input-error code
         return EXIT_INPUT if exc.code not in (0, None) else 0
+    args.started = time.monotonic()
     try:
         return args.fn(args)
     except NumericalBreakdown as exc:

@@ -81,23 +81,22 @@ def pinv(m) -> np.ndarray:
     return np.where(zero, at, out) if zero.any() else out
 
 
-def psd_check(m, tol: float | None = None) -> PsdVerdict:
-    """Smallest eigenvalue of the symmetrised matrix against a tolerance.
-
-    ``tol`` defaults to 1e-9 * (1 + ||M||_F).  Callers are expected to pass
-    symmetric matrices; the symmetrisation only guards against roundoff.
+def psd_check(m) -> PsdVerdict:
+    """Smallest eigenvalue of the symmetrised matrix against the tolerance
+    1e-9 * (1 + ||M||_F).  Callers are expected to pass symmetric matrices;
+    the symmetrisation only guards against roundoff.
     """
-    return psd_checks(_as_matrix(m, "psd_check input")[None], tol)[0]
+    return psd_checks(_as_matrix(m, "psd_check input")[None])[0]
 
 
-def psd_checks(m, tol: float | None = None) -> list[PsdVerdict]:
+def psd_checks(m) -> list[PsdVerdict]:
     """``psd_check`` of every matrix in a stack, by one ``eigvalsh`` call."""
     a = _as_matrix(m, "psd_check input", stack=True)
     if a.shape[-2] != a.shape[-1]:
         raise NonSquare(f"psd_check needs a square matrix, got {a.shape[-2:]}")
     if a.size and not np.all(np.isfinite(a)):
         raise NonFinite("psd_check: input has non-finite entries")
-    tols = 1e-9 * (1.0 + fro_each(a)) if tol is None else np.full(a.shape[:-2], tol)
+    tols = 1e-9 * (1.0 + fro_each(a))
     if a.shape[-1] == 0:
         lam = np.full(a.shape[:-2], np.inf)
     else:

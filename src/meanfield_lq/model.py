@@ -341,101 +341,69 @@ def validate(p: ProblemData) -> list[Finding]:
     return findings
 
 
-def _per_k(datum, N, shape, name):
-    """Accept a single block (broadcast over k) or a length-N sequence."""
+def _per_index(datum, N: int, shape: tuple, name: str) -> np.ndarray:
+    """One block (repeated N times) or a length-N sequence of blocks, as an
+    (N, *shape) array."""
     a = np.asarray(datum, dtype=float)
     if a.shape == shape:
-        return [a.copy() for _ in range(N)]
-    if a.shape == (N, *shape):
-        return [a[k].copy() for k in range(N)]
-    if isinstance(datum, (list, tuple)) and len(datum) == N:
-        out = []
-        for k in range(N):
-            b = np.asarray(datum[k], dtype=float)
-            if b.shape != shape:
-                raise DimensionMismatch(f"{name}[{k}] has shape {b.shape}, expected {shape}")
-            out.append(b)
-        return out
-    raise DimensionMismatch(f"{name} has shape {a.shape}, expected {shape} or {N} of them")
+        return np.broadcast_to(a, (N, *shape))
+    if a.shape != (N, *shape):
+        raise DimensionMismatch(f"{name} has shape {a.shape}, expected {shape} or {N} of them")
+    return a
 
 
-def from_time_invariant(n, m, N, *, A, Abar, B, Bbar, C, Cbar, D, Dbar,
-                        f, d, Q, Qbar, R, Rbar, q, rho, G, Gbar, g) -> ProblemData:
-    """Build an instance whose data do not depend on the start time.
+def _triangle_blocks(datum, N: int, shape: tuple, name: str) -> np.ndarray:
+    """A family's blocks at the keys (t, k) of `np.triu_indices(N)`, from
+    one block, a length-N sequence over k or a mapping keyed by (t, k)."""
+    t, k = np.triu_indices(N)
+    if not isinstance(datum, Mapping):
+        return _per_index(datum, N, shape, name)[k]
+    blocks = np.empty((len(t), *shape))
+    for i, key in enumerate(zip(t.tolist(), k.tolist())):
+        if key not in datum:
+            raise DimensionMismatch(f"{name} missing block ({key[0]},{key[1]})")
+        block = np.asarray(datum[key], dtype=float)
+        if block.shape != shape:
+            raise DimensionMismatch(f"{name}[{key[0]}][{key[1]}] has shape {block.shape}")
+        blocks[i] = block
+    return blocks
 
-    Each datum is either one block (constant in k) or a length-N sequence
-    indexed by k; either way the block for step k is shared by every start
-    time t <= k, and the terminal weights are identical for all t.
+
+def from_time_invariant(n, m, N, **data) -> ProblemData:
+    """Build an instance from one datum per family (A, Abar, ..., rho) and
+    per terminal weight (G, Gbar, g), all given by keyword.
+
+    A family's datum is one block (shared by every key (t, k)), a length-N
+    sequence over k (the block of step k, shared by every start time
+    t <= k), or a mapping keyed by (t, k) with a block at every triangle
+    key.  A terminal datum is one block (shared by every t) or a length-N
+    sequence over t.  A block of the wrong shape raises DimensionMismatch,
+    a missing or unknown name TypeError.
     """
+    names = FAMILY_NAMES + ("G", "Gbar", "g")
+    wrong = set(data).symmetric_difference(names)
+    if wrong:
+        raise TypeError(f"from_time_invariant: missing or unknown data {sorted(wrong)}")
     p = ProblemData(n, m, N)
-    per_k = {}
-    for name, datum in (("A", A), ("Abar", Abar), ("B", B), ("Bbar", Bbar),
-                        ("C", C), ("Cbar", Cbar), ("D", D), ("Dbar", Dbar),
-                        ("Q", Q), ("Qbar", Qbar), ("R", R), ("Rbar", Rbar),
-                        ("f", f), ("d", d), ("q", q), ("rho", rho)):
-        per_k[name] = _per_k(datum, N, p.shape_of(name), name)
-    for name, blocks in per_k.items():
-        fam = getattr(p, name)
-        for t, k in p.pairs():
-            fam[t, k] = blocks[k].copy()
-    G0 = np.asarray(G, dtype=float)
-    Gb0 = np.asarray(Gbar, dtype=float)
-    g0 = np.asarray(g, dtype=float)
-    if G0.shape != (n, n) or Gb0.shape != (n, n) or g0.shape != (n,):
-        raise DimensionMismatch("terminal blocks must be a single n x n / n-vector set")
-    p.G = [G0.copy() for _ in range(N)]
-    p.Gbar = [Gb0.copy() for _ in range(N)]
-    p.g = [g0.copy() for _ in range(N)]
+    t, k = np.triu_indices(N)
+    for name in FAMILY_NAMES:
+        getattr(p, name).assign(t, k, _triangle_blocks(data[name], N, p.shape_of(name), name))
+    for name, shape in (("G", (n, n)), ("Gbar", (n, n)), ("g", (n,))):
+        setattr(p, name, list(np.array(_per_index(data[name], N, shape, name))))
     return p
 
 
-def from_no_meanfield(n, m, N, *, A, B, C, D, f, d, Q, R, q, rho, G, g) -> ProblemData:
-    """Build an instance with every barred block set to zero.
+def from_no_meanfield(n, m, N, **data) -> ProblemData:
+    """Build an instance with every barred block, and Gbar, set to zero.
 
-    Non-barred families are dicts keyed by (t, k) (triangular), or a single
-    block to broadcast everywhere; G and g are per-t lists or single blocks.
+    The unbarred data (A, B, C, D, f, d, Q, R, q, rho, G, g) take the forms
+    of `from_time_invariant`: a family's datum is one block, a length-N
+    sequence over k or a mapping keyed by (t, k); G and g are one block or
+    a length-N sequence over t.
     """
-    p = ProblemData(n, m, N)
-
-    def fill(name, datum):
-        fam = getattr(p, name)
-        shape = p.shape_of(name)
-        if isinstance(datum, Mapping):
-            for t, k in p.pairs():
-                if (t, k) not in datum:
-                    raise DimensionMismatch(f"{name} missing block ({t},{k})")
-                a = np.asarray(datum[t, k], dtype=float)
-                if a.shape != shape:
-                    raise DimensionMismatch(f"{name}[{t}][{k}] has shape {a.shape}")
-                fam[t, k] = a.copy()
-        else:
-            a = np.asarray(datum, dtype=float)
-            if a.shape != shape:
-                raise DimensionMismatch(f"{name} has shape {a.shape}, expected {shape}")
-            for t, k in p.pairs():
-                fam[t, k] = a.copy()
-
-    for name, datum in (("A", A), ("B", B), ("C", C), ("D", D),
-                        ("Q", Q), ("R", R), ("f", f), ("d", d),
-                        ("q", q), ("rho", rho)):
-        fill(name, datum)
-    for name in ("Abar", "Bbar", "Cbar", "Dbar", "Qbar", "Rbar"):
-        shape = p.shape_of(name)
-        for t, k in p.pairs():
-            getattr(p, name)[t, k] = np.zeros(shape)
-
-    def terminal(datum, shape, name):
-        if isinstance(datum, (list, tuple)) and len(datum) == N and np.asarray(datum[0]).shape == shape:
-            return [np.asarray(b, dtype=float).copy() for b in datum]
-        a = np.asarray(datum, dtype=float)
-        if a.shape != shape:
-            raise DimensionMismatch(f"{name} has shape {a.shape}, expected {shape}")
-        return [a.copy() for _ in range(N)]
-
-    p.G = terminal(G, (n, n), "G")
-    p.Gbar = [np.zeros((n, n)) for _ in range(N)]
-    p.g = terminal(g, (n,), "g")
-    return p
+    nn, nm = np.zeros((n, n)), np.zeros((n, m))
+    return from_time_invariant(n, m, N, **data, Abar=nn, Bbar=nm, Cbar=nn, Dbar=nm, Qbar=nn,
+                               Rbar=np.zeros((m, m)), Gbar=nn)
 
 
 def bundled_example() -> ProblemData:
@@ -860,10 +828,19 @@ def _read(text) -> tuple[ProblemData, list[Finding]]:
     return p, findings
 
 
-def save(p: ProblemData, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(p))
+def write_text(path, text: str) -> None:
+    """Write ``text`` and a newline to ``path``, as UTF-8 with "\\n" line
+    ends: the one file writer of the package.  Callers build the whole text
+    first, so a document that cannot be serialised fails before the file
+    is opened, and an existing file keeps its bytes."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
         fh.write("\n")
+
+
+def save(p: ProblemData, path) -> None:
+    """Write ``p`` as its canonical JSON text (`to_json`)."""
+    write_text(path, to_json(p))
 
 
 def _read_file(path):

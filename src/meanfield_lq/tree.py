@@ -67,9 +67,7 @@ class ScenarioTree:
         if depth < 0:
             raise HorizonMismatch(f"tree depth must be >= 0, got {depth}")
         if depth > MAX_DEPTH and not force:
-            raise HorizonMismatch(
-                f"tree depth {depth} exceeds the cap {MAX_DEPTH}; pass force=True to override"
-            )
+            raise HorizonMismatch(f"tree depth {depth} exceeds the cap {MAX_DEPTH}")
         self.depth = depth
 
 

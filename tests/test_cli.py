@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from meanfield_lq import cli, model, recursion, tree
+from meanfield_lq import __version__, cli, model, recursion, tree
 from meanfield_lq.errors import ProblemFormatError
 from meanfield_lq.model import canonical_dumps
 
@@ -251,18 +252,83 @@ class TestDeepDimension:
 
 
 class TestWriteJson:
+    """A problem file is written by `model.save`, which builds the whole text
+    before it opens the file; the commands' files are covered in
+    TestOutputContract."""
+
+    @staticmethod
+    def unserialisable():
+        p = model.bundled_example()
+        p.A.stack[0, 1, 1, 0] = float("nan")
+        return p
+
     def test_unserialisable_document_creates_no_file(self, tmp_path):
         out = tmp_path / "out.json"
         with pytest.raises(ProblemFormatError):
-            cli._write_json(str(out), {"value": float("nan")})
+            model.save(self.unserialisable(), out)
         assert not out.exists()
 
     def test_unserialisable_document_keeps_the_old_bytes(self, tmp_path):
         out = tmp_path / "out.json"
-        out.write_bytes(b'{"previous":1}\n')
+        model.save(model.bundled_example(), out)
+        before = out.read_bytes()
         with pytest.raises(ProblemFormatError):
-            cli._write_json(str(out), {"value": [1.0, float("inf")]})
-        assert out.read_bytes() == b'{"previous":1}\n'
+            model.save(self.unserialisable(), out)
+        assert out.read_bytes() == before
+
+
+COMMANDS = {
+    "solve": ("r.json",),
+    "verify": ("c.json", "--x", "1,1"),
+    "simulate": ("s", "--paths", 100, "--x", "1,1"),
+    "epsilon-sweep": ("e", "--eps", "1e-2,1e-4"),
+}
+
+
+class TestOutputContract:
+    """Every command writes its files through one helper: a JSON document
+    with the same header, CSV tables that start with the input digest, and
+    a manifest that lists exactly the files written."""
+
+    @staticmethod
+    def run_command(command, example_file, out_dir):
+        out, *rest = COMMANDS[command]
+        return run(command, "--input", example_file, "--out", out_dir / out, *rest)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_header_manifest_and_csv(self, command, example_file, tmp_path):
+        import hashlib
+
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert self.run_command(command, example_file, out_dir) == 0
+        sha = hashlib.sha256(example_file.read_bytes()).hexdigest()
+        [manifest_path] = out_dir.glob("*.manifest.json")
+        manifest = json.loads(manifest_path.read_text())
+        outputs = manifest["outputs"]
+        assert sorted(out_dir.iterdir()) == sorted(map(Path, outputs + [str(manifest_path)]))
+        doc = json.loads(Path(outputs[0]).read_text())
+        assert {key: doc[key] for key in ("command", "tool_version", "input_sha256")} == {
+            "command": command, "tool_version": __version__, "input_sha256": sha}
+        assert doc["warnings"] == []
+        assert manifest["input_sha256"] == sha and manifest["command"] == command
+        csvs = [path for path in outputs if path.endswith(".csv")]
+        assert len(csvs) == (command in ("simulate", "epsilon-sweep"))
+        for path in csvs:
+            assert Path(path).read_text().splitlines()[0] == f"# input_sha256={sha}"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unserialisable_document_keeps_the_old_bytes(self, command, example_file, tmp_path,
+                                                         monkeypatch, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert self.run_command(command, example_file, out_dir) == 0
+        before = {path: path.read_bytes() for path in out_dir.iterdir()}
+        monkeypatch.setattr(cli, "__version__", float("nan"))  # in every header
+        capsys.readouterr()
+        assert self.run_command(command, example_file, out_dir) == 1
+        assert capsys.readouterr().err == "error: cannot serialise non-finite float\n"
+        assert {path: path.read_bytes() for path in out_dir.iterdir()} == before
 
 
 class TestGarbage:
@@ -364,7 +430,7 @@ class TestVerify:
         assert "Traceback" not in err
         assert not (tmp_path / "c.json").exists()
 
-    def test_horizon_over_cap_needs_force(self, tmp_path, rng, capsys):
+    def test_horizon_over_cap_exits_one(self, tmp_path, rng, capsys):
         from conftest import make_problem
 
         N = tree.MAX_DEPTH + 1
@@ -373,9 +439,12 @@ class TestVerify:
         model.save(p, path)
         assert run("verify", "--input", path, "--out", tmp_path / "c.json",
                    "--t", 0, "--x", "1") == 1
-        # the hint names the command-line option, not the library keyword
         assert capsys.readouterr().err == (f"error: tree depth {N} exceeds the cap "
-                                           f"{tree.MAX_DEPTH}; pass --force to override\n")
+                                           f"{tree.MAX_DEPTH}\n")
+        assert not (tmp_path / "c.json").exists()
+        # no option lifts the cap
+        assert run("verify", "--input", path, "--out", tmp_path / "c.json",
+                   "--t", 0, "--x", "1", "--force") == 1
         assert not (tmp_path / "c.json").exists()
 
 

@@ -220,11 +220,52 @@ class TestTimeInvariant:
             )
 
 
-def strip_bars(p):
+    def test_every_datum_form_rebuilds_the_example(self, example):
+        """Mappings keyed by (t, k) and per-t terminal lists rebuild the
+        instance exactly; one block and per-k sequences fill every t."""
+        data = {name: getattr(example, name) for name in model.FAMILY_NAMES}
+        p = model.from_time_invariant(2, 2, 2, **data, G=example.G, Gbar=example.Gbar,
+                                      g=example.g)
+        assert model.to_json(p) == model.to_json(example)
+        data["A"] = [example.A[0, 0], example.A[1, 1]]  # per k
+        data["f"] = example.f[0, 1]  # one block
+        p = model.from_time_invariant(2, 2, 2, **data, G=example.G[0], Gbar=example.Gbar,
+                                      g=example.g)
+        assert [p.A[key].tolist() for key in p.pairs()] == [
+            example.A[0, 0].tolist(), example.A[1, 1].tolist(), example.A[1, 1].tolist()]
+        assert all(np.array_equal(p.f[key], example.f[0, 1]) for key in p.pairs())
+        assert all(np.array_equal(g, example.G[0]) for g in p.G)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["A"].pop((0, 1)),
+        lambda d: d["A"].__setitem__((0, 1), np.eye(3)),
+        lambda d: d.update(f=np.zeros(3)),
+        lambda d: d.update(Q=[np.eye(2)] * 3),
+        lambda d: d.update(G=np.zeros((3, 2, 2))),
+    ], ids=["missing-key", "mapping-block", "one-block", "sequence-length", "terminal"])
+    def test_bad_shape_is_dimension_mismatch(self, example, edit):
+        data = {name: dict(getattr(example, name).items()) for name in model.FAMILY_NAMES}
+        data.update(G=example.G, Gbar=example.Gbar, g=example.g)
+        edit(data)
+        with pytest.raises(DimensionMismatch):
+            model.from_time_invariant(2, 2, 2, **data)
+
+    def test_missing_or_unknown_name_is_type_error(self, example):
+        data = {name: getattr(example, name) for name in model.FAMILY_NAMES}
+        data.update(G=example.G, Gbar=example.Gbar, g=example.g)
+        with pytest.raises(TypeError, match="'rho'"):
+            model.from_time_invariant(2, 2, 2, **{k: v for k, v in data.items() if k != "rho"})
+        with pytest.raises(TypeError, match="'Z'"):
+            model.from_time_invariant(2, 2, 2, **data, Z=example.A)
+        with pytest.raises(TypeError):
+            strip_bars(example, Abar=example.Abar)
+
+
+def strip_bars(p, **extra):
     """Rebuild an instance keeping only the unbarred blocks."""
     return model.from_no_meanfield(
         p.n, p.m, p.N, A=p.A, B=p.B, C=p.C, D=p.D, f=p.f, d=p.d,
-        Q=p.Q, R=p.R, q=p.q, rho=p.rho, G=p.G, g=p.g,
+        Q=p.Q, R=p.R, q=p.q, rho=p.rho, G=p.G, g=p.g, **extra,
     )
 
 
@@ -237,6 +278,15 @@ class TestNoMeanfield:
         for t in range(p.N):
             assert not p.Gbar[t].any()
         assert model.validate(p) == []
+
+    def test_per_step_sequence_and_one_terminal_block(self, example):
+        p = model.from_no_meanfield(
+            2, 2, 2, A=[example.A[0, 0], example.A[1, 1]], B=example.B, C=example.C,
+            D=example.D, f=example.f, d=example.d, Q=example.Q, R=example.R, q=example.q,
+            rho=example.rho, G=example.G[1], g=example.g)
+        assert np.array_equal(p.A[0, 1], example.A[1, 1])
+        assert all(np.array_equal(g, example.G[1]) for g in p.G)
+        assert not np.any(p.Gbar) and model.validate(p) == []
 
     def test_gains_differ_from_full_example(self, example):
         _, full, _ = recursion.solve_gdre_global(example)
