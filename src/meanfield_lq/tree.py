@@ -49,6 +49,7 @@ worst gap per node is -g' M_k^+ g, and its minimisers are a second batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -58,15 +59,16 @@ from .model import InitialPair, ProblemData, stacks
 MAX_DEPTH = 14
 TOL_STATIONARY = 1e-8
 TOL_CONVEXITY = 1e-9
+DIFFERENCE_SEED = 20240801  # direction and step of each cost-difference check
 
 
 class ScenarioTree:
     """Complete binary tree of a given depth with a memory guard."""
 
-    def __init__(self, depth: int, force: bool = False):
+    def __init__(self, depth: int):
         if depth < 0:
             raise HorizonMismatch(f"tree depth must be >= 0, got {depth}")
-        if depth > MAX_DEPTH and not force:
+        if depth > MAX_DEPTH:
             raise HorizonMismatch(f"tree depth {depth} exceeds the cap {MAX_DEPTH}")
         self.depth = depth
 
@@ -265,13 +267,13 @@ def _levels(proc: AdaptedProcess, t: int, hi: int) -> list:
 
 
 def roll_forward(p: ProblemData, init: InitialPair, control: AdaptedProcess,
-                 t: int, tree: ScenarioTree | None = None) -> AdaptedProcess:
+                 t: int) -> AdaptedProcess:
     """Exact state rollout of the system restarted at family index t.
 
     Conditional means (the E_t terms in the dynamics) are subtree averages
     at the level-t ancestor of each node.
     """
-    _check_tree(p, tree)
+    ScenarioTree(p.N)  # the depth cap
     control.require(t, p.N - 1, p.m)
     if init.t != t:
         raise HorizonMismatch(f"initial pair is at t={init.t}, rollout starts at {t}")
@@ -280,12 +282,9 @@ def roll_forward(p: ProblemData, init: InitialPair, control: AdaptedProcess,
     return AdaptedProcess({t + j: _rows(b[:p.n]).copy() for j, b in enumerate(bufs)})
 
 
-def cost(p: ProblemData, init: InitialPair, control: AdaptedProcess,
-         t: int, tree: ScenarioTree | None = None,
-         state: AdaptedProcess | None = None) -> np.ndarray:
+def cost(p: ProblemData, init: InitialPair, control: AdaptedProcess, t: int) -> np.ndarray:
     """Exact conditional cost of the (t, .)-family problem, per level-t node."""
-    if state is None:
-        state = roll_forward(p, init, control, t, tree)
+    state = roll_forward(p, init, control, t)
     return _roll(_Blocks(p), t, _levels(state, t, p.N), _levels(control, t, p.N - 1))[1][0]
 
 
@@ -317,9 +316,9 @@ def _closed_loop(p: ProblemData, init: InitialPair,
 
 
 def concatenated_state(p: ProblemData, control: AdaptedProcess,
-                       init: InitialPair, tree: ScenarioTree | None = None) -> AdaptedProcess:
+                       init: InitialPair) -> AdaptedProcess:
     """State realised when the problem is restarted at every step."""
-    _check_tree(p, tree)
+    ScenarioTree(p.N)  # the depth cap
     control.require(init.t, p.N - 1, p.m)
     return _closed_loop(p, init, lambda k, _: control.values[k])[0]
 
@@ -331,15 +330,14 @@ def equilibrium_pair(p: ProblemData, gains, init: InitialPair,
     return _closed_loop(p, init, gains.control)
 
 
-def solve_bsde(p: ProblemData, forward_state: AdaptedProcess, k: int,
-               tree: ScenarioTree | None = None) -> AdaptedProcess:
+def solve_bsde(p: ProblemData, forward_state: AdaptedProcess, k: int) -> AdaptedProcess:
     """Exact backward pass of the adjoint equation restarted at index k.
 
     The stage-l value mixes the one-step child mean (E_l), the child
     half-difference (E_l of the noise-weighted value) and level-k subtree
     averages for the barred coefficients.
     """
-    _check_tree(p, tree)
+    ScenarioTree(p.N)  # the depth cap
     forward_state.require(k, p.N, p.n)
     zs = _restart(_Blocks(p), k, _levels(forward_state, k, p.N), [None] * (p.N - k))[2]
     return AdaptedProcess({k + j: _rows(z) for j, z in enumerate(zs)})
@@ -348,28 +346,28 @@ def solve_bsde(p: ProblemData, forward_state: AdaptedProcess, k: int,
 def stationarity_gradient(p: ProblemData, state_k: AdaptedProcess,
                           control: AdaptedProcess, k: int) -> np.ndarray:
     """Left side of the first-order condition at step k, per level-k node."""
-    _check_tree(p, None)
+    ScenarioTree(p.N)  # the depth cap
     state_k.require(k, p.N, p.n)
     us = _levels(control, k, k) + [None] * (p.N - k - 1)
     return _rows(_restart(_Blocks(p), k, _levels(state_k, k, p.N), us)[3])
 
 
 def stationarity_residuals(p: ProblemData, init: InitialPair, control: AdaptedProcess,
-                           t: int, tree: ScenarioTree | None = None) -> dict:
+                           t: int) -> dict:
     """Max node-wise norm of the stationarity equation for each k in {t..N-1}.
 
     For each k the adjoint system is restarted at (k, X*_k) along the
     candidate control, solved exactly, and the gradient norm is maximised
     over level-k nodes.
     """
-    star = concatenated_state(p, control, init, tree)
+    star = concatenated_state(p, control, init)
     bl = _Blocks(p)
     return {k: float(np.max(np.linalg.norm(
         _restart(bl, k, _levels(star, k, k), _levels(control, k, p.N - 1))[3], axis=0)))
         for k in range(t, p.N)}
 
 
-def variation_cost(p: ProblemData, k: int, ubar, tree: ScenarioTree | None = None):
+def variation_cost(p: ProblemData, k: int, ubar):
     """Exact cost of a single-instant control variation at step k.
 
     ``ubar`` is either an m-vector (same variation at every level-k node,
@@ -377,7 +375,7 @@ def variation_cost(p: ProblemData, k: int, ubar, tree: ScenarioTree | None = Non
     The variational state starts at zero, jumps through the summed input
     blocks at step k and then follows the homogeneous dynamics.
     """
-    _check_tree(p, tree)
+    ScenarioTree(p.N)  # the depth cap
     ub = np.asarray(ubar, dtype=float)
     if ub.shape == (p.m,):
         return float(_variation(_Blocks(p), k, ub[:, None, None])[0, 0])
@@ -387,14 +385,14 @@ def variation_cost(p: ProblemData, k: int, ubar, tree: ScenarioTree | None = Non
 
 
 def difference_formula_check(p: ProblemData, k: int, zeta, u: AdaptedProcess,
-                             ubar, lam: float, tree: ScenarioTree | None = None) -> float:
+                             ubar, lam: float) -> float:
     """Residual of the exact cost-difference expansion at step k.
 
     Left side: two exact cost evaluations differing only in the step-k
     control.  Right side: linear term through the restarted adjoint plus
     lam**2 times the variational cost.  Returns the max node-wise gap.
     """
-    _check_tree(p, tree)
+    ScenarioTree(p.N)  # the depth cap
     u.require(k, p.N - 1, p.m)
     zeta = InitialPair(k, np.asarray(zeta, dtype=float)).node_values(p.n)
     ub = np.asarray(ubar, dtype=float)
@@ -407,16 +405,14 @@ def difference_formula_check(p: ProblemData, k: int, zeta, u: AdaptedProcess,
     return _difference_residual(lhs, lam, grad, ub_nodes, quad)
 
 
-def representation_check(p: ProblemData, gains, t: int, x, k: int,
-                         tables, tree: ScenarioTree | None = None) -> float:
+def representation_check(p: ProblemData, gains, t: int, x, k: int, tables) -> float:
     """Max gap between the exact adjoint and its table representation.
 
     The adjoint restarted at (k, X*_k) along the feedback control must equal
     P (X - E_k X) + script-P E_k X + T (X* - E_k X*) + script-T E_k X* + pi
     stage by stage; ``tables`` are the solved backward tables.
     """
-    tree = _check_tree(p, tree)
-    star, control = equilibrium_pair(p, gains, InitialPair(t, np.asarray(x, dtype=float)), tree)
+    star, control = equilibrium_pair(p, gains, InitialPair(t, np.asarray(x, dtype=float)))
     star = _columns(star, k, p.N)
     bufs, _, zs, _ = _restart(_Blocks(p), k, [_at(star[k], k)], _levels(control, k, p.N - 1))
     return _representation_gap(tables, k, bufs, zs, star)
@@ -436,10 +432,9 @@ class EquilibriumCertificate:
     convexity_values: dict
     worst_gaps: list
     verdict: bool
-    tol_stationary: float
-    tol_convexity: float
-    seed: int
     identity_checks: dict | None = None
+    tol_stationary: ClassVar[float] = TOL_STATIONARY
+    tol_convexity: ClassVar[float] = TOL_CONVEXITY
 
     def to_dict(self) -> dict:
         return {
@@ -450,14 +445,12 @@ class EquilibriumCertificate:
             "verdict": bool(self.verdict),
             "tol_stationary": float(self.tol_stationary),
             "tol_convexity": float(self.tol_convexity),
-            "seed": int(self.seed),
         }
 
 
 @np.errstate(over="ignore", invalid="ignore")  # checked: a non-finite result raises
 def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProcess,
-                        t: int, seed: int = 20240801,
-                        tree: ScenarioTree | None = None,
+                        t: int, tree: ScenarioTree | None = None,
                         tables=None) -> EquilibriumCertificate:
     """Exact certification: stationarity, convexity and the worst deviation.
 
@@ -475,14 +468,14 @@ def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProce
 
     ``tables`` are the solved backward tables of the gains behind
     ``control``.  With them, the same restarts also give the identity checks
-    (representation residual, and the cost-difference residual of a seeded
-    direction and step) in ``identity_checks``.  Raises NumericalBreakdown
+    (representation residual, and the cost-difference residual of a
+    direction and step drawn from DIFFERENCE_SEED) in ``identity_checks``.  Raises NumericalBreakdown
     at the first step whose state, cost or reported value is not finite.
     """
-    tree = _check_tree(p, tree)
+    _check_tree(p, tree)
     control.require(t, p.N - 1, p.m)
-    rng = np.random.default_rng(seed)  # direction and step of each cost-difference check
-    star = _columns(concatenated_state(p, control, init, tree), t, p.N)
+    rng = np.random.default_rng(DIFFERENCE_SEED)
+    star = _columns(concatenated_state(p, control, init), t, p.N)
     ctl = _columns(control, t, p.N - 1)
     bl = _Blocks(p)
     Ms = _deviation_matrices(bl, t)
@@ -521,5 +514,4 @@ def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProce
           and all(v >= -TOL_CONVEXITY for v in lows))
     checks = None if tables is None else {"representation_residuals": representation,
                                           "difference_formula_residuals": difference}
-    return EquilibriumCertificate(residuals, convexity, gaps, ok, TOL_STATIONARY, TOL_CONVEXITY,
-                                  seed, checks)
+    return EquilibriumCertificate(residuals, convexity, gaps, ok, checks)

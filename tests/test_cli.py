@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from meanfield_lq import __version__, cli, model, recursion, tree
+from meanfield_lq import __version__, cli, model, montecarlo as mc, recursion, tree
 from meanfield_lq.errors import ProblemFormatError
 from meanfield_lq.model import canonical_dumps
 
@@ -355,6 +355,9 @@ class TestVerify:
         assert doc["certificate"]["verdict"] is True
         reps = doc["identity_checks"]["representation_residuals"]
         assert all(v <= 1e-8 for v in reps.values())
+        # the cost-difference check draws from a fixed seed, recorded nowhere
+        assert "seed" not in doc and "seed" not in doc["certificate"]
+        assert json.loads((tmp_path / "cert.json.manifest.json").read_text())["seed"] is None
 
     def test_tampered_gain_detected(self, example_file, tmp_path):
         report = tmp_path / "report.json"
@@ -374,9 +377,22 @@ class TestVerify:
                    "--t", 0, "--x", "1,2,3") == 1
 
     def test_sampling_knob_is_gone(self, example_file, tmp_path):
-        # the certificate is exact; no option sets a number of sampled deviations
+        # the certificate is exact; no option sets a number of sampled
+        # deviations or the direction of the cost-difference check
+        for knob in (("--deviations", "4"), ("--seed", "1")):
+            assert run("verify", "--input", example_file, "--out", tmp_path / "c.json",
+                       "--x", "1,1", *knob) == 1
+        assert not (tmp_path / "c.json").exists()
+
+    def test_gains_file_not_json_exits_one(self, example_file, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text("{nope")
+        capsys.readouterr()
         assert run("verify", "--input", example_file, "--out", tmp_path / "c.json",
-                   "--x", "1,1", "--deviations", "4") == 1
+                   "--x", "1,1", "--gains", report) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {report}: not valid JSON: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "c.json").exists()
 
     @pytest.mark.parametrize("edit, field", [
         (lambda g: g["Psi"].pop(), "gains.Psi"),
@@ -493,6 +509,21 @@ class TestSimulate:
     def test_bad_paths_exits_one(self, example_file, tmp_path):
         assert run("simulate", "--input", example_file, "--out", tmp_path / "s",
                    "--paths", 0, "--seed", 1, "--x", "1,1") == 1
+
+    def test_paths_beyond_memory_exit_one(self, example_file, tmp_path, capsys, monkeypatch):
+        # as numpy refuses np.empty(10**12), without asking for the memory
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                              "(1000000000000,) and data type float64")
+
+        monkeypatch.setattr(mc, "_rollout", refuse)
+        capsys.readouterr()
+        assert run("simulate", "--input", example_file, "--out", tmp_path / "s",
+                   "--paths", 10**12, "--x", "1,1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["example.json"]
 
 
 class TestNonFiniteInitialState:
