@@ -19,7 +19,7 @@ from .errors import (
     NumericalBreakdown,
     ProblemFormatError,
 )
-from .matrices import PsdVerdict, pinv, psd_check, range_residual
+from .matrices import EquilibriumCertificate, PsdVerdict, pinv, psd_check, range_residual
 from .model import (
     InitialPair,
     ProblemData,
@@ -40,7 +40,6 @@ from .recursion import (
 from .montecarlo import SimConfig, SimResult, simulate
 from .tree import (
     AdaptedProcess,
-    EquilibriumCertificate,
     ScenarioTree,
     certify_equilibrium,
     cost,

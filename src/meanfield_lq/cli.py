@@ -1,5 +1,12 @@
 """Command-line surface: solve, verify, simulate, epsilon-sweep.
 
+`verify` rolls the closed loop of the gains once on the scenario tree, to
+get the realised level-k states, and certifies each step from the
+closed-form moment forms Q_k of `montecarlo.deviation_forms`: no tree
+restart.  It also reports the identities between those forms and the
+solver (`_solver_identities`); `cli` computes them because it imports both
+sides.
+
 Exit codes are a stable contract: 0 = success/certified, 2 = computed but a
 numerical condition is violated, 1 = usage or input error.  Every command
 writes its files through `_write_outputs`: a JSON document, a CSV table if
@@ -96,7 +103,7 @@ def _load_gains(path: str, p) -> recursion.GainSchedule:
     try:
         with open(path, "rb") as fh:
             doc = model.parse_json(fh.read())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ProblemFormatError(f"{path}: not valid JSON: {exc}") from exc
     gains = doc.get("gains") if isinstance(doc, dict) else None
     if not isinstance(gains, dict):
@@ -128,22 +135,41 @@ def cmd_solve(args) -> int:
     return EXIT_OK if report.verdict_all_pairs else EXIT_VIOLATED
 
 
+def _solver_identities(forms, gains, solved, report, t: int) -> dict:
+    """Max entry gaps, per step k, of the identities between the moment
+    forms and the solver: M_k = M2[k], Gamma_k = W_k Psi_k + H_k and
+    gamma_k = W_k alpha_k + beta_k.  W, H, beta and M2 are the solver's;
+    Psi and alpha are the certified gains.  H and beta are built from the
+    solver's later gains, so a gain edited at step j breaks the last two
+    at every step before j."""
+    m = report.M2[0].shape[0]
+    n = forms.shape[-1] - m - 1
+    checks = {"M2_residuals": {}, "WPsi_H_residuals": {}, "Walpha_beta_residuals": {}}
+    for k, Q in enumerate(forms, start=t):
+        M, Gamma, gamma = Q[n:n + m, n:n + m], Q[n:n + m, :n], Q[n:n + m, -1]
+        for name, got, want in (
+                ("M2_residuals", M, report.M2[k]),
+                ("WPsi_H_residuals", Gamma, solved.W[k] @ gains.Psi[k] + solved.H[k]),
+                ("Walpha_beta_residuals", gamma, solved.W[k] @ gains.alpha[k] + solved.beta[k])):
+            checks[name][str(k)] = float(np.max(np.abs(got - want)))
+    return checks
+
+
 def cmd_verify(args) -> int:
     p, warnings, sha = _load_problem(args.input)
-    scen = tree.ScenarioTree(p.N)  # certification needs exactly N levels, within the depth cap
+    scen = tree.ScenarioTree(p.N)  # the node-wise residuals read all 2**N realised nodes
     init = _initial_pair(p, args.t, args.x)
-    if args.gains:
-        gains = _load_gains(args.gains, p)
-        tables, _, report = recursion.solve_gdre_global(p)
-    else:
-        tables, gains, report = recursion.solve_gdre_global(p)
+    supplied = _load_gains(args.gains, p) if args.gains else None
+    _, solved, report = recursion.solve_gdre_global(p)
+    gains = solved if supplied is None else supplied
 
-    _, control = tree.equilibrium_pair(p, gains, init, scen)
-    cert = tree.certify_equilibrium(p, init, control, init.t, tree=scen, tables=tables)
+    star, _ = tree.equilibrium_pair(p, gains, init, scen)
+    forms = mc.deviation_forms(p, gains, init.t)
+    cert = mc.certify_forms(forms, star.values, init.t)
     body = {
         "initial_pair": {"t": init.t, "x": init.x.tolist()},
         "certificate": cert.to_dict(),
-        "identity_checks": cert.identity_checks,
+        "identity_checks": _solver_identities(forms, gains, solved, report, init.t),
         "solvability": report.to_dict(),
     }
     out = _write_outputs(args, sha, warnings, body,
@@ -228,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tables", action="store_true", help="embed full solution tables (large)")
     s.set_defaults(fn=cmd_solve)
 
-    v = sub.add_parser("verify", help="certify the solved control on the exact scenario tree")
+    v = sub.add_parser("verify", help="certify the solved control at every realised tree node "
+                                      "from closed-form moment forms")
     v.add_argument("--input", required=True)
     v.add_argument("--out", required=True)
     v.add_argument("--t", type=int, default=0)

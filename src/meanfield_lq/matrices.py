@@ -1,4 +1,5 @@
-"""Small dense-matrix kernel: pseudoinverse, PSD verdicts, range residuals.
+"""Small dense-matrix kernel: pseudoinverse, PSD verdicts, range residuals,
+and the verdict rule of an equilibrium certificate.
 
 Everything here operates on plain ``numpy`` arrays of modest size (the
 solvers never exceed a few dozen rows), favouring explicit tolerances over
@@ -7,13 +8,16 @@ cleverness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, NonSquare
+from .errors import DimensionMismatch, NonFinite, NonSquare, NumericalBreakdown
 
 UNIT_ROUNDOFF = float(np.finfo(np.float64).eps)
+TOL_STATIONARY = 1e-8
+TOL_CONVEXITY = 1e-9
 
 
 def _as_matrix(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
@@ -127,3 +131,73 @@ def range_residuals(w, w_dag, v) -> np.ndarray:
     proj = w @ w_dag
     return fro_each(v - proj @ v) / (1.0 + fro_each(v))
 
+
+@dataclass
+class EquilibriumCertificate:
+    """Verdict of a certificate of a candidate control, built step by step.
+
+    A one-instant deviation v of the step-k control at a level-k node
+    changes the restarted cost there by 2 <g, v> + v' M_k v, with g the
+    node's stationarity gradient.  Whoever computes M_k and g (the exact
+    tree, or the closed-form moment forms) hands each step to
+    ``deviation_step`` and, once it has costed the minimisers, to
+    ``finish_step``; this class holds the one verdict rule.
+
+    ``worst_gaps`` holds per step ``{k, min_gap, realised_gap}``.  The
+    verdict needs every residual max |g| <= TOL_STATIONARY and every
+    lambda_min(M_k) and min_gap >= -TOL_CONVEXITY.  That covers every
+    deviation: a non-PSD M_k fails the convexity term, and a part of g
+    outside range(M_k), along which the cost is unbounded below, is no
+    longer than g.  ``realised_gap`` and ``identity_checks`` are
+    diagnostics and do not enter the verdict.
+    """
+
+    stationary_residuals: dict = field(default_factory=dict)
+    convexity_values: dict = field(default_factory=dict)
+    worst_gaps: list = field(default_factory=list)
+    identity_checks: dict | None = None
+    tol_stationary: ClassVar[float] = TOL_STATIONARY
+    tol_convexity: ClassVar[float] = TOL_CONVEXITY
+
+    @property
+    def verdict(self) -> bool:
+        lows = [*self.convexity_values.values(), *(g["min_gap"] for g in self.worst_gaps)]
+        return (all(v <= TOL_STATIONARY for v in self.stationary_residuals.values())
+                and all(v >= -TOL_CONVEXITY for v in lows))
+
+    def deviation_step(self, k: int, w: np.ndarray, V: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Record step k from the eigendecomposition (w, V) of M_k and the
+        (m, nodes) gradients g: the residual max |g|, lambda_min(M_k) and
+        ``min_gap``, the least -g' M_k^+ g over the nodes.  Returns the
+        minimisers v* = -M_k^+ g.  Eigenvalues within m * eps of the
+        largest count as zero, so a rounding-level one is not inverted."""
+        self.stationary_residuals[k] = float(np.max(np.linalg.norm(g, axis=0)))
+        self.convexity_values[k] = float(w[0])
+        keep = np.abs(w) > len(w) * UNIT_ROUNDOFF * np.max(np.abs(w), initial=0.0)
+        vstar = -((V[:, keep] / w[keep]) @ V[:, keep].T) @ g
+        self.worst_gaps.append({"k": k, "min_gap": float(np.min(np.sum(g * vstar, axis=0))),
+                                "realised_gap": float("nan")})
+        return vstar
+
+    def finish_step(self, k: int, realised_gap: float, *reported) -> None:
+        """Record step k's realised gap, the least cost change of the
+        minimisers as its caller computed it.  Raises NumericalBreakdown
+        unless every value of step k and every ``reported`` array (the
+        restarted cost, the identity checks) is finite."""
+        gap = self.worst_gaps[-1]
+        gap["realised_gap"] = realised_gap
+        values = [self.stationary_residuals[k], self.convexity_values[k], gap["min_gap"],
+                  realised_gap, *reported]
+        if not all(np.isfinite(v).all() for v in values):
+            raise NumericalBreakdown(f"the restarted cost or certificate is not finite at step {k}")
+
+    def to_dict(self) -> dict:
+        return {
+            "stationary_residuals": {str(k): float(v) for k, v in self.stationary_residuals.items()},
+            "convexity_values": {str(k): float(v) for k, v in self.convexity_values.items()},
+            "worst_gaps": [{"k": int(g["k"]), "min_gap": float(g["min_gap"]),
+                            "realised_gap": float(g["realised_gap"])} for g in self.worst_gaps],
+            "verdict": bool(self.verdict),
+            "tol_stationary": float(self.tol_stationary),
+            "tol_convexity": float(self.tol_convexity),
+        }

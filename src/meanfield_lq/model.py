@@ -729,7 +729,8 @@ def _dim(doc: dict, key: str) -> int:
 def _json_loads(data):
     """`json.loads` of a document.  Bytes are decoded as a text-mode read
     of the file would decode them: UTF-8 with universal newlines, and a
-    BOM kept, which `json` refuses."""
+    BOM kept, which `json` refuses.  Bytes that are not UTF-8 raise
+    UnicodeDecodeError, which callers word as invalid JSON."""
     if not isinstance(data, str):
         data = str(data, "utf-8").replace("\r\n", "\n").replace("\r", "\n")
     return json.loads(data)
@@ -781,7 +782,7 @@ def _read(text) -> tuple[ProblemData, list[Finding]]:
         if isinstance(doc, dict) and any(type(doc.get(key)) is float and abs(doc[key]) >= 2.0**63
                                          for key in ("n", "m", "N")):
             doc = _json_loads(text)  # such a dimension may be an integer: `json` keeps its digits
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ProblemFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemFormatError("the document must be an object")

@@ -26,6 +26,14 @@ A constant row of ones under the state carries each step's offsets into
 its one matmul.  Memory is O(n * BLOCK) plus the O(paths) per-path costs,
 whatever the horizon.  ``exact_moments`` carries the covariance beside the
 plan's mean instead, and gives the exact cost that the samples estimate.
+
+``deviation_forms`` writes the restarted cost of every step k as a
+quadratic form Q_k in theta = [x; v; 1] (the restart state and a shift of
+the step-k control) from the same first and second moments, every restart
+on one batch axis; ``certify_forms`` reads an equilibrium certificate off
+Q_k at given states.  It keeps its own per-step builder rather than
+``_plan``'s: the plan folds one atom's mean into its offsets, and carrying
+theta-columns through it would change ``simulate``'s arithmetic and bytes.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyConfig, HorizonMismatch, NumericalBreakdown
-from .matrices import sym_part
+from .matrices import EquilibriumCertificate, sym_part
 from .model import InitialPair, ProblemData, stacks
 
 NOISE_LAWS = ("rademacher", "standard_gaussian")
@@ -198,6 +206,110 @@ def exact_moments(p: ProblemData, gains, init: InitialPair) -> tuple[float, list
     moments = [{"k": t + j, "mean": m[:n], "cov": S[:n, :n]}
                for j, (m, S) in enumerate(zip(means, covs))]
     return float(cost), moments
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the certificate raises on a non-finite form
+def deviation_forms(p: ProblemData, gains, t: int) -> np.ndarray:
+    """The restarted cost of every step k = t..N-1 as a quadratic form Q_k,
+    (N - t, n + m + 1, n + m + 1), without a tree.
+
+    Restart at an atom x at step k and shift the step-k control by v: the
+    expected cost of the (k, .)-family is theta' Q_k theta, theta = [x; v; 1].
+    As in ``_plan``, z = [x; y] stacks the closed-loop state (diagonal
+    script sums, control u = Psi x + alpha) and the (k, .)-family state,
+    which v moves at step k.  The mean of z is affine in theta, m_j = L_j
+    theta from L_k = [I 0 0; I 0 0], and so is each step's noise offset
+    c_j = C_j theta, with the E_k terms read off the mean.  The mean part
+    of the cost is a quadratic form in L_j; the covariance part is
+    sum_j C_j' V_{j+1} C_j, with the backward Lyapunov adjoint V_N =
+    diag(0, G_k), V_j = weight_j + kd_j' V_{j+1} kd_j + kw_j' V_{j+1} kw_j.
+    The per-step blocks kd, kw and weight are ``_plan``'s.  Every restart
+    sits on one leading batch axis, live for steps j >= k: one forward pass
+    over j gives every L_j and C_j, one backward pass every V_j.
+
+    Q_k's v-rows hold M_k (the v-columns), Gamma_k (the x-columns) and
+    gamma_k (the last column): the stationarity gradient at x is
+    Gamma_k x + gamma_k.
+    """
+    n, m, N, s = p.n, p.m, p.N, stacks(p)
+    ks, size, one = np.arange(t, N), n + m + 1, n + m
+    Psi, alpha = np.asarray(gains.Psi), np.asarray(gains.alpha)
+    L = np.zeros((N - t, 2 * n, size))
+    L[:, :n, :n] = L[:, n:, :n] = np.eye(n)
+    Q = np.zeros((N - t, size, size))
+    offsets = []
+    for j in range(t, N):
+        live, kj = slice(0, j - t + 1), ks[:j - t + 1]
+        Lx, Ly = L[live, :n], L[live, n:]
+        mu = Psi[j] @ Lx
+        mu[..., one] += alpha[j]
+        muy = mu.copy()  # the family's control: v moves it at step k = j, the last live restart
+        muy[-1, :, n:one] += np.eye(m)
+        lin = (Ly.transpose(0, 2, 1) @ s.q[kj, j][..., None]
+               + muy.transpose(0, 2, 1) @ s.rho[kj, j][..., None])[..., 0]
+        Q[live] += (Ly.transpose(0, 2, 1) @ s.cQ[kj, j] @ Ly
+                    + muy.transpose(0, 2, 1) @ s.cR[kj, j] @ muy)
+        Q[live, :, one] += lin
+        Q[live, one, :] += lin
+        C = np.concatenate([s.cC[j, j] @ Lx + s.cD[j, j] @ mu,
+                            s.cC[kj, j] @ Ly + s.cD[kj, j] @ muy], axis=1)
+        C[:, :n, one] += s.d[j, j]
+        C[:, n:, one] += s.d[kj, j]
+        offsets.append(C)
+        Lx, Ly = s.cA[j, j] @ Lx + s.cB[j, j] @ mu, s.cA[kj, j] @ Ly + s.cB[kj, j] @ muy
+        Lx[..., one] += s.f[j, j]
+        Ly[..., one] += s.f[kj, j]
+        L[live, :n], L[live, n:] = Lx, Ly
+    Ly = L[:, n:]
+    lin = (Ly.transpose(0, 2, 1) @ s.g[ks][..., None])[..., 0]
+    Q += Ly.transpose(0, 2, 1) @ s.cG[ks] @ Ly
+    Q[:, :, one] += lin
+    Q[:, one, :] += lin
+
+    V = np.zeros((N - t, 2 * n, 2 * n))
+    V[:, n:, n:] = s.G[ks]
+    for j in range(N - 1, t - 1, -1):
+        C = offsets[j - t]
+        Q[:j - t + 1] += C.transpose(0, 2, 1) @ V[:j - t + 1] @ C
+        live, kj = slice(0, j - t), ks[:j - t]  # V_j is read by the restarts k < j only
+        psi = Psi[j]
+        kd = np.zeros((j - t, 2 * n, 2 * n))
+        kw = np.zeros((j - t, 2 * n, 2 * n))
+        kd[:, :n, :n] = s.cA[j, j] + s.cB[j, j] @ psi
+        kw[:, :n, :n] = s.cC[j, j] + s.cD[j, j] @ psi
+        kd[:, n:, :n], kd[:, n:, n:] = s.B[kj, j] @ psi, s.A[kj, j]
+        kw[:, n:, :n], kw[:, n:, n:] = s.D[kj, j] @ psi, s.C[kj, j]
+        Vn = V[live]
+        V[live] = kd.transpose(0, 2, 1) @ Vn @ kd + kw.transpose(0, 2, 1) @ Vn @ kw
+        V[live, :n, :n] += psi.T @ s.R[kj, j] @ psi
+        V[live, n:, n:] += s.Q[kj, j]
+    return sym_part(Q)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # checked: a non-finite result raises
+def certify_forms(forms: np.ndarray, states, t: int) -> EquilibriumCertificate:
+    """The certificate of a candidate control from its ``deviation_forms``.
+
+    ``states[k]`` holds the realised level-k states (nodes, n) of the
+    closed loop, k = t..N-1.  At each node x the stationarity gradient is
+    g = Gamma_k x + gamma_k, and `EquilibriumCertificate` reduces the step
+    from M_k and g.  ``realised_gap`` is the least theta' Q_k theta at
+    v = v* minus its value at v = 0 over the nodes, theta = [x; v; 1].
+    Raises NumericalBreakdown at the first step whose restarted cost or
+    certificate value is not finite.
+    """
+    n = states[t].shape[1]
+    v, one = slice(n, forms.shape[-1] - 1), forms.shape[-1] - 1
+    cert = EquilibriumCertificate()
+    for k, Q, w, V in zip(range(t, t + len(forms)), forms, *np.linalg.eigh(forms[:, v, v])):
+        x = states[k].T
+        theta = np.concatenate([x, np.zeros((len(w), x.shape[1])), np.ones((1, x.shape[1]))])
+        vstar = cert.deviation_step(k, w, V, Q[v, :n] @ x + Q[v, one:])
+        base = np.einsum("in,in->n", theta, Q @ theta)
+        theta[v] = vstar
+        moved = np.einsum("in,in->n", theta, Q @ theta)
+        cert.finish_step(k, float(np.min(moved - base)), base)
+    return cert
 
 
 @np.errstate(over="ignore", invalid="ignore")  # checked: a non-finite result raises

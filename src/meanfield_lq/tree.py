@@ -49,16 +49,14 @@ worst gap per node is -g' M_k^+ g, and its minimisers are a second batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
 from .errors import DimensionMismatch, HorizonMismatch, NumericalBreakdown
+from .matrices import EquilibriumCertificate
 from .model import InitialPair, ProblemData, stacks
 
 MAX_DEPTH = 14
-TOL_STATIONARY = 1e-8
-TOL_CONVEXITY = 1e-9
 DIFFERENCE_SEED = 20240801  # direction and step of each cost-difference check
 
 
@@ -418,36 +416,6 @@ def representation_check(p: ProblemData, gains, t: int, x, k: int, tables) -> fl
     return _representation_gap(tables, k, bufs, zs, star)
 
 
-@dataclass
-class EquilibriumCertificate:
-    """Verdict of the exact tree certification of a candidate control.
-
-    ``worst_gaps`` holds per step ``{k, min_gap, realised_gap}``.
-    ``identity_checks`` holds the representation and cost-difference
-    residuals per step when the certification was given the solved tables;
-    they are diagnostics and do not enter the verdict.
-    """
-
-    stationary_residuals: dict
-    convexity_values: dict
-    worst_gaps: list
-    verdict: bool
-    identity_checks: dict | None = None
-    tol_stationary: ClassVar[float] = TOL_STATIONARY
-    tol_convexity: ClassVar[float] = TOL_CONVEXITY
-
-    def to_dict(self) -> dict:
-        return {
-            "stationary_residuals": {str(k): float(v) for k, v in self.stationary_residuals.items()},
-            "convexity_values": {str(k): float(v) for k, v in self.convexity_values.items()},
-            "worst_gaps": [{"k": int(g["k"]), "min_gap": float(g["min_gap"]),
-                            "realised_gap": float(g["realised_gap"])} for g in self.worst_gaps],
-            "verdict": bool(self.verdict),
-            "tol_stationary": float(self.tol_stationary),
-            "tol_convexity": float(self.tol_convexity),
-        }
-
-
 @np.errstate(over="ignore", invalid="ignore")  # checked: a non-finite result raises
 def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProcess,
                         t: int, tree: ScenarioTree | None = None,
@@ -456,21 +424,17 @@ def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProce
 
     A deviation v of the step-k control at a level-k node changes the
     restarted cost there by 2 <g, v> + v' M_k v, with g the node's
-    stationarity gradient and M_k built by polarisation (module docstring).
-    The convexity value is lambda_min(M_k), and the per-node worst gap
-    ``min_gap`` is -g' M_k^+ g, at v* = -M_k^+ g.  ``realised_gap`` is the
-    cost change of rolling every node's v* on the tree; it is reported
-    only.  The verdict needs every residual max |g| <= TOL_STATIONARY and
-    every lambda_min and min_gap >= -TOL_CONVEXITY.  That covers every
-    deviation: a non-PSD M_k fails the convexity term, and a part of g
-    outside range(M_k), along which the cost is unbounded below, is no
-    longer than g.
+    stationarity gradient from the restart and M_k built by polarisation
+    (module docstring).  `EquilibriumCertificate` reduces each step and
+    holds the verdict rule.  ``realised_gap`` is the cost change of rolling
+    every node's minimiser v* = -M_k^+ g on the tree; it is reported only.
 
     ``tables`` are the solved backward tables of the gains behind
     ``control``.  With them, the same restarts also give the identity checks
     (representation residual, and the cost-difference residual of a
-    direction and step drawn from DIFFERENCE_SEED) in ``identity_checks``.  Raises NumericalBreakdown
-    at the first step whose state, cost or reported value is not finite.
+    direction and step drawn from DIFFERENCE_SEED) in ``identity_checks``.
+    Raises NumericalBreakdown at the first step whose state, cost or
+    reported value is not finite.
     """
     _check_tree(p, tree)
     control.require(t, p.N - 1, p.m)
@@ -479,17 +443,15 @@ def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProce
     ctl = _columns(control, t, p.N - 1)
     bl = _Blocks(p)
     Ms = _deviation_matrices(bl, t)
-    residuals, convexity, gaps = {}, {}, []
-    representation, difference = {}, {}
+    cert = EquilibriumCertificate()
+    if tables is not None:
+        representation, difference = {}, {}
+        cert.identity_checks = {"representation_residuals": representation,
+                                "difference_formula_residuals": difference}
     for k, M, w, V in zip(range(t, p.N), Ms, *np.linalg.eigh(Ms)):
         us = [_at(ctl[l], k) for l in range(k, p.N)]
         bufs, base, zs, grad = _restart(bl, k, [_at(star[k], k)], us)
-        residuals[k] = float(np.max(np.linalg.norm(grad, axis=0)))
-        convexity[k] = float(w[0])
-        keep = np.abs(w) > p.m * np.finfo(float).eps * np.max(np.abs(w), initial=0.0)
-        Mdag = (V[:, keep] / w[keep]) @ V[:, keep].T
-        g = grad[:, 0, :, 0]
-        vstar = -Mdag @ g
+        vstar = cert.deviation_step(k, w, V, grad[:, 0, :, 0])
         # the minimisers, then the cost-difference direction, one probe each
         deltas = [vstar[:, None, :, None]]
         if tables is not None:
@@ -497,21 +459,11 @@ def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProce
             deltas.append(np.broadcast_to(lam * ubar[:, None, None, None], (p.m, 1, 2**k, 1)))
         moved = [us[0] + np.concatenate(deltas, axis=1)] + us[1:]
         change = _roll(bl, k, [bufs[0][:p.n]], moved)[1] - base
-        gaps.append({"k": k, "min_gap": float(np.min(np.sum(g * vstar, axis=0))),
-                     "realised_gap": float(np.min(change[0]))})
+        checks = []
         if tables is not None:
             representation[str(k)] = _representation_gap(tables, k, bufs, zs, star)
             difference[str(k)] = _difference_residual(change[-1], lam, grad, ubar,
                                                       ubar @ M @ ubar)
-        reported = [base, residuals[k], convexity[k], gaps[-1]["min_gap"],
-                    gaps[-1]["realised_gap"], representation.get(str(k), 0.0),
-                    difference.get(str(k), 0.0)]
-        if not all(np.isfinite(v).all() for v in reported):
-            raise NumericalBreakdown(f"the restarted cost or certificate is not finite at step {k}")
-
-    lows = [*convexity.values(), *(g["min_gap"] for g in gaps)]
-    ok = (all(v <= TOL_STATIONARY for v in residuals.values())
-          and all(v >= -TOL_CONVEXITY for v in lows))
-    checks = None if tables is None else {"representation_residuals": representation,
-                                          "difference_formula_residuals": difference}
-    return EquilibriumCertificate(residuals, convexity, gaps, ok, checks)
+            checks = [representation[str(k)], difference[str(k)]]
+        cert.finish_step(k, float(np.min(change[0])), base, *checks)
+    return cert

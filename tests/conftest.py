@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from meanfield_lq import model
+from meanfield_lq import model, montecarlo, recursion, tree
 from meanfield_lq.tree import AdaptedProcess
 
 
@@ -131,6 +131,36 @@ def constant_control(p, t, value=None):
     """Control process equal to one fixed vector (default zero) at every node."""
     vec = np.zeros(p.m) if value is None else np.asarray(value, dtype=float)
     return AdaptedProcess({k: np.tile(vec, (2**k, 1)) for k in range(t, p.N)})
+
+
+def zero_gains(p):
+    """The gain schedule of the zero control (`constant_control(p, t)`)."""
+    return recursion.GainSchedule(*([np.zeros(shape)] * p.N for shape in (
+        (p.m, p.m), (p.m, p.m), (p.m, p.n), (p.m,), (p.m, p.n), (p.m,))))
+
+
+def moment_certificate(p, gains, init):
+    """The closed-form certificate that `verify` runs, from the realised
+    closed loop of the gains, and the forms it read."""
+    star, _ = tree.equilibrium_pair(p, gains, init)
+    forms = montecarlo.deviation_forms(p, gains, init.t)
+    return montecarlo.certify_forms(forms, star.values, init.t), forms
+
+
+def assert_certificates_agree(exact, moment, forms, states):
+    """The moment certificate gives the exact tree's verdict, and each
+    step's values to 1e-12 of the size of its restarted cost, the form's
+    largest entry times (1 + the largest |x| at the step)**2."""
+    assert moment.verdict == exact.verdict
+    ks = list(exact.stationary_residuals)
+    assert list(moment.stationary_residuals) == ks == list(moment.convexity_values)
+    for k, Q, mine, theirs in zip(ks, forms, moment.worst_gaps, exact.worst_gaps):
+        tol = 1e-12 * (1.0 + np.max(np.abs(Q))) * (1.0 + np.max(np.abs(states[k]))) ** 2
+        assert abs(moment.stationary_residuals[k] - exact.stationary_residuals[k]) <= tol
+        assert abs(moment.convexity_values[k] - exact.convexity_values[k]) <= tol
+        assert mine["k"] == theirs["k"] == k
+        for key in ("min_gap", "realised_gap"):
+            assert abs(mine[key] - theirs[key]) <= tol, (k, key, mine, theirs)
 
 
 def fro(m):

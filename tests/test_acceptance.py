@@ -27,7 +27,7 @@ from meanfield_lq.model import InitialPair
 from meanfield_lq.tree import AdaptedProcess
 
 import recursion_reference as rref
-from conftest import make_problem, penrose_residuals
+from conftest import assert_certificates_agree, make_problem, moment_certificate, penrose_residuals
 from tree_reference import deviated_control
 
 M12_REF = np.array([[400.8004, -330.6524], [-330.6524, 673.2241]])
@@ -132,6 +132,11 @@ def test_recorded_step0_gains_rejected(solved_example):
     cert = tree.certify_equilibrium(p, init, control, 0)
     assert not cert.verdict
     assert cert.stationary_residuals[0] > 1e3 * cert.tol_stationary
+    # the closed-form certificate that `verify` runs rejects the same control
+    printed = recursion.GainSchedule([None] * 2, [None] * 2, [None] * 2, [None] * 2,
+                                     [-W0H0_REF, -W1H1_REF], [-W0B0_REF, -W1B1_REF])
+    moment, forms = moment_certificate(p, printed, init)
+    assert_certificates_agree(cert, moment, forms, star.values)
     # the certificate's exact worst gap, confirmed by rolling its minimiser
     worst = cert.worst_gaps[0]
     assert worst["k"] == 0 and worst["min_gap"] <= -1e3
@@ -179,6 +184,7 @@ def test_criterion_4_equilibrium_certification(solved_example):
     assert cert.verdict
     assert max(cert.stationary_residuals.values()) <= 1e-8
     assert all(g["min_gap"] >= -1e-9 for g in cert.worst_gaps)
+    assert moment_certificate(p, gains, init)[0].verdict
 
     rng = np.random.default_rng(20250804)
     done = 0
@@ -196,6 +202,7 @@ def test_criterion_4_equilibrium_certification(solved_example):
         _, ctrl = tree.equilibrium_pair(q, g, init_q)
         c = tree.certify_equilibrium(q, init_q, ctrl, 0)
         assert c.verdict, f"instance {done} failed certification"
+        assert moment_certificate(q, g, init_q)[0].verdict, f"instance {done}: moment verdict"
         assert max(c.stationary_residuals.values()) <= 1e-8
         assert all(gap["min_gap"] >= -1e-9 for gap in c.worst_gaps)
         done += 1
@@ -306,6 +313,7 @@ def test_criterion_6_negative_controls():
                                      bad_psi, gains.alpha)
         _, control = tree.equilibrium_pair(p, bad, init)
         cert = tree.certify_equilibrium(p, init, control, 0)
+        assert moment_certificate(p, bad, init)[0].verdict == cert.verdict
         if not cert.verdict and max(cert.stationary_residuals.values()) > 1e-3:
             flips += 1
     assert flips >= 24, f"only {flips}/25 perturbed schedules were rejected"

@@ -96,13 +96,16 @@ class TestSolve:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda b: b.replace(b'"A"', b'"\xff"', 1),
-         "'utf-8' codec can't decode byte 0xff in position 16: invalid start byte"),
+         "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte"),
+        (lambda b: b"\xff" + b,
+         "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
         (lambda b: b.replace(b"1.3700000000000001", b"NaN", 1), "D[0][0]: non-finite entries"),
         (lambda b: b"\xef\xbb\xbf" + b,
          "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
-    ], ids=["invalid-utf8", "nan", "bom"])
+    ], ids=["invalid-utf8", "leading-0xff", "nan", "bom"])
     def test_refused_text_exits_one(self, example_file, tmp_path, capsys, edit, message):
-        """Files the fast parser refuses end as they did with `json` alone."""
+        """Files the fast parser refuses end as they did with `json` alone,
+        except that bytes that are not UTF-8 are worded as invalid JSON."""
         path = tmp_path / "bad.json"
         path.write_bytes(edit(example_file.read_bytes()))
         capsys.readouterr()
@@ -353,11 +356,38 @@ class TestVerify:
                    "--t", 0, "--x", "1,1") == 0
         doc = json.loads(out.read_text())
         assert doc["certificate"]["verdict"] is True
-        reps = doc["identity_checks"]["representation_residuals"]
-        assert all(v <= 1e-8 for v in reps.values())
+        # the moment forms against the solver: M_k = M2[k], Gamma_k = W_k Psi_k
+        # + H_k and gamma_k = W_k alpha_k + beta_k, per step
+        checks = doc["identity_checks"]
+        assert set(checks) == {"M2_residuals", "WPsi_H_residuals", "Walpha_beta_residuals"}
+        scale = np.max(np.abs(doc["solvability"]["M2"]))
+        for residuals in checks.values():
+            assert residuals.keys() == {"0", "1"}
+            assert all(v <= 1e-12 * scale for v in residuals.values()), residuals
         # the cost-difference check draws from a fixed seed, recorded nowhere
         assert "seed" not in doc and "seed" not in doc["certificate"]
         assert json.loads((tmp_path / "cert.json.manifest.json").read_text())["seed"] is None
+
+    def test_rolls_the_closed_loop_once_and_restarts_nothing(self, example_file, tmp_path,
+                                                              monkeypatch):
+        # the certificate reads the closed-form moment forms at the realised
+        # nodes: no tree restart, and one closed-loop rollout
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify restarted the tree")
+
+        calls = []
+        closed_loop = tree._closed_loop
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return closed_loop(*args, **kwargs)
+
+        monkeypatch.setattr(tree, "_roll", refuse)
+        monkeypatch.setattr(tree, "_restart", refuse)
+        monkeypatch.setattr(tree, "_closed_loop", counted)
+        assert run("verify", "--input", example_file, "--out", tmp_path / "c.json",
+                   "--x", "1,1") == 0
+        assert len(calls) == 1
 
     def test_tampered_gain_detected(self, example_file, tmp_path):
         report = tmp_path / "report.json"
@@ -392,6 +422,17 @@ class TestVerify:
                    "--x", "1,1", "--gains", report) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {report}: not valid JSON: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "c.json").exists()
+
+    def test_gains_file_not_utf8_exits_one(self, example_file, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_bytes(b"\xff{}")
+        capsys.readouterr()
+        assert run("verify", "--input", example_file, "--out", tmp_path / "c.json",
+                   "--x", "1,1", "--gains", report) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {report}: not valid JSON: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte\n"), err
         assert not (tmp_path / "c.json").exists()
 
     @pytest.mark.parametrize("edit, field", [

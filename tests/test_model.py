@@ -495,12 +495,13 @@ class TestIngestReference:
 
 def _file_outcome(reader, path):
     """What a reader makes of a file read as text, as `model.load` read
-    files before it read bytes; a text decoding error is its message."""
+    files before it read bytes; a text decoding error is worded as invalid
+    JSON, as the reader words it."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
-        return f"UnicodeDecodeError: {exc}"
+        return f"not valid JSON: {exc}"
     return _outcome(reader, text)
 
 
@@ -543,6 +544,7 @@ REFUSED = {
     "invalid-utf8-in-key": _example_text(lambda d: d.update(note=1)).encode().replace(
         b"note", b"no\xfft"),
     "invalid-utf8-outside-strings": _example_text().encode() + b" \x80",
+    "invalid-utf8-first-byte": b"\xff" + _example_text().encode(),
     "overlong-utf8": _example_text(lambda d: d.update(note=1)).encode().replace(
         b"note", b"\xc0\xafnote"),
     "empty-file": b"",
@@ -588,7 +590,10 @@ class TestRefusedDocuments:
         assert not isinstance(outcomes["surrogate-in-extra-key"], str)
         assert outcomes["bom"].startswith("not valid JSON: Unexpected UTF-8 BOM")
         for name in ("invalid-utf8-in-key", "invalid-utf8-outside-strings", "overlong-utf8"):
-            assert outcomes[name].startswith("UnicodeDecodeError: 'utf-8' codec can't decode")
+            assert outcomes[name].startswith("not valid JSON: 'utf-8' codec can't decode")
+        assert outcomes["invalid-utf8-first-byte"] == (
+            "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte")
         assert outcomes["empty-file"] == "not valid JSON: Expecting value: line 1 column 1 (char 0)"
         assert outcomes["crlf-nan-then-malformed"].startswith("not valid JSON: ")
 

@@ -3,12 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from meanfield_lq import model, montecarlo as mc, recursion, tree
+from meanfield_lq import cli, model, montecarlo as mc, recursion, tree
 from meanfield_lq.errors import DimensionMismatch, EmptyConfig, HorizonMismatch
 from meanfield_lq.model import InitialPair
 
 import mc_reference
-from conftest import constant_control, make_problem
+from conftest import constant_control, make_problem, random_dims
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +298,71 @@ class TestExactMoments:
         p, gains = example_solved
         with pytest.raises(HorizonMismatch):
             mc.exact_moments(p, gains, InitialPair(p.N, np.ones(2)))
+
+
+def _identity_scales(forms, gains, solved, report, t):
+    """The size of each term of the solver identities, per step."""
+    scales = {"M2_residuals": {}, "WPsi_H_residuals": {}, "Walpha_beta_residuals": {}}
+    for k, Q in enumerate(forms, start=t):
+        W = solved.W[k]
+        for name, terms in (("M2_residuals", (Q, report.M2[k])),
+                            ("WPsi_H_residuals", (Q, W @ gains.Psi[k], solved.H[k])),
+                            ("Walpha_beta_residuals", (Q, W @ gains.alpha[k], solved.beta[k]))):
+            scales[name][str(k)] = 1.0 + max(np.max(np.abs(a)) for a in terms)
+    return scales
+
+
+class TestDeviationForms:
+    """The restarted cost theta' Q_k theta, theta = [x; v; 1], in closed form."""
+
+    @pytest.mark.parametrize("dims, t", [((2, 2, 6), 0), ((3, 1, 5), 2), ((1, 3, 4), 0)])
+    def test_zero_deviation_gives_the_exact_cost(self, dims, t):
+        rng = np.random.default_rng(sum(dims) + t)
+        p = make_problem(rng, *dims, scale=0.4, convex=bool(t))
+        _, gains, _ = recursion.solve_gdre_global(p)
+        forms = mc.deviation_forms(p, gains, t)
+        assert forms.shape == (p.N - t, p.n + p.m + 1, p.n + p.m + 1)
+        for k, Q in enumerate(forms, start=t):
+            x = rng.normal(size=p.n)
+            theta = np.concatenate([x, np.zeros(p.m), [1.0]])
+            exact, _ = mc.exact_moments(p, gains, InitialPair(k, x))
+            assert abs(theta @ Q @ theta - exact) <= 1e-12 * (1.0 + abs(exact))
+
+    def test_solver_identities_on_the_randomised_suite(self, rng):
+        # M_k = M2[k], Gamma_k = W_k Psi_k + H_k, gamma_k = W_k alpha_k + beta_k
+        for j in range(20):
+            p = make_problem(rng, *random_dims(rng, max_N=7), convex=bool(j % 2))
+            _, gains, report = recursion.solve_gdre_global(p)
+            t = int(rng.integers(0, p.N))
+            forms = mc.deviation_forms(p, gains, t)
+            checks = cli._solver_identities(forms, gains, gains, report, t)
+            scales = _identity_scales(forms, gains, gains, report, t)
+            for name, residuals in checks.items():
+                assert list(residuals) == [str(k) for k in range(t, p.N)]
+                for k, v in residuals.items():
+                    assert v <= 1e-12 * scales[name][k], (j, name, k, v)
+
+    def test_identities_break_before_an_edited_gain(self, rng):
+        # H_k and beta_k are built from the solved later gains: with the gains
+        # edited at steps 2 and 5, the gain identities hold from step 5 on and
+        # fail before it; M_k does not depend on the gains
+        p = make_problem(rng, 2, 2, 8, coupled=True)
+        _, solved, report = recursion.solve_gdre_global(p)
+        gains = recursion.GainSchedule(*(list(getattr(solved, f)) for f in
+                                         ("W", "Wdag", "H", "beta", "Psi", "alpha")))
+        for k in (2, 5):
+            gains.Psi[k] = gains.Psi[k] + 0.1
+            gains.alpha[k] = gains.alpha[k] - 0.1
+        forms = mc.deviation_forms(p, gains, 0)
+        checks = cli._solver_identities(forms, gains, solved, report, 0)
+        scales = _identity_scales(forms, gains, solved, report, 0)
+        for name, residuals in checks.items():
+            for k in range(p.N):
+                ratio = residuals[str(k)] / scales[name][str(k)]
+                if k >= 5 or name == "M2_residuals":
+                    assert ratio <= 1e-12, (name, k, ratio)
+                else:
+                    assert ratio > 1e-6, (name, k, ratio)
 
 
 class TestAgainstTwoPassReference:

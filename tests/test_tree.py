@@ -4,14 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meanfield_lq import model, montecarlo, recursion, tree
+from meanfield_lq import matrices, model, montecarlo, recursion, tree
 from meanfield_lq.errors import HorizonMismatch
 from meanfield_lq.model import InitialPair
 from meanfield_lq.tree import AdaptedProcess, ScenarioTree
 
 import tree_reference as ref
-from conftest import (constant_control, duplicated_control_problem, identity_dynamics_problem,
-                      make_problem, random_dims, zero_weight_problem)
+from conftest import (assert_certificates_agree, constant_control, duplicated_control_problem,
+                      identity_dynamics_problem, make_problem, moment_certificate, random_dims,
+                      zero_gains, zero_weight_problem)
 
 
 def all_ones_scalar_problem(N=2):
@@ -593,6 +594,80 @@ class TestAgainstPerCallReference:
             assert abs(got - ref.representation_check(p, gains, 0, x, k, tables)) <= 1e-12
 
 
+class TestMomentCertificate:
+    """The closed-form moment certificate that `verify` runs against the
+    exact tree: the same verdict, and the same values at rounding level."""
+
+    def check(self, p, gains, init):
+        _, control = tree.equilibrium_pair(p, gains, init)
+        exact = tree.certify_equilibrium(p, init, control, init.t)
+        moment, forms = moment_certificate(p, gains, init)
+        star = tree.concatenated_state(p, control, init)
+        assert_certificates_agree(exact, moment, forms, star.values)
+        Ms = tree._deviation_matrices(tree._Blocks(p), init.t)
+        v = slice(p.n, p.n + p.m)
+        for Q, M in zip(forms, Ms):
+            assert np.max(np.abs(Q[v, v] - M)) <= 1e-12 * (1.0 + np.max(np.abs(M)))
+        return moment
+
+    @pytest.mark.parametrize("case", CASE_ORDER)
+    def test_reference_cases(self, case):
+        n, m, N, t, family, tamper, uncoupled, _ = {**REFERENCE_CASES, **DEEP_CASES}[case]
+        rng = np.random.default_rng(CASE_ORDER.index(case))
+        p = make_problem(rng, n, m, N, scale=0.3 if case in DEEP_CASES else 0.5, coupled=tamper)
+        if uncoupled:
+            uncouple(p)
+        _, gains, _ = recursion.solve_gdre_global(p)
+        if tamper:
+            gains.Psi[1] = gains.Psi[1] + 0.05
+        x = rng.normal(size=(2**t, n) if family else n)
+        assert self.check(p, gains, InitialPair(t, x)).verdict == (not tamper)
+
+    def test_randomised_suite(self, rng):
+        # every other instance is not convex; every third has a gain edited
+        cases = [make_problem(rng, *random_dims(rng), convex=bool(j % 2)) for j in range(16)]
+        cases += [duplicated_control_problem(rng)]
+        for j, p in enumerate(cases):
+            _, gains, _ = recursion.solve_gdre_global(p)
+            if j % 3 == 0:
+                gains.Psi[p.N // 2] = gains.Psi[p.N // 2] + 0.1
+            self.check(p, gains, InitialPair(0, rng.normal(size=p.n)))
+
+    def test_certification_cases(self, rng):
+        # TestCertification's instances, with the zero control as a gain schedule
+        p = identity_dynamics_problem()
+        for t, k in p.pairs():
+            p.R[t, k] = 1e-10 * np.ones((1, 1))
+            p.rho[t, k] = 5e-9 * np.ones(1)
+        init = InitialPair(0, np.ones(1))
+        assert not self.check(p, zero_gains(p), init).verdict  # the gap alone rejects
+        for t, k in p.pairs():
+            p.R[t, k] = -1e-3 * np.ones((1, 1))
+            p.rho[t, k] = np.zeros(1)
+        assert not self.check(p, zero_gains(p), init).verdict  # the convexity term alone
+        assert not self.check(zero_weight_problem(rho=1e-3), zero_gains(zero_weight_problem()),
+                              init).verdict
+
+        p = duplicated_control_problem(rng)
+        for t, k in p.pairs():
+            p.rho[t, k] = p.rho[t, k] + 1e-9 * np.array([1.0, -1.0])
+        _, gains, _ = recursion.solve_gdre_global(p)
+        moment = self.check(p, gains, InitialPair(0, np.ones(2)))
+        assert moment.verdict and min(moment.stationary_residuals.values()) > 1e-9
+
+        p = make_problem(rng, 2, 2, 3, coupled=True)
+        _, gains, _ = recursion.solve_gdre_global(p)
+        gains.Psi[0] = np.zeros_like(gains.Psi[0])
+        assert not self.check(p, gains, InitialPair(0, rng.normal(size=2) + 1.0)).verdict
+
+        p = make_problem(rng, 2, 2, 4)
+        _, gains, _ = recursion.solve_gdre_global(p)
+        assert self.check(p, gains, InitialPair(1, rng.normal(size=(2, 2)))).verdict
+
+        p = uncouple(make_problem(rng, 2, 2, 3))
+        assert self.check(p, zero_gains(p), InitialPair(0, rng.normal(size=2))).verdict
+
+
 def imported_names(module):
     """Every module name an import statement anywhere in ``module`` names."""
     source = Path(module.__file__).read_text(encoding="utf-8")
@@ -620,6 +695,13 @@ class TestIndependence:
     def test_montecarlo_imports_neither_recursion_nor_tree(self):
         for name in imported_names(montecarlo):
             assert not set(name.split(".")) & {"recursion", "tree"}, name
+
+    @pytest.mark.parametrize("module", [montecarlo, matrices], ids=lambda m: m.__name__)
+    def test_moment_certificate_imports_only_data_and_matrix_kernels(self, module):
+        # the moment forms and the verdict rule that `verify` runs read, of
+        # the package, only the data model, the matrix kernel and the errors
+        for name in imported_names(module):
+            assert not set(name.split(".")) & {"cli", "recursion", "tree", "montecarlo"}, name
 
     def test_reference_takes_only_processes_and_closed_loop_from_tree(self):
         # the per-call oracle keeps its own level helpers: what it reads of
