@@ -31,9 +31,10 @@ plan's mean instead, and gives the exact cost that the samples estimate.
 quadratic form Q_k in theta = [x; v; 1] (the restart state and a shift of
 the step-k control) from the same first and second moments, every restart
 on one batch axis; ``certify_forms`` reads an equilibrium certificate off
-Q_k at given states.  It keeps its own per-step builder rather than
-``_plan``'s: the plan folds one atom's mean into its offsets, and carrying
-theta-columns through it would change ``simulate``'s arithmetic and bytes.
+Q_k at given states.  The forms assemble their own per-step blocks rather
+than reuse ``_plan``: the plan folds one atom's mean into its offsets, and
+carrying theta-columns through it would change ``simulate``'s arithmetic
+and bytes.
 """
 
 from __future__ import annotations
