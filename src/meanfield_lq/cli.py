@@ -4,8 +4,7 @@
 get the realised level-k states, and certifies each step from the
 closed-form moment forms Q_k of `montecarlo.deviation_forms`: no tree
 restart.  It also reports the identities between those forms and the
-solver (`_solver_identities`); `cli` computes them because it imports both
-sides.
+solver (`montecarlo.solver_identities`).
 
 Exit codes are a stable contract: 0 = success/certified, 2 = computed but a
 numerical condition is violated, 1 = usage or input error.  Every command
@@ -135,26 +134,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK if report.verdict_all_pairs else EXIT_VIOLATED
 
 
-def _solver_identities(forms, gains, solved, report, t: int) -> dict:
-    """Max entry gaps, per step k, of the identities between the moment
-    forms and the solver: M_k = M2[k], Gamma_k = W_k Psi_k + H_k and
-    gamma_k = W_k alpha_k + beta_k.  W, H, beta and M2 are the solver's;
-    Psi and alpha are the certified gains.  H and beta are built from the
-    solver's later gains, so a gain edited at step j breaks the last two
-    at every step before j."""
-    m = report.M2[0].shape[0]
-    n = forms.shape[-1] - m - 1
-    checks = {"M2_residuals": {}, "WPsi_H_residuals": {}, "Walpha_beta_residuals": {}}
-    for k, Q in enumerate(forms, start=t):
-        M, Gamma, gamma = Q[n:n + m, n:n + m], Q[n:n + m, :n], Q[n:n + m, -1]
-        for name, got, want in (
-                ("M2_residuals", M, report.M2[k]),
-                ("WPsi_H_residuals", Gamma, solved.W[k] @ gains.Psi[k] + solved.H[k]),
-                ("Walpha_beta_residuals", gamma, solved.W[k] @ gains.alpha[k] + solved.beta[k])):
-            checks[name][str(k)] = float(np.max(np.abs(got - want)))
-    return checks
-
-
 def cmd_verify(args) -> int:
     p, warnings, sha = _load_problem(args.input)
     scen = tree.ScenarioTree(p.N)  # the node-wise residuals read all 2**N realised nodes
@@ -169,7 +148,7 @@ def cmd_verify(args) -> int:
     body = {
         "initial_pair": {"t": init.t, "x": init.x.tolist()},
         "certificate": cert.to_dict(),
-        "identity_checks": _solver_identities(forms, gains, solved, report, init.t),
+        "identity_checks": mc.solver_identities(forms, gains, solved, report, init.t),
         "solvability": report.to_dict(),
     }
     out = _write_outputs(args, sha, warnings, body,

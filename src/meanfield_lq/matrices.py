@@ -148,14 +148,13 @@ class EquilibriumCertificate:
     lambda_min(M_k) and min_gap >= -TOL_CONVEXITY.  That covers every
     deviation: a non-PSD M_k fails the convexity term, and a part of g
     outside range(M_k), along which the cost is unbounded below, is no
-    longer than g.  ``realised_gap`` and ``identity_checks`` are
-    diagnostics and do not enter the verdict.
+    longer than g.  ``realised_gap`` is a diagnostic and does not enter
+    the verdict.
     """
 
     stationary_residuals: dict = field(default_factory=dict)
     convexity_values: dict = field(default_factory=dict)
     worst_gaps: list = field(default_factory=list)
-    identity_checks: dict | None = None
     tol_stationary: ClassVar[float] = TOL_STATIONARY
     tol_convexity: ClassVar[float] = TOL_CONVEXITY
 
@@ -179,15 +178,15 @@ class EquilibriumCertificate:
                                 "realised_gap": float("nan")})
         return vstar
 
-    def finish_step(self, k: int, realised_gap: float, *reported) -> None:
+    def finish_step(self, k: int, realised_gap: float, base: np.ndarray) -> None:
         """Record step k's realised gap, the least cost change of the
         minimisers as its caller computed it.  Raises NumericalBreakdown
-        unless every value of step k and every ``reported`` array (the
-        restarted cost, the identity checks) is finite."""
+        unless every value of step k and the restarted cost ``base`` are
+        finite."""
         gap = self.worst_gaps[-1]
         gap["realised_gap"] = realised_gap
         values = [self.stationary_residuals[k], self.convexity_values[k], gap["min_gap"],
-                  realised_gap, *reported]
+                  realised_gap, base]
         if not all(np.isfinite(v).all() for v in values):
             raise NumericalBreakdown(f"the restarted cost or certificate is not finite at step {k}")
 

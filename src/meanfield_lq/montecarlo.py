@@ -31,7 +31,8 @@ plan's mean instead, and gives the exact cost that the samples estimate.
 quadratic form Q_k in theta = [x; v; 1] (the restart state and a shift of
 the step-k control) from the same first and second moments, every restart
 on one batch axis; ``certify_forms`` reads an equilibrium certificate off
-Q_k at given states.  The forms assemble their own per-step blocks rather
+Q_k at given states, and ``solver_identities`` compares Q_k with the
+backward solver's M2, W Psi + H and W alpha + beta.  The forms assemble their own per-step blocks rather
 than reuse ``_plan``: the plan folds one atom's mean into its offsets, and
 carrying theta-columns through it would change ``simulate``'s arithmetic
 and bytes.
@@ -311,6 +312,27 @@ def certify_forms(forms: np.ndarray, states, t: int) -> EquilibriumCertificate:
         moved = np.einsum("in,in->n", theta, Q @ theta)
         cert.finish_step(k, float(np.min(moved - base)), base)
     return cert
+
+
+def solver_identities(forms, gains, solved, report, t: int) -> dict:
+    """Max entry gaps, per step k, of the identities between the
+    ``deviation_forms`` of ``gains`` and the solver: M_k = M2[k],
+    Gamma_k = W_k Psi_k + H_k and gamma_k = W_k alpha_k + beta_k.  W, H,
+    beta and M2 are the solver's (``solved`` and ``report``); Psi and alpha
+    are the certified gains.  H and beta are built from the solver's later
+    gains, so a gain edited at step j breaks the last two at every step
+    before j."""
+    m = report.M2[0].shape[0]
+    n = forms.shape[-1] - m - 1
+    checks = {"M2_residuals": {}, "WPsi_H_residuals": {}, "Walpha_beta_residuals": {}}
+    for k, Q in enumerate(forms, start=t):
+        M, Gamma, gamma = Q[n:n + m, n:n + m], Q[n:n + m, :n], Q[n:n + m, -1]
+        for name, got, want in (
+                ("M2_residuals", M, report.M2[k]),
+                ("WPsi_H_residuals", Gamma, solved.W[k] @ gains.Psi[k] + solved.H[k]),
+                ("Walpha_beta_residuals", gamma, solved.W[k] @ gains.alpha[k] + solved.beta[k])):
+            checks[name][str(k)] = float(np.max(np.abs(got - want)))
+    return checks
 
 
 @np.errstate(over="ignore", invalid="ignore")  # checked: a non-finite result raises

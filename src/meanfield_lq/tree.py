@@ -31,8 +31,9 @@ once per step k (`_restart`), one restart at a time: stacked on one axis,
 the restarts of a level leave the cache.  Their buffers carry 4n more rows,
 [E_l z; E_k E_l z; E_l (z w); E_k E_l (z w)] of the level-(l+1) adjoint z,
 filled by the backward pass, so that the adjoint and the step-k gradient
-are one matmul a level too.  One restart gives the stationarity residual,
-the base cost of the deviation gaps and the identity checks.
+are one matmul a level too.  One restart gives the stationarity residual
+and the base cost of the deviation gaps; `representation_check` and
+`difference_formula_check` read their identities off one restart each.
 
 Exact certificate.  The restarted cost is quadratic in the step-k control,
 so a deviation v at a level-k node changes it by 2 <g, v> + v' M_k v, with
@@ -57,7 +58,6 @@ from .matrices import EquilibriumCertificate
 from .model import InitialPair, ProblemData, stacks
 
 MAX_DEPTH = 14
-DIFFERENCE_SEED = 20240801  # direction and step of each cost-difference check
 
 
 class ScenarioTree:
@@ -418,8 +418,7 @@ def representation_check(p: ProblemData, gains, t: int, x, k: int, tables) -> fl
 
 @np.errstate(over="ignore", invalid="ignore")  # checked: a non-finite result raises
 def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProcess,
-                        t: int, tree: ScenarioTree | None = None,
-                        tables=None) -> EquilibriumCertificate:
+                        t: int, tree: ScenarioTree | None = None) -> EquilibriumCertificate:
     """Exact certification: stationarity, convexity and the worst deviation.
 
     A deviation v of the step-k control at a level-k node changes the
@@ -428,42 +427,20 @@ def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProce
     (module docstring).  `EquilibriumCertificate` reduces each step and
     holds the verdict rule.  ``realised_gap`` is the cost change of rolling
     every node's minimiser v* = -M_k^+ g on the tree; it is reported only.
-
-    ``tables`` are the solved backward tables of the gains behind
-    ``control``.  With them, the same restarts also give the identity checks
-    (representation residual, and the cost-difference residual of a
-    direction and step drawn from DIFFERENCE_SEED) in ``identity_checks``.
-    Raises NumericalBreakdown at the first step whose state, cost or
-    reported value is not finite.
+    Raises NumericalBreakdown at the first step whose restarted cost or
+    certificate value is not finite.
     """
     _check_tree(p, tree)
     control.require(t, p.N - 1, p.m)
-    rng = np.random.default_rng(DIFFERENCE_SEED)
     star = _columns(concatenated_state(p, control, init), t, p.N)
     ctl = _columns(control, t, p.N - 1)
     bl = _Blocks(p)
-    Ms = _deviation_matrices(bl, t)
     cert = EquilibriumCertificate()
-    if tables is not None:
-        representation, difference = {}, {}
-        cert.identity_checks = {"representation_residuals": representation,
-                                "difference_formula_residuals": difference}
-    for k, M, w, V in zip(range(t, p.N), Ms, *np.linalg.eigh(Ms)):
+    for k, w, V in zip(range(t, p.N), *np.linalg.eigh(_deviation_matrices(bl, t))):
         us = [_at(ctl[l], k) for l in range(k, p.N)]
-        bufs, base, zs, grad = _restart(bl, k, [_at(star[k], k)], us)
+        bufs, base, _, grad = _restart(bl, k, [_at(star[k], k)], us)
         vstar = cert.deviation_step(k, w, V, grad[:, 0, :, 0])
-        # the minimisers, then the cost-difference direction, one probe each
-        deltas = [vstar[:, None, :, None]]
-        if tables is not None:
-            ubar, lam = rng.normal(size=p.m), float(rng.uniform(-1.0, 1.0))
-            deltas.append(np.broadcast_to(lam * ubar[:, None, None, None], (p.m, 1, 2**k, 1)))
-        moved = [us[0] + np.concatenate(deltas, axis=1)] + us[1:]
+        moved = [us[0] + vstar[:, None, :, None]] + us[1:]
         change = _roll(bl, k, [bufs[0][:p.n]], moved)[1] - base
-        checks = []
-        if tables is not None:
-            representation[str(k)] = _representation_gap(tables, k, bufs, zs, star)
-            difference[str(k)] = _difference_residual(change[-1], lam, grad, ubar,
-                                                      ubar @ M @ ubar)
-            checks = [representation[str(k)], difference[str(k)]]
-        cert.finish_step(k, float(np.min(change[0])), base, *checks)
+        cert.finish_step(k, float(np.min(change)), base)
     return cert

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from meanfield_lq import cli, model, montecarlo as mc, recursion, tree
+from meanfield_lq import model, montecarlo as mc, recursion, tree
 from meanfield_lq.errors import DimensionMismatch, EmptyConfig, HorizonMismatch
 from meanfield_lq.model import InitialPair
 
@@ -335,7 +335,7 @@ class TestDeviationForms:
             _, gains, report = recursion.solve_gdre_global(p)
             t = int(rng.integers(0, p.N))
             forms = mc.deviation_forms(p, gains, t)
-            checks = cli._solver_identities(forms, gains, gains, report, t)
+            checks = mc.solver_identities(forms, gains, gains, report, t)
             scales = _identity_scales(forms, gains, gains, report, t)
             for name, residuals in checks.items():
                 assert list(residuals) == [str(k) for k in range(t, p.N)]
@@ -354,7 +354,7 @@ class TestDeviationForms:
             gains.Psi[k] = gains.Psi[k] + 0.1
             gains.alpha[k] = gains.alpha[k] - 0.1
         forms = mc.deviation_forms(p, gains, 0)
-        checks = cli._solver_identities(forms, gains, solved, report, 0)
+        checks = mc.solver_identities(forms, gains, solved, report, 0)
         scales = _identity_scales(forms, gains, solved, report, 0)
         for name, residuals in checks.items():
             for k in range(p.N):
