@@ -2,8 +2,10 @@
 stochastic linear-quadratic control with initial-time-dependent data.
 
 The package computes open-loop time-consistent equilibrium controls via
-coupled backward matrix recursions, certifies them exactly on a binary
-scenario tree, and cross-checks costs by Monte Carlo simulation.
+coupled backward matrix recursions and cross-checks costs by Monte Carlo
+simulation.  `verify` certifies the controls exactly from closed-form
+moment forms of the restarted costs; an exact binary scenario tree, which
+never consults the recursions, is the independent oracle for both.
 """
 
 __version__ = "0.1.0"

@@ -192,7 +192,8 @@ class EquilibriumCertificate:
 
     def to_dict(self) -> dict:
         return {
-            "stationary_residuals": {str(k): float(v) for k, v in self.stationary_residuals.items()},
+            "stationary_residuals": {str(k): float(v)
+                                     for k, v in self.stationary_residuals.items()},
             "convexity_values": {str(k): float(v) for k, v in self.convexity_values.items()},
             "worst_gaps": [{"k": int(g["k"]), "min_gap": float(g["min_gap"]),
                             "realised_gap": float(g["realised_gap"])} for g in self.worst_gaps],

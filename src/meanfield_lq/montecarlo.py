@@ -32,10 +32,10 @@ quadratic form Q_k in theta = [x; v; 1] (the restart state and a shift of
 the step-k control) from the same first and second moments, every restart
 on one batch axis; ``certify_forms`` reads an equilibrium certificate off
 Q_k at given states, and ``solver_identities`` compares Q_k with the
-backward solver's M2, W Psi + H and W alpha + beta.  The forms assemble their own per-step blocks rather
-than reuse ``_plan``: the plan folds one atom's mean into its offsets, and
-carrying theta-columns through it would change ``simulate``'s arithmetic
-and bytes.
+backward solver's M2, W Psi + H and W alpha + beta.  The forms assemble
+their own per-step blocks rather than reuse ``_plan``: the plan folds one
+atom's mean into its offsets, and carrying theta-columns through it would
+change ``simulate``'s arithmetic and bytes.
 """
 
 from __future__ import annotations

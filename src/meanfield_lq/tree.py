@@ -1,50 +1,14 @@
 """Exact probability-tree engine for binary (Rademacher) noise.
 
-Every operation here is brute force on the complete binary tree: conditional
-expectations are subtree averages, noise-weighted expectations are signed
-half-differences of children.  Nothing in this module consults the backward
-recursions, so it can serve as an independent oracle for them.
+Every operation here is brute force on the complete binary tree, a plain
+loop over levels on (2**l, dim) arrays, one restart and one control at a
+time: E_k is the mean over each level-k subtree, and a noise-weighted
+expectation is the signed half-difference of two children.  Nothing in this
+module consults the backward recursions, so it can serve as an independent
+oracle for them.  The coefficients come from `model.stacks`.
 
 Node convention: the level-k node with index i has children 2*i (noise +1)
 and 2*i + 1 (noise -1) at level k+1; node probability is 2**-k.
-
-Layout.  `AdaptedProcess` holds (nodes, dim) arrays per level.  Inside, the
-(t, .)-family system restarted at level t runs on one buffer per level l,
-(rows, probes, 2**t, 2**(l-t)): axis 2 is the level-t ancestor, the last
-axis the node within its subtree.  E_t is an `np.add.reduce` over that
-contiguous axis, never a recursion of means, and a child pair is two
-neighbours on it.  The rows are v = [x; E_t x; 1; u; E_t u] ([x; E_t x; 1]
-at level N); the constant row carries f, d, q, rho and g, and is 0 for the
-variational system.  `_Blocks` builds, once per call from `model.stacks`
-(the arrays that the backward sweep and Monte Carlo read too), the block
-[drift; diffusion; cost weight W] of each (t, l), so one matmul advances a
-level and gives its node costs v'Wv (`_roll`).  The closed loop reads the
-diagonal script sums cA[k, k], ..., cD[k, k] of the same stacks.
-
-Batch axis.  The probes axis carries controls that differ only at step t,
-the deviations of a one-instant perturbation, all rolled by one `_roll`;
-the controls they share after step t have a probes axis of length 1.
-`roll_forward`, `cost` and `variation_cost` are the one-probe cases.
-
-Restart cache.  `certify_equilibrium` restarts the candidate from (k, X*_k)
-once per step k (`_restart`), one restart at a time: stacked on one axis,
-the restarts of a level leave the cache.  Their buffers carry 4n more rows,
-[E_l z; E_k E_l z; E_l (z w); E_k E_l (z w)] of the level-(l+1) adjoint z,
-filled by the backward pass, so that the adjoint and the step-k gradient
-are one matmul a level too.  One restart gives the stationarity residual
-and the base cost of the deviation gaps; `representation_check` and
-`difference_formula_check` read their identities off one restart each.
-
-Exact certificate.  The restarted cost is quadratic in the step-k control,
-so a deviation v at a level-k node changes it by 2 <g, v> + v' M_k v, with
-g the node's stationarity gradient.  The quadratic part is the cost of the
-variational system, which starts at zero and whose coefficients are
-deterministic; a variation that is F_k-measurable is one constant vector
-on each level-k subtree, so M_k is the same at every node and the
-node-constant variations determine it.  Polarisation reads it off the
-m(m+1)/2 variations e_i and e_i + e_j, one batch of probes and one pass per
-step, and one stacked `eigh` serves every M_k (`_deviation_matrices`).  The
-worst gap per node is -g' M_k^+ g, and its minimisers are a second batch.
 """
 
 from __future__ import annotations
@@ -96,194 +60,130 @@ def _check_tree(p: ProblemData, tree: ScenarioTree | None) -> ScenarioTree:
     return tree
 
 
-# ---------------------------------------------------------------------------
-# Level kernels.  Buffers are (rows, probes, 2**t, width) for family t.
+# Level kernels on (2**l, dim) arrays; ``s`` is `model.stacks` of the problem.
 
-class _Blocks:
-    """The blocks of every (t, l): ``step``, ``term`` ([adjoint; W] at level N),
-    ``adj`` and ``grad`` (the step-k gradient) on a restart's buffers.  W
-    holds the linear weights in the column of the constant row."""
-
-    def __init__(self, p: ProblemData):
-        n, m, N = self.n, self.m, self.N = p.n, p.m, p.N
-        r = self.r = 2 * n + 1 + 2 * m
-        s = vars(stacks(p))
-        X, EX, ONE = slice(0, n), slice(n, 2 * n), 2 * n
-        U, EU = slice(2 * n + 1, r - m), slice(r - m, r)
-        step = self.step = np.zeros((N, N, 2 * n + r, r))
-        for rows, names in ((X, "A Abar f B Bbar"), (EX, "C Cbar d D Dbar")):
-            for col, name in zip((X, EX, ONE, U, EU), names.split()):
-                step[:, :, rows, col] = s[name]
-        W = step[:, :, 2 * n:]
-        for col, name in ((X, "Q"), (EX, "Qbar"), (U, "R"), (EU, "Rbar")):
-            W[:, :, col, col] = s[name]
-        W[:, :, EX, ONE], W[:, :, EU, ONE] = 2.0 * s["q"], 2.0 * s["rho"]
-        G, Gbar, g = s["G"], s["Gbar"], s["g"]
-        term = self.term = np.zeros((N, 3 * n + 1, 2 * n + 1))
-        term[:, X, X], term[:, X, EX], term[:, X, ONE] = G, Gbar, g
-        term[:, n:][:, X, X], term[:, n:][:, EX, EX], term[:, n:][:, EX, ONE] = G, Gbar, 2.0 * g
-        adj, grad, d = np.zeros((N, N, n, r + 4 * n)), np.zeros((N, m, r + 4 * n)), np.arange(N)
-        adj[..., X], adj[..., EX], adj[..., ONE] = s["Q"], s["Qbar"], s["q"]
-        grad[..., ONE], grad[..., U], grad[..., EU] = s["rho"][d, d], s["R"][d, d], s["Rbar"][d, d]
-        for j, (a, b) in enumerate(zip(("A", "Abar", "C", "Cbar"), ("B", "Bbar", "D", "Dbar"))):
-            adj[..., r + j * n:r + j * n + n] = s[a].transpose(0, 1, 3, 2)
-            grad[..., r + j * n:r + j * n + n] = s[b][d, d].transpose(0, 2, 1)
-        self.adj, self.grad = adj, grad
+def _mean(v: np.ndarray, k: int) -> np.ndarray:
+    """E_k of a level-l array: its mean over each level-k subtree, (2**k, dim)."""
+    return v.reshape(2**k, -1, v.shape[-1]).mean(axis=1)
 
 
-def _columns(proc: AdaptedProcess, lo: int, hi: int) -> dict:
-    """Levels lo..hi of a process as contiguous (dim, nodes) arrays."""
-    return {l: np.ascontiguousarray(proc.values[l].T) for l in range(lo, hi + 1)}
+def _lift(v: np.ndarray, nodes: int) -> np.ndarray:
+    """A level-k array at the ``nodes`` nodes of a level below: each takes its ancestor's row."""
+    return np.repeat(v, nodes // len(v), axis=0)
 
 
-def _at(col: np.ndarray, t: int) -> np.ndarray:
-    """A (dim, nodes) level as a one-probe node-last array of family t."""
-    return col.reshape(col.shape[0], 1, 2**t, -1)
+def _children(drift: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """The next level from a level's drift and diffusion: noise +1, then -1."""
+    nxt = np.empty((2 * len(drift), drift.shape[1]))
+    nxt[0::2] = drift + diff
+    nxt[1::2] = drift - diff
+    return nxt
 
 
-def _rows(v: np.ndarray) -> np.ndarray:
-    """A one-probe node-last array as (nodes, dim)."""
-    return v.reshape(v.shape[0], -1).T
+def _roll(s, t: int, x: np.ndarray, us: list, one: float = 1.0) -> list:
+    """States of the (t, .)-family system at levels t..N, from the level-t
+    state ``x`` under the level-l controls ``us[l - t]``.  ``one`` multiplies
+    f and d; from x = 0 with one = 0 this is the variational system."""
+    xs = [x]
+    for l, u in enumerate(us, start=t):
+        x = xs[-1]
+        ex, eu = _mean(x, t), _mean(u, t)
+        drift = x @ s.A[t, l].T + u @ s.B[t, l].T + _lift(
+            ex @ s.Abar[t, l].T + eu @ s.Bbar[t, l].T + one * s.f[t, l], len(x))
+        diff = x @ s.C[t, l].T + u @ s.D[t, l].T + _lift(
+            ex @ s.Cbar[t, l].T + eu @ s.Dbar[t, l].T + one * s.d[t, l], len(x))
+        xs.append(_children(drift, diff))
+    return xs
 
 
-def _mean(v: np.ndarray) -> np.ndarray:
-    """E_t of a node-last array: the mean over each level-t subtree."""
-    out = np.add.reduce(v, axis=-1, keepdims=True)
-    out /= v.shape[-1]
-    return out
+def _weigh(v: np.ndarray, t: int, W: np.ndarray, Wbar: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """E_t v'Wv + (E_t v)' Wbar E_t v + 2 w' E_t v per level-t node."""
+    ev = _mean(v, t)
+    quad = np.sum((v @ W) * v, axis=1, keepdims=True)
+    return _mean(quad, t)[:, 0] + np.sum((ev @ Wbar) * ev, axis=1) + 2.0 * ev @ w
 
 
-def _roll(bl: _Blocks, t: int, xs: list, us: list, one: float = 1.0, adjoint: bool = False):
-    """Roll the (t, .)-family system through levels t..N, one matmul a level.
-
-    ``xs[0]`` is the level-t state; states that ``xs`` holds for later
-    levels are taken as given, not rolled.  ``us[l - t]`` is the level-l
-    control (None for zero).  ``one`` fills the constant row.  With
-    ``adjoint`` the buffers get the adjoint's rows.  Returns the level
-    buffers, the conditional cost (probes, nodes) and, with ``adjoint``,
-    the level-N adjoint.
-    """
-    n, m, N, r = bl.n, bl.m, bl.N, bl.r
-    lead = [xs[0].shape[1:3]] + [u.shape[1:3] for u in us[:1] if u is not None]
-    rows = [r + 4 * n * adjoint] * (N - t) + [2 * n + 1]
-    buf = np.empty((rows[0],) + np.broadcast_shapes(*lead) + (1,))
-    bufs, cost, zN = [], 0.0, None
-    for j, l in enumerate(range(t, N + 1)):
-        if j < len(xs):
-            buf[:n] = xs[j]
-        buf[n:2 * n] = _mean(buf[:n])
-        buf[2 * n] = one
-        width = buf.shape[-1]
-        if l == N:
-            out = (bl.term[t] if adjoint else bl.term[t, n:]) @ buf.reshape(2 * n + 1, -1)
-            zN = out[:n] if adjoint else None
-        else:
-            u = np.zeros((m, 1, 1, 1)) if us[j] is None else us[j]
-            buf[2 * n + 1:r - m], buf[r - m:r] = u, _mean(u)
-            out = bl.step[t, l] @ buf[:r].reshape(r, -1)
-            nxt = np.empty((rows[j + 1],) + buf.shape[1:-1] + (2 * width,))
-            x = nxt[:n].reshape(buf[:n].shape + (2,))
-            drift, diff = out[:n].reshape(x.shape[:-1]), out[n:2 * n].reshape(x.shape[:-1])
-            np.add(drift, diff, out=x[..., 0])
-            np.subtract(drift, diff, out=x[..., 1])
-        v = buf[:min(r, len(buf))]
-        cost += np.einsum("ipsw,ipsw->ps", v, out[-len(v):].reshape(v.shape)) / width
-        bufs.append(buf)
-        buf = nxt if l < N else None
-    return bufs, cost, zN
+def _cost(s, t: int, xs: list, us: list, one: float = 1.0) -> np.ndarray:
+    """Conditional cost per level-t node of a roll: states ``xs`` at levels
+    t..N under controls ``us``.  ``one`` multiplies q, rho and g."""
+    total = _weigh(xs[-1], t, s.G[t], s.Gbar[t], one * s.g[t])
+    for l, (x, u) in enumerate(zip(xs, us), start=t):
+        total += _weigh(x, t, s.Q[t, l], s.Qbar[t, l], one * s.q[t, l])
+        total += _weigh(u, t, s.R[t, l], s.Rbar[t, l], one * s.rho[t, l])
+    return total
 
 
-def _restart(bl: _Blocks, k: int, xs: list, us: list):
-    """The (k, .)-family system as ``_roll`` rolls it: its level buffers,
-    cost, adjoint at levels k..N and step-k stationarity gradient."""
-    n, r = bl.n, bl.r
-    bufs, cost, z = _roll(bl, k, xs, us, adjoint=True)
-    zs = [z.reshape((n,) + bufs[-1].shape[1:])]
-    for buf in bufs[-2::-1]:
-        pair = zs[-1].reshape(zs[-1].shape[:-1] + (-1, 2))
-        ez = np.multiply(pair[..., 0] + pair[..., 1], 0.5, out=buf[r:r + n])
-        ezw = np.multiply(pair[..., 0] - pair[..., 1], 0.5, out=buf[r + 2 * n:r + 3 * n])
-        buf[r + n:r + 2 * n] = _mean(ez)
-        buf[r + 3 * n:] = _mean(ezw)
-        zs.append((bl.adj[k, bl.N - len(zs)] @ buf.reshape(len(buf), -1)).reshape(ez.shape))
-    b = bufs[0]
-    grad = (bl.grad[k] @ b.reshape(len(b), -1)).reshape((bl.m,) + b.shape[1:])
-    return bufs, cost, zs[::-1], grad
+def _child_means(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E_l z and E_l (z w) of a level-(l+1) array, from each child pair."""
+    return 0.5 * (z[0::2] + z[1::2]), 0.5 * (z[0::2] - z[1::2])
 
 
-def _variation(bl: _Blocks, k: int, ub: np.ndarray) -> np.ndarray:
-    """Costs of step-k variations ``ub`` (m, probes, 1 or 2**k), (probes, nodes)."""
-    us = [ub[..., None]] + [None] * (bl.N - k - 1)
-    return _roll(bl, k, [np.zeros((bl.n,) + ub.shape[1:] + (1,))], us, one=0.0)[1]
+def _adjoint(s, k: int, xs: list) -> list:
+    """The adjoint (BSDE) of the (k, .)-family system along the states ``xs``
+    of levels k..N, as a list over the same levels."""
+    x = xs[-1]
+    zs = [x @ s.G[k].T + _lift(_mean(x, k) @ s.Gbar[k].T + s.g[k], len(x))]
+    for l in range(k + len(xs) - 2, k - 1, -1):
+        x = xs[l - k]
+        ez, ezw = _child_means(zs[-1])
+        zs.append(ez @ s.A[k, l] + ezw @ s.C[k, l] + x @ s.Q[k, l].T + _lift(
+            _mean(ez, k) @ s.Abar[k, l] + _mean(ezw, k) @ s.Cbar[k, l]
+            + _mean(x, k) @ s.Qbar[k, l].T + s.q[k, l], len(x)))
+    return zs[::-1]
 
 
-def _deviation_matrices(bl: _Blocks, t: int) -> np.ndarray:
-    """M_k for k = t..N-1, (N - t, m, m), by polarisation of the costs c of
-    the variations e_i and e_i + e_j, one variational pass per step:
+def _gradient(s, k: int, u: np.ndarray, xs: list) -> np.ndarray:
+    """Step-k stationarity gradient per level-k node, (2**k, m), from the
+    level-k control ``u`` and the adjoint along ``xs`` at level k + 1."""
+    ez, ezw = _child_means(_adjoint(s, k, xs)[1])
+    return u @ s.cR[k, k].T + ez @ s.cB[k, k] + ezw @ s.cD[k, k] + s.rho[k, k]
+
+
+def _variation(s, k: int, ub: np.ndarray) -> np.ndarray:
+    """Cost per level-k node of the step-k variation ``ub``, (2**k, m)."""
+    N, n = s.g.shape
+    us = [ub] + [np.zeros((2**l, ub.shape[1])) for l in range(k + 1, N)]
+    return _cost(s, k, _roll(s, k, np.zeros((2**k, n)), us, one=0.0), us, one=0.0)
+
+
+def _deviation_matrices(s, t: int) -> np.ndarray:
+    """M_k for k = t..N-1, (N - t, m, m): the quadratic part of the restarted
+    cost in the step-k control, which is the cost of the variational system.
+    Its coefficients are deterministic and an F_k-measurable variation is one
+    constant vector on each level-k subtree, so M_k is the same at every
+    node; polarisation reads it off the costs c of the node-constant
+    variations e_i and e_i + e_j:
     M_ii = c(e_i), M_ij = (c(e_i + e_j) - c(e_i) - c(e_j)) / 2."""
-    m, (i, j), eye = bl.m, np.triu_indices(bl.m, 1), np.eye(bl.m)
-    probes = np.concatenate((eye, eye[i] + eye[j])).T[:, :, None]
-    Ms = np.zeros((bl.N - t, m, m))
+    m = s.rho.shape[-1]
+    (i, j), eye = np.triu_indices(m, 1), np.eye(m)
+    probes = np.concatenate((eye, eye[i] + eye[j]))
+    Ms = np.zeros((len(s.g) - t, m, m))
     for k, M in enumerate(Ms, start=t):
-        c = _variation(bl, k, probes)[:, 0]
+        c = np.array([_variation(s, k, np.tile(v, (2**k, 1)))[0] for v in probes])
         M[np.diag_indices(m)] = c[:m]
         M[i, j] = M[j, i] = 0.5 * (c[m:] - c[i] - c[j])
     return Ms
 
 
-def _representation_gap(tables, k: int, bufs: list, zs: list, star: dict) -> float:
-    """Max node-wise gap between a restart's adjoint and its table form, one
-    matmul a level of [P | Pcal | T | Tcal | pi] on
-    [x - E x; E x; X* - E X*; E X*; 1]."""
-    n, levels = zs[0].shape[0], range(k, k + len(zs))
-    blocks = np.concatenate([np.array([getattr(tables, name)[k, l] for l in levels])
-                             .reshape(len(zs), n, -1)
-                             for name in ("P", "Pcal", "T", "Tcal", "pi")], axis=2)
-    worst = 0.0
-    for l, blk, buf, z in zip(levels, blocks, bufs, zs):
-        x, ex, xs_l = buf[:n], buf[n:2 * n], _at(star[l], k)
-        es = _mean(xs_l)
-        rep = np.concatenate((x - ex, ex, xs_l - es, np.broadcast_to(es, xs_l.shape),
-                              buf[2 * n:2 * n + 1]))
-        gap = z.reshape(n, -1) - blk @ rep.reshape(4 * n + 1, -1)
-        worst = max(worst, float(np.sqrt(np.max(np.add.reduce(gap * gap)))))
-    return worst
-
-
-def _difference_residual(lhs, lam, grad, ub, quad) -> float:
-    """Gap between a cost difference and 2 lam <grad, ub> + lam**2 quad."""
-    rhs = 2.0 * lam * np.sum(_rows(grad) * ub, axis=1) + lam * lam * quad
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-# ---------------------------------------------------------------------------
 # Public per-call operations.
-
-def _levels(proc: AdaptedProcess, t: int, hi: int) -> list:
-    """Levels t..hi of a process as one-probe node-last arrays of family t."""
-    return [_at(c, t) for c in _columns(proc, t, hi).values()]
-
 
 def roll_forward(p: ProblemData, init: InitialPair, control: AdaptedProcess,
                  t: int) -> AdaptedProcess:
-    """Exact state rollout of the system restarted at family index t.
-
-    Conditional means (the E_t terms in the dynamics) are subtree averages
-    at the level-t ancestor of each node.
-    """
+    """Exact state rollout of the system restarted at family index t; the E_t
+    terms in the dynamics are subtree averages at each node's level-t ancestor."""
     ScenarioTree(p.N)  # the depth cap
     control.require(t, p.N - 1, p.m)
     if init.t != t:
         raise HorizonMismatch(f"initial pair is at t={init.t}, rollout starts at {t}")
-    x0 = _at(init.node_values(p.n).T, t)
-    bufs = _roll(_Blocks(p), t, [x0], _levels(control, t, p.N - 1))[0]
-    return AdaptedProcess({t + j: _rows(b[:p.n]).copy() for j, b in enumerate(bufs)})
+    us = [control.values[l] for l in range(t, p.N)]
+    xs = _roll(stacks(p), t, init.node_values(p.n), us)
+    return AdaptedProcess(dict(enumerate(xs, start=t)))
 
 
 def cost(p: ProblemData, init: InitialPair, control: AdaptedProcess, t: int) -> np.ndarray:
     """Exact conditional cost of the (t, .)-family problem, per level-t node."""
-    state = roll_forward(p, init, control, t)
-    return _roll(_Blocks(p), t, _levels(state, t, p.N), _levels(control, t, p.N - 1))[1][0]
+    xs = list(roll_forward(p, init, control, t).values.values())
+    return _cost(stacks(p), t, xs, [control.values[l] for l in range(t, p.N)])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # checked: a non-finite state raises
@@ -304,9 +204,7 @@ def _closed_loop(p: ProblemData, init: InitialPair,
         control.values[k] = uk
         drift = xk @ s.cA[k, k].T + uk @ s.cB[k, k].T + s.f[k, k]
         diff = xk @ s.cC[k, k].T + uk @ s.cD[k, k].T + s.d[k, k]
-        nxt = np.empty((2 ** (k + 1), p.n))
-        nxt[0::2] = drift + diff
-        nxt[1::2] = drift - diff
+        nxt = _children(drift, diff)
         if not np.isfinite(nxt).all():
             raise NumericalBreakdown(f"the closed-loop state is not finite at step {k}")
         state.values[k + 1] = nxt
@@ -329,16 +227,14 @@ def equilibrium_pair(p: ProblemData, gains, init: InitialPair,
 
 
 def solve_bsde(p: ProblemData, forward_state: AdaptedProcess, k: int) -> AdaptedProcess:
-    """Exact backward pass of the adjoint equation restarted at index k.
-
-    The stage-l value mixes the one-step child mean (E_l), the child
-    half-difference (E_l of the noise-weighted value) and level-k subtree
-    averages for the barred coefficients.
-    """
+    """Exact backward pass of the adjoint equation restarted at index k.  The
+    stage-l value mixes the one-step child mean (E_l), the child half-difference
+    (E_l of the noise-weighted value) and level-k subtree averages for the
+    barred coefficients."""
     ScenarioTree(p.N)  # the depth cap
     forward_state.require(k, p.N, p.n)
-    zs = _restart(_Blocks(p), k, _levels(forward_state, k, p.N), [None] * (p.N - k))[2]
-    return AdaptedProcess({k + j: _rows(z) for j, z in enumerate(zs)})
+    xs = [forward_state.values[l] for l in range(k, p.N + 1)]
+    return AdaptedProcess(dict(enumerate(_adjoint(stacks(p), k, xs), start=k)))
 
 
 def stationarity_gradient(p: ProblemData, state_k: AdaptedProcess,
@@ -346,23 +242,22 @@ def stationarity_gradient(p: ProblemData, state_k: AdaptedProcess,
     """Left side of the first-order condition at step k, per level-k node."""
     ScenarioTree(p.N)  # the depth cap
     state_k.require(k, p.N, p.n)
-    us = _levels(control, k, k) + [None] * (p.N - k - 1)
-    return _rows(_restart(_Blocks(p), k, _levels(state_k, k, p.N), us)[3])
+    xs = [state_k.values[l] for l in range(k, p.N + 1)]
+    return _gradient(stacks(p), k, control.values[k], xs)
 
 
 def stationarity_residuals(p: ProblemData, init: InitialPair, control: AdaptedProcess,
                            t: int) -> dict:
-    """Max node-wise norm of the stationarity equation for each k in {t..N-1}.
-
-    For each k the adjoint system is restarted at (k, X*_k) along the
-    candidate control, solved exactly, and the gradient norm is maximised
-    over level-k nodes.
-    """
+    """Max node-wise norm of the stationarity equation for each k in {t..N-1},
+    the system restarted at (k, X*_k) along the candidate control."""
     star = concatenated_state(p, control, init)
-    bl = _Blocks(p)
-    return {k: float(np.max(np.linalg.norm(
-        _restart(bl, k, _levels(star, k, k), _levels(control, k, p.N - 1))[3], axis=0)))
-        for k in range(t, p.N)}
+    s = stacks(p)
+    out = {}
+    for k in range(t, p.N):
+        us = [control.values[l] for l in range(k, p.N)]
+        grad = _gradient(s, k, us[0], _roll(s, k, star.values[k], us))
+        out[k] = float(np.max(np.linalg.norm(grad, axis=1)))
+    return out
 
 
 def variation_cost(p: ProblemData, k: int, ubar):
@@ -376,10 +271,10 @@ def variation_cost(p: ProblemData, k: int, ubar):
     ScenarioTree(p.N)  # the depth cap
     ub = np.asarray(ubar, dtype=float)
     if ub.shape == (p.m,):
-        return float(_variation(_Blocks(p), k, ub[:, None, None])[0, 0])
+        return float(_variation(stacks(p), k, np.tile(ub, (2**k, 1)))[0])
     if ub.shape != (2**k, p.m):
         raise DimensionMismatch(f"ubar has shape {ub.shape}, expected ({p.m},) or {(2**k, p.m)}")
-    return _variation(_Blocks(p), k, ub.T[:, None, :])[0]
+    return _variation(stacks(p), k, ub)
 
 
 def difference_formula_check(p: ProblemData, k: int, zeta, u: AdaptedProcess,
@@ -395,12 +290,13 @@ def difference_formula_check(p: ProblemData, k: int, zeta, u: AdaptedProcess,
     zeta = InitialPair(k, np.asarray(zeta, dtype=float)).node_values(p.n)
     ub = np.asarray(ubar, dtype=float)
     ub_nodes = np.tile(ub, (2**k, 1)) if ub.ndim == 1 else ub
-    bl, us = _Blocks(p), _levels(u, k, p.N - 1)
-    bufs, base, _, grad = _restart(bl, k, [_at(zeta.T, k)], us)
-    moved = [us[0] + lam * _at(ub_nodes.T, k)] + us[1:]
-    lhs = _roll(bl, k, [bufs[0][:p.n]], moved)[1][0] - base[0]
-    quad = _variation(bl, k, ub_nodes.T[:, None, :])[0]
-    return _difference_residual(lhs, lam, grad, ub_nodes, quad)
+    s, us = stacks(p), [u.values[l] for l in range(k, p.N)]
+    xs = _roll(s, k, zeta, us)
+    moved = [us[0] + lam * ub_nodes] + us[1:]
+    lhs = _cost(s, k, _roll(s, k, zeta, moved), moved) - _cost(s, k, xs, us)
+    grad = _gradient(s, k, us[0], xs)
+    rhs = 2.0 * lam * np.sum(grad * ub_nodes, axis=1) + lam * lam * _variation(s, k, ub_nodes)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def representation_check(p: ProblemData, gains, t: int, x, k: int, tables) -> float:
@@ -411,9 +307,16 @@ def representation_check(p: ProblemData, gains, t: int, x, k: int, tables) -> fl
     stage by stage; ``tables`` are the solved backward tables.
     """
     star, control = equilibrium_pair(p, gains, InitialPair(t, np.asarray(x, dtype=float)))
-    star = _columns(star, k, p.N)
-    bufs, _, zs, _ = _restart(_Blocks(p), k, [_at(star[k], k)], _levels(control, k, p.N - 1))
-    return _representation_gap(tables, k, bufs, zs, star)
+    s = stacks(p)
+    xs = _roll(s, k, star.values[k], [control.values[l] for l in range(k, p.N)])
+    worst = 0.0
+    for l, x_l, z in zip(range(k, p.N + 1), xs, _adjoint(s, k, xs)):
+        ex, es = _lift(_mean(x_l, k), len(x_l)), _lift(_mean(star.values[l], k), len(x_l))
+        pred = ((x_l - ex) @ tables.P[k, l].T + ex @ tables.Pcal[k, l].T
+                + (star.values[l] - es) @ tables.T[k, l].T + es @ tables.Tcal[k, l].T
+                + tables.pi[k, l])
+        worst = max(worst, float(np.max(np.linalg.norm(z - pred, axis=1))))
+    return worst
 
 
 @np.errstate(over="ignore", invalid="ignore")  # checked: a non-finite result raises
@@ -424,7 +327,7 @@ def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProce
     A deviation v of the step-k control at a level-k node changes the
     restarted cost there by 2 <g, v> + v' M_k v, with g the node's
     stationarity gradient from the restart and M_k built by polarisation
-    (module docstring).  `EquilibriumCertificate` reduces each step and
+    (`_deviation_matrices`).  `EquilibriumCertificate` reduces each step and
     holds the verdict rule.  ``realised_gap`` is the cost change of rolling
     every node's minimiser v* = -M_k^+ g on the tree; it is reported only.
     Raises NumericalBreakdown at the first step whose restarted cost or
@@ -432,15 +335,15 @@ def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProce
     """
     _check_tree(p, tree)
     control.require(t, p.N - 1, p.m)
-    star = _columns(concatenated_state(p, control, init), t, p.N)
-    ctl = _columns(control, t, p.N - 1)
-    bl = _Blocks(p)
+    star = concatenated_state(p, control, init)
+    s = stacks(p)
     cert = EquilibriumCertificate()
-    for k, w, V in zip(range(t, p.N), *np.linalg.eigh(_deviation_matrices(bl, t))):
-        us = [_at(ctl[l], k) for l in range(k, p.N)]
-        bufs, base, _, grad = _restart(bl, k, [_at(star[k], k)], us)
-        vstar = cert.deviation_step(k, w, V, grad[:, 0, :, 0])
-        moved = [us[0] + vstar[:, None, :, None]] + us[1:]
-        change = _roll(bl, k, [bufs[0][:p.n]], moved)[1] - base
+    for k, w, V in zip(range(t, p.N), *np.linalg.eigh(_deviation_matrices(s, t))):
+        us = [control.values[l] for l in range(k, p.N)]
+        xs = _roll(s, k, star.values[k], us)
+        base = _cost(s, k, xs, us)
+        vstar = cert.deviation_step(k, w, V, _gradient(s, k, us[0], xs).T)
+        moved = [us[0] + vstar.T] + us[1:]
+        change = _cost(s, k, _roll(s, k, star.values[k], moved), moved) - base
         cert.finish_step(k, float(np.min(change)), base)
     return cert

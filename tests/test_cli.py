@@ -383,7 +383,7 @@ class TestVerify:
             return closed_loop(*args, **kwargs)
 
         monkeypatch.setattr(tree, "_roll", refuse)
-        monkeypatch.setattr(tree, "_restart", refuse)
+        monkeypatch.setattr(tree, "_adjoint", refuse)
         monkeypatch.setattr(tree, "_closed_loop", counted)
         assert run("verify", "--input", example_file, "--out", tmp_path / "c.json",
                    "--x", "1,1") == 0

@@ -333,6 +333,37 @@ class TestRepresentation:
         assert res <= 1e-12
 
 
+class TestTreeArgument:
+    """The ``tree=`` argument that the benchmark's tail oracle passes."""
+
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_tree_at_least_as_deep_as_the_horizon(self, extra, rng):
+        p = make_problem(rng, 2, 2, 4)
+        _, gains, _ = recursion.solve_gdre_global(p)
+        init = InitialPair(0, rng.normal(size=2))
+        scen = ScenarioTree(p.N + extra)
+        star, control = tree.equilibrium_pair(p, gains, init, scen)
+        want_star, want_control = tree.equilibrium_pair(p, gains, init)
+        for l in range(p.N + 1):
+            np.testing.assert_array_equal(star.values[l], want_star.values[l])
+        for l in range(p.N):
+            np.testing.assert_array_equal(control.values[l], want_control.values[l])
+        cert = tree.certify_equilibrium(p, init, control, 0, tree=scen)
+        assert cert.verdict
+        assert cert.to_dict() == tree.certify_equilibrium(p, init, control, 0).to_dict()
+
+    def test_shallower_tree_is_refused(self, rng):
+        p = make_problem(rng, 2, 2, 4)
+        _, gains, _ = recursion.solve_gdre_global(p)
+        init = InitialPair(0, rng.normal(size=2))
+        _, control = tree.equilibrium_pair(p, gains, init)
+        scen = ScenarioTree(p.N - 1)
+        with pytest.raises(HorizonMismatch, match="tree depth 3 < horizon 4"):
+            tree.equilibrium_pair(p, gains, init, scen)
+        with pytest.raises(HorizonMismatch, match="tree depth 3 < horizon 4"):
+            tree.certify_equilibrium(p, init, control, 0, tree=scen)
+
+
 class TestCertification:
     def test_reference_example_certifies(self, example):
         tables, gains, _ = recursion.solve_gdre_global(example)
@@ -464,7 +495,7 @@ class TestDeviationMatrix:
             tables = recursion.solve_symmetric(p)
             x = rng.normal(size=p.n)
             cert = tree.certify_equilibrium(p, InitialPair(0, x), constant_control(p, 0), 0)
-            stack = tree._deviation_matrices(tree._Blocks(p), 0)
+            stack = tree._deviation_matrices(model.stacks(p), 0)
             assert stack.shape == (p.N, p.m, p.m)
             for k, want in enumerate(recursion.convexity_margins(p, tables)[1]):
                 bound = 1e-10 * (1.0 + np.linalg.norm(want))
@@ -605,7 +636,7 @@ class TestMomentCertificate:
         moment, forms = moment_certificate(p, gains, init)
         star = tree.concatenated_state(p, control, init)
         assert_certificates_agree(exact, moment, forms, star.values)
-        Ms = tree._deviation_matrices(tree._Blocks(p), init.t)
+        Ms = tree._deviation_matrices(model.stacks(p), init.t)
         v = slice(p.n, p.n + p.m)
         for Q, M in zip(forms, Ms):
             assert np.max(np.abs(Q[v, v] - M)) <= 1e-12 * (1.0 + np.max(np.abs(M)))

@@ -1,14 +1,14 @@
-"""Per-call exact-tree certification, kept as the reference for `tree`.
+"""An independent exact-tree reference for `tree`, with a sampled certificate.
 
-This is the certification `tree` did before it batched its probes: every
-restart, cost, adjoint and variational cost is its own per-level loop over
-(nodes, dim) arrays, and every probe is a separate call.  Its certificate
-is the sampled one `tree` used before the exact one: convexity values are
-minima over unit and seeded random directions, deviation gaps come from
-seeded random directions at the three `DEVIATION_SCALES`, and descent gaps
-from the per-node direction -g/|g| at the nodes whose gradient exceeds the
-stationarity tolerance.  Where the deviation coefficient M_k is PSD,
-every sampled value bounds its exact counterpart from above.
+Every restart, cost, adjoint and variational cost here is its own per-level
+loop over (nodes, dim) arrays, written apart from `tree`'s kernels, and
+every probe is a separate call.  Its certificate is the sampled one `tree`
+used before the exact one: convexity values are minima over unit and
+seeded random directions, deviation gaps come from seeded random directions
+at the three `DEVIATION_SCALES`, and descent gaps from the per-node
+direction -g/|g| at the nodes whose gradient exceeds the stationarity
+tolerance.  Where the deviation coefficient M_k is PSD, every sampled value
+bounds its exact counterpart from above.
 
 The level helpers (conditional means, lifts, child moments) are its own:
 of `tree` it takes only the process type and the closed-loop rollouts.
