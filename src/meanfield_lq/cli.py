@@ -18,6 +18,7 @@ deterministic outputs).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -107,10 +108,9 @@ def _load_gains(path: str, p) -> recursion.GainSchedule:
     gains = doc.get("gains") if isinstance(doc, dict) else None
     if not isinstance(gains, dict):
         raise ProblemFormatError(f"{path}: no \"gains\" object")
-    n, m = p.n, p.m
-    shapes = {"W": (m, m), "Wdag": (m, m), "H": (m, n), "beta": (m,), "Psi": (m, n),
-              "alpha": (m,)}
-    for name, shape in shapes.items():
+    dims = {"m": p.m, "n": p.n}
+    for f in dataclasses.fields(recursion.GainSchedule):
+        name, shape = f.name, tuple(dims[d] for d in f.metadata["shape"])
         entries = gains.get(name)
         if not isinstance(entries, list) or len(entries) != p.N:
             raise ProblemFormatError(f"gains.{name}: expected a list of {p.N} entries")

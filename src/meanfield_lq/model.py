@@ -13,10 +13,10 @@ move a whole family at once.
 
 from __future__ import annotations
 
-import functools
 import gc
 import hashlib
 import json
+import math
 import mmap
 import os
 import struct
@@ -473,97 +473,57 @@ def bundled_example() -> ProblemData:
     return p
 
 
-# ---------------------------------------------------------------------------
-# JSON serialisation.  The writer is canonical: keys sorted, floats printed
-# with 17 significant digits, so serialise -> parse -> serialise is
-# byte-identical.  A float array, and a whole `Family`, is written by one
-# %-format of a template built from its shape (and its sorted keys); "%.17g"
-# prints a float exactly as format(v, ".17g") does.
-
 def canonical_dumps(obj) -> str:
     """Deterministic JSON text for nested dict/list/number/str/bool/None.
 
-    Leaves may also be ndarrays, and a `Family` is written as an object
-    keyed "t,k".
+    Leaves may also be ndarrays and numpy scalars, and a `Family` is
+    written as an object keyed "t,k".  Keys are sorted and every float is
+    the shortest decimal that parses back to the same double, so
+    serialise -> parse -> serialise is byte-identical.  A non-finite float
+    raises ProblemFormatError, where orjson would write null.  orjson
+    refuses an integer beyond 64 bits, a string with a lone surrogate and a
+    key that is not a string; such a document is written by `json` with
+    sorted keys and compact separators, which spells floats as `repr` does
+    and escapes every character outside ASCII.
     """
-    parts: list[str] = []
-    _dump(obj, parts)
-    return "".join(parts)
-
-
-@functools.lru_cache(maxsize=64)
-def _template(shape: tuple) -> str:
-    """%-format template of a float array of this shape as nested lists."""
-    if not shape:
-        return "%.17g"
-    return "[" + ",".join([_template(shape[1:])] * shape[0]) + "]"
-
-
-@functools.lru_cache(maxsize=16)
-def _family_layout(rows: int, cols: int, shape: tuple, present: bytes):
-    """Template of a family's JSON object and the (t, k) index arrays of
-    its blocks, both in the order of the sorted "t,k" key strings."""
-    mask = np.frombuffer(present, dtype=bool).reshape(rows, cols)
-    keys = sorted((f"{t},{k}", t, k) for t, k in zip(*(ix.tolist() for ix in np.nonzero(mask))))
-    block = _template(shape)
-    template = "{" + ",".join(f'"{key}":{block}' for key, _, _ in keys) + "}"
-    t = np.array([t for _, t, _ in keys], dtype=np.intp)
-    k = np.array([k for _, _, k in keys], dtype=np.intp)
-    t.flags.writeable = k.flags.writeable = False  # shared by every caller
-    return template, t, k
-
-
-def _floats(a: np.ndarray) -> tuple:
-    if not np.isfinite(a).all():
+    if not _finite(obj):
         raise ProblemFormatError("cannot serialise non-finite float")
-    return tuple(a.ravel().tolist())
+    try:
+        return orjson.dumps(obj, default=_plain, option=orjson.OPT_SORT_KEYS).decode()
+    except orjson.JSONEncodeError:
+        return json.dumps(obj, default=_plain, sort_keys=True, separators=(",", ":"))
 
 
-def _dump(obj, parts):
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if not np.isfinite(v):
-            raise ProblemFormatError("cannot serialise non-finite float")
-        parts.append(format(v, ".17g"))
-    elif isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f":
-            parts.append(_template(obj.shape) % _floats(obj))
-        else:  # ints print exactly, bools as true/false
-            _dump(obj.tolist(), parts)
-    elif isinstance(obj, Family):
+def _finite(obj) -> bool:
+    """False if any float of the document is NaN or infinite."""
+    if isinstance(obj, (float, np.floating)):
+        return math.isfinite(obj)
+    if isinstance(obj, (list, tuple)):
+        return all(map(_finite, obj))
+    if isinstance(obj, dict):
+        return all(map(_finite, obj.values()))
+    if isinstance(obj, np.ndarray):
+        return bool(np.isfinite(obj).all()) if obj.dtype.kind == "f" else _finite(obj.tolist())
+    if isinstance(obj, Family):
+        return (obj.stack is None or bool(np.isfinite(obj.stack).all())) and _finite(
+            list(obj.extra.values()))
+    return True
+
+
+def _plain(obj):
+    """The JSON value of a leaf that orjson does not write itself."""
+    if isinstance(obj, Family):
         if obj.extra or obj.stack is None:
-            _dump({f"{t},{k}": v for (t, k), v in obj.items()}, parts)
-        else:
-            template, t, k = _family_layout(obj.rows, obj.cols, obj.shape, obj.mask.tobytes())
-            parts.append(template % _floats(obj.stack[t, k]))
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                parts.append(",")
-            _dump(item, parts)
-        parts.append("]")
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(str(key)))
-            parts.append(":")
-            _dump(obj[key], parts)
-        parts.append("}")
-    else:
-        raise ProblemFormatError(f"cannot serialise {type(obj).__name__}")
+            return {f"{t},{k}": v for (t, k), v in obj.items()}
+        t, k = np.nonzero(obj.mask)
+        return dict(zip(map("{},{}".format, t.tolist(), k.tolist()), obj.stack[t, k].tolist()))
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    raise ProblemFormatError(f"cannot serialise {type(obj).__name__}")
 
 
 def to_json(p: ProblemData) -> str:

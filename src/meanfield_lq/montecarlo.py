@@ -225,9 +225,11 @@ def deviation_forms(p: ProblemData, gains, t: int) -> np.ndarray:
     of the cost is a quadratic form in L_j; the covariance part is
     sum_j C_j' V_{j+1} C_j, with the backward Lyapunov adjoint V_N =
     diag(0, G_k), V_j = weight_j + kd_j' V_{j+1} kd_j + kw_j' V_{j+1} kw_j.
-    The per-step blocks kd, kw and weight are ``_plan``'s.  Every restart
-    sits on one leading batch axis, live for steps j >= k: one forward pass
-    over j gives every L_j and C_j, one backward pass every V_j.
+    kd, kw and weight are the step blocks that ``_plan`` also forms, but
+    the backward pass builds its own, one per live restart (``_plan``
+    folds one atom's mean into its offsets).  Every restart sits on one
+    leading batch axis, live for steps j >= k: one forward pass over j
+    gives every L_j and C_j, one backward pass every V_j.
 
     Q_k's v-rows hold M_k (the v-columns), Gamma_k (the x-columns) and
     gamma_k (the last column): the stationarity gradient at x is

@@ -17,7 +17,7 @@ tables, and each member's bits are those of its own one-member sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,14 +48,18 @@ class RecursionTables:
 
 @dataclass
 class GainSchedule:
-    """Per-step gain data: W, its pseudoinverse, H, beta and feedback form."""
+    """Per-step gain data: W, its pseudoinverse, H, beta and feedback form.
 
-    W: list
-    Wdag: list
-    H: list
-    beta: list
-    Psi: list      # -Wdag @ H
-    alpha: list    # -Wdag @ beta
+    The fields, in order, are the gain document's schema: each field's
+    ``shape`` metadata names the dimensions of its per-step block.
+    """
+
+    W: list = field(metadata={"shape": "mm"})
+    Wdag: list = field(metadata={"shape": "mm"})
+    H: list = field(metadata={"shape": "mn"})
+    beta: list = field(metadata={"shape": "m"})
+    Psi: list = field(metadata={"shape": "mn"})      # -Wdag @ H
+    alpha: list = field(metadata={"shape": "m"})     # -Wdag @ beta
 
     @property
     def N(self) -> int:
@@ -328,25 +332,12 @@ def solve_shifts(p: ProblemData, shifts
 
 
 def gains_to_dict(gains: GainSchedule) -> dict:
-    return {
-        "W": [w.tolist() for w in gains.W],
-        "Wdag": [w.tolist() for w in gains.Wdag],
-        "H": [h.tolist() for h in gains.H],
-        "beta": [b.tolist() for b in gains.beta],
-        "Psi": [s.tolist() for s in gains.Psi],
-        "alpha": [a.tolist() for a in gains.alpha],
-    }
+    return {f.name: [b.tolist() for b in getattr(gains, f.name)] for f in fields(GainSchedule)}
 
 
 def gains_from_dict(doc: dict) -> GainSchedule:
-    return GainSchedule(
-        W=[np.asarray(w, dtype=float) for w in doc["W"]],
-        Wdag=[np.asarray(w, dtype=float) for w in doc["Wdag"]],
-        H=[np.asarray(h, dtype=float) for h in doc["H"]],
-        beta=[np.asarray(b, dtype=float) for b in doc["beta"]],
-        Psi=[np.asarray(s, dtype=float) for s in doc["Psi"]],
-        alpha=[np.asarray(a, dtype=float) for a in doc["alpha"]],
-    )
+    return GainSchedule(**{f.name: [np.asarray(b, dtype=float) for b in doc[f.name]]
+                           for f in fields(GainSchedule)})
 
 
 def tables_to_dict(tables: RecursionTables) -> dict:

@@ -99,7 +99,7 @@ class TestSolve:
          "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte"),
         (lambda b: b"\xff" + b,
          "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-        (lambda b: b.replace(b"1.3700000000000001", b"NaN", 1), "D[0][0]: non-finite entries"),
+        (lambda b: b.replace(b"1.37", b"NaN", 1), "D[0][0]: non-finite entries"),
         (lambda b: b"\xef\xbb\xbf" + b,
          "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
     ], ids=["invalid-utf8", "leading-0xff", "nan", "bom"])
@@ -111,6 +111,44 @@ class TestSolve:
         capsys.readouterr()
         assert run("solve", "--input", path, "--out", tmp_path / "r.json") == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_tables_document(self, tmp_path):
+        """The tables are Family objects keyed "k,l" in sorted string order
+        (N = 11 puts "0,10" before "0,2"), whose blocks read back bit for
+        bit; the gains are those of a plain solve."""
+        from conftest import make_problem
+
+        p = make_problem(np.random.default_rng(7), 2, 3, 11)
+        path = tmp_path / "p.json"
+        model.save(p, path)
+        assert run("solve", "--input", path, "--out", tmp_path / "t.json", "--tables") == 0
+        assert run("solve", "--input", path, "--out", tmp_path / "r.json") == 0
+        doc = json.loads((tmp_path / "t.json").read_text())
+        plain = json.loads((tmp_path / "r.json").read_text())
+        assert doc["gains"] == plain["gains"]
+        assert doc["solvability"] == plain["solvability"]
+        tables, _, _ = recursion.solve_gdre_global(model.load(path)[0])
+        names = ("P", "Pcal", "T", "Tcal", "pi")
+        assert set(doc["tables"]) == {"N", *names} and doc["tables"]["N"] == p.N
+        keys = sorted(f"{k},{l}" for k in range(p.N) for l in range(k, p.N + 1))
+        for name in names:
+            table = doc["tables"][name]
+            assert list(table) == keys
+            for key, block in table.items():
+                k, l = map(int, key.split(","))
+                want = getattr(tables, name)[k, l]
+                got = np.array(block, dtype=float)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (name, key)
+
+    def test_out_path_not_utf8(self, example_file, tmp_path):
+        """The path lands in the manifest as a string with a lone surrogate,
+        which the writer escapes."""
+        out = str(tmp_path / os.fsdecode(b"r\xff.json"))
+        assert run("solve", "--input", example_file, "--out", out) == 0
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        assert manifest["outputs"] == [out]
+        assert json.loads(Path(out).read_text())["command"] == "solve"
 
     def test_missing_file_exits_one(self, tmp_path):
         assert run("solve", "--input", tmp_path / "nope.json",
@@ -517,6 +555,13 @@ class TestSimulate:
         jb = json.loads((tmp_path / "sim_b.json").read_text())
         assert ja["result"]["mean_cost"] == jb["result"]["mean_cost"]
 
+    def test_seed_beyond_64_bits(self, example_file, tmp_path):
+        out = tmp_path / "s"
+        assert run("simulate", "--input", example_file, "--out", out, "--x", "1,1",
+                   "--paths", 10, "--seed", 2**70) == 0
+        assert json.loads((tmp_path / "s.json").read_text())["config"]["seed"] == 2**70
+        assert json.loads((tmp_path / "s.manifest.json").read_text())["seed"] == 2**70
+
     def test_single_path_null_std_error(self, example_file, tmp_path):
         out = tmp_path / "one"
         assert run("simulate", "--input", example_file, "--out", out,
@@ -636,6 +681,20 @@ class TestEpsilonSweep:
         assert err.startswith("error: --eps values must be finite and > 0, got ")
         assert not (tmp_path / "s.json").exists()
 
+    def test_zero_weight_instance_raises_both_warnings(self, tmp_path):
+        """W = 0, so alpha = -rho/eps: the distance and the norm grow tenfold
+        at each step down in eps."""
+        from conftest import zero_weight_problem
+
+        path = tmp_path / "w0.json"
+        model.save(zero_weight_problem(rho=1.0), path)
+        assert run("epsilon-sweep", "--input", path, "--out", tmp_path / "s",
+                   "--eps", "1e-1,1e-2,1e-3") == 0
+        doc = json.loads((tmp_path / "s.json").read_text())
+        assert doc["warnings"] == [
+            "gain distance does not decrease monotonically over the sweep",
+            "gain norms grow sharply as eps decreases (possible unbounded family)"]
+
     def test_rows_equal_separate_solves(self, example_file, tmp_path):
         from conftest import make_problem
 
@@ -671,6 +730,29 @@ class TestEpsilonSweep:
         err = capsys.readouterr().err
         assert err == ("error: numerical breakdown: stage 2: T is non-finite from row k=0 "
                        "(eps=1e-310)\n")
+
+
+class TestBadArguments:
+    """Arguments that parse but do not fit the problem are bad input: exit 1
+    with one stderr line, no traceback and no file written."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "--x", "1,abc"), "error: bad vector '1,abc': "),
+        (("simulate", "--x", "1,abc"), "error: bad vector '1,abc': "),
+        (("verify", "--x", "1,1", "--t", 2), "error: --t must be in 0..1"),
+        (("verify", "--x", "1,1", "--t", -1), "error: --t must be in 0..1"),
+        (("simulate", "--x", "1,1", "--t", 2), "error: --t must be in 0..1"),
+        (("epsilon-sweep", "--eps", "1e-2,abc"), "error: bad --eps list '1e-2,abc': "),
+    ], ids=["verify-x", "simulate-x", "verify-t", "verify-negative-t", "simulate-t", "eps"])
+    def test_exits_one(self, example_file, tmp_path, capsys, argv, message):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        command, *rest = argv
+        capsys.readouterr()
+        assert run(command, "--input", example_file, "--out", out_dir / "o", *rest) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(message) and "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
 
 
 class TestUsage:

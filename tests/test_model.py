@@ -820,6 +820,48 @@ class TestCanonicalWriter:
         assert model.canonical_dumps(big) == "[9007199254740993,-4611686018427387907]"
         assert model.canonical_dumps(np.array([True, False])) == "[true,false]"
 
+    def test_floats_are_spelled_shortest(self):
+        """Each float is the shortest decimal that parses back to it."""
+        doc = {"c": 3.0, "a": 1.37, "b": 1e-8, "d": np.array([1.37, 1e-8, 3.0, 1e16])}
+        assert model.canonical_dumps(doc) == '{"a":1.37,"b":1e-8,"c":3.0,"d":[1.37,1e-8,3.0,1e16]}'
+        fam = Family(2, 3, (1,))
+        fam[0, 2], fam[0, 1] = [0.1], [np.float32(0.998046875)]
+        assert model.canonical_dumps(fam) == '{"0,1":[0.998046875],"0,2":[0.1]}'
+
+    @pytest.mark.parametrize("doc, value", [
+        ({"seed": 2**70, "x": [1.37, np.float32(0.5)]}, {"seed": 2**70, "x": [1.37, 0.5]}),
+        ({"x": np.array([1e-8]), "path": "r\udcff.json"}, {"path": "r\udcff.json", "x": [1e-8]}),
+        ({10: {"b": 1, "a": 2}, 2: None}, {"2": None, "10": {"a": 2, "b": 1}}),
+    ], ids=["integer-beyond-64-bits", "lone-surrogate", "non-string-keys"])
+    def test_documents_orjson_refuses(self, doc, value):
+        """Written by `json`, keys sorted, with their values kept."""
+        parsed = json.loads(model.canonical_dumps(doc))
+        assert json.dumps(parsed) == json.dumps(value)  # same order at every level
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float32("-inf")])
+    def test_non_finite_float_rejected_before_a_file_opens(self, bad, tmp_path, monkeypatch):
+        """A float leaf that orjson would write as null is refused."""
+        for doc in ({"x": [1.0, bad]}, [{"y": (bad,)}], np.array([1.0, bad], dtype=object)):
+            with pytest.raises(ProblemFormatError, match="non-finite"):
+                model.canonical_dumps(doc)
+        p = model.bundled_example()
+        p.g[1] = np.array([bad, 1.0])
+
+        def no_open(*args, **kwargs):
+            raise AssertionError("opened a file")
+
+        monkeypatch.setattr("builtins.open", no_open)
+        with pytest.raises(ProblemFormatError, match="non-finite"):
+            model.save(p, tmp_path / "p.json")
+
+    @pytest.mark.parametrize("leaf, name", [
+        (object(), "object"), ({1, 2}, "set"), (1j, "complex"), (np.array([1j]), "complex"),
+    ])
+    def test_unknown_type_rejected(self, leaf, name):
+        for doc in ({"a": [leaf]}, {"a": leaf, "b": 2**70}):  # the second is `json`'s
+            with pytest.raises(ProblemFormatError, match=f"^cannot serialise {name}$"):
+                model.canonical_dumps(doc)
+
     def test_tables_write_as_keyed_lists(self, rng):
         tables, gains, _ = recursion.solve_gdre_global(make_problem(rng, 2, 3, 12))
         doc = recursion.tables_to_dict(tables)
