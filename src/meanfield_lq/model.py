@@ -178,13 +178,6 @@ class Family(MutableMapping):
             bad &= ~ok
         return list(zip(*(ix.tolist() for ix in np.nonzero(bad))))
 
-    def copy(self) -> "Family":
-        out = Family(self.rows, self.cols, self.shape)
-        if self.stack is not None:
-            out.stack, out.mask = self.stack.copy(), self.mask.copy()
-        out.extra = {key: v.copy() for key, v in self.extra.items()}
-        return out
-
 
 @dataclass
 class ProblemData:
@@ -218,15 +211,6 @@ class ProblemData:
             return {"nn": (self.n, self.n), "nm": (self.n, self.m), "mm": (self.m, self.m)}[kind]
         dim = self.n if VECTOR_FAMILIES[name] == "n" else self.m
         return (dim,)
-
-    def copy(self) -> "ProblemData":
-        out = ProblemData(self.n, self.m, self.N)
-        for name in FAMILY_NAMES:
-            setattr(out, name, getattr(self, name).copy())
-        out.G = [v.copy() for v in self.G]
-        out.Gbar = [v.copy() for v in self.Gbar]
-        out.g = [v.copy() for v in self.g]
-        return out
 
 
 def stacks(p: ProblemData) -> SimpleNamespace:
@@ -391,19 +375,6 @@ def from_time_invariant(n, m, N, **data) -> ProblemData:
     for name, shape in (("G", (n, n)), ("Gbar", (n, n)), ("g", (n,))):
         setattr(p, name, list(np.array(_per_index(data[name], N, shape, name))))
     return p
-
-
-def from_no_meanfield(n, m, N, **data) -> ProblemData:
-    """Build an instance with every barred block, and Gbar, set to zero.
-
-    The unbarred data (A, B, C, D, f, d, Q, R, q, rho, G, g) take the forms
-    of `from_time_invariant`: a family's datum is one block, a length-N
-    sequence over k or a mapping keyed by (t, k); G and g are one block or
-    a length-N sequence over t.
-    """
-    nn, nm = np.zeros((n, n)), np.zeros((n, m))
-    return from_time_invariant(n, m, N, **data, Abar=nn, Bbar=nm, Cbar=nn, Dbar=nm, Qbar=nn,
-                               Rbar=np.zeros((m, m)), Gbar=nn)
 
 
 def bundled_example() -> ProblemData:

@@ -412,7 +412,10 @@ def simulate(p: ProblemData, init: InitialPair, gains, cfg: SimConfig) -> SimRes
     steps = p.N - t
     costs, moments = _rollout(p, gains, t, x0, cfg.paths,
                               lambda start, rows: draw_noise(cfg, rows, steps, start))
-    mean_cost = float(costs.mean())
+    with np.errstate(over="ignore", invalid="ignore"):  # finite costs can sum past the float range
+        mean_cost = float(costs.mean())
+    if not np.isfinite(mean_cost):
+        raise NumericalBreakdown("the mean of the per-path costs is not finite")
     std_error = None
     if cfg.paths > 1:
         with np.errstate(over="ignore"):

@@ -74,6 +74,15 @@ def rand_sym(rng, d, scale=0.5):
     return 0.5 * (a + a.T)
 
 
+def from_no_meanfield(n, m, N, **data):
+    """`model.from_time_invariant` with every barred block, and Gbar, set
+    to zero; the unbarred data (A, B, C, D, f, d, Q, R, q, rho, G, g) take
+    its forms."""
+    nn, nm = np.zeros((n, n)), np.zeros((n, m))
+    return model.from_time_invariant(n, m, N, **data, Abar=nn, Bbar=nm, Cbar=nn, Dbar=nm,
+                                     Qbar=nn, Rbar=np.zeros((m, m)), Gbar=nn)
+
+
 def identity_dynamics_problem(N=3):
     """A = I, no noise terms, unit terminal weight: P stays the identity."""
     z = np.zeros((1, 1))

@@ -27,7 +27,8 @@ from meanfield_lq.model import InitialPair
 from meanfield_lq.tree import AdaptedProcess
 
 import recursion_reference as rref
-from conftest import assert_certificates_agree, make_problem, moment_certificate, penrose_residuals
+from conftest import (assert_certificates_agree, from_no_meanfield, make_problem,
+                      moment_certificate, penrose_residuals)
 from tree_reference import deviated_control
 
 M12_REF = np.array([[400.8004, -330.6524], [-330.6524, 673.2241]])
@@ -329,7 +330,7 @@ def test_criterion_7_reductions():
         p = make_problem(rng, n, m, N, meanfield=False, convex=False, scale=0.5)
         if trial % 2:
             # route through the dedicated constructor on alternate trials
-            p = model.from_no_meanfield(
+            p = from_no_meanfield(
                 n, m, N, A=p.A, B=p.B, C=p.C, D=p.D, f=p.f, d=p.d,
                 Q=p.Q, R=p.R, q=p.q, rho=p.rho, G=p.G, g=p.g,
             )

@@ -1,11 +1,13 @@
 """The benchmark harness under ``bench/`` patches toolkit functions by name
 and reads toolkit attributes; each of those names must still resolve in the
-package.  The harness files are parsed as source, never imported or run,
-so a deletion that breaks the harness fails here and not only in a
-benchmark run."""
+package.  The harness files are parsed as source, and the harness's own
+tests run in a subprocess, so a deletion that breaks the harness fails here
+and not only in a benchmark run."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -54,3 +56,13 @@ def test_attribute_reads_and_imports_resolve():
                 assert hasattr(module, attr), f"{path.name}: {module.__name__}.{attr}"
                 checked += 1
     assert checked
+
+
+def test_harness_tests_pass():
+    # they read object attributes that no AST walk can follow (bench/instances
+    # reads GainSchedule.N); their conftest collides with this directory's,
+    # so they run in a process of their own
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           str(BENCH / "tests")], cwd=BENCH.parent, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]

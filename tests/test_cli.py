@@ -631,6 +631,57 @@ class TestNonFiniteInitialState:
         assert os.listdir(tmp_path) == ["example.json"]
 
 
+class TestCostOverflow:
+    """Costs past the float range exit 2 with one line naming the quantity,
+    and no numpy warning escapes."""
+
+    @pytest.mark.parametrize("names, factor, x, message", [
+        (("C", "Cbar", "D", "Dbar", "d"), 1e10, "1e140,1e140",
+         "the mean of the per-path costs is not finite"),
+        (("Q", "Qbar", "R", "Rbar", "q", "rho"), 1e5, "1e150,1e150",
+         "the mean of the per-path costs is not finite"),
+        ((), 1.0, "1e152,1e152", "a per-path cost or second moment is not finite"),
+    ], ids=["noise-blocks", "weights", "path-cost"])
+    def test_exits_two_with_one_line(self, tmp_path, capsys, names, factor, x, message):
+        p = model.bundled_example()
+        for name in names:
+            fam = getattr(p, name)
+            for key in list(fam):
+                fam[key] = factor * fam[key]
+        path = tmp_path / "scaled.json"
+        model.save(p, path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("simulate", "--input", path, "--out", tmp_path / "s", "--paths", 1000,
+                       "--x", x) == 2
+        assert capsys.readouterr().err == f"error: numerical breakdown: {message}\n"
+        assert os.listdir(tmp_path) == ["scaled.json"]
+
+
+class TestReaderErrors:
+    """Documents the reader refuses by their shape: exit 1 with one line
+    that names the defect."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: [d], "the document must be an object"),
+        (lambda d: {**d, "data": 7}, "'data' must be an object"),
+        (lambda d: {**d, "terminal": {"G": d["terminal"]["G"], "Gbar": d["terminal"]["Gbar"]}},
+         "missing terminal key 'g'"),
+        (lambda d: {**d, "data": {**d["data"], "A": 7}}, "A: expected object or list"),
+        (lambda d: {**d, "data": {**d["data"], "A": {}}},
+         "A[0][0]: missing block; A[0][1]: missing block; A[1][1]: missing block"),
+        (lambda d: {**d, "n": 0}, "dims: bad dimensions n=0 m=2 N=2"),
+    ], ids=["array", "data", "terminal-g", "family", "empty-family", "dims"])
+    def test_exits_one_naming_the_defect(self, edit, message, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(json.dumps(EXAMPLE_DOC)))))
+        capsys.readouterr()
+        assert run("solve", "--input", bad, "--out", tmp_path / "r.json") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == ["bad.json"]
+
+
 class TestEpsilonSweep:
     def test_example_sweep_monotone(self, example_file, tmp_path):
         out = tmp_path / "sweep"

@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 import struct
@@ -16,7 +17,7 @@ from meanfield_lq.errors import DimensionMismatch, ProblemFormatError
 from meanfield_lq.model import Family, InitialPair
 
 import ingest_reference
-from conftest import make_problem
+from conftest import from_no_meanfield, make_problem
 
 
 def _missing(doc):
@@ -263,7 +264,7 @@ class TestTimeInvariant:
 
 def strip_bars(p, **extra):
     """Rebuild an instance keeping only the unbarred blocks."""
-    return model.from_no_meanfield(
+    return from_no_meanfield(
         p.n, p.m, p.N, A=p.A, B=p.B, C=p.C, D=p.D, f=p.f, d=p.d,
         Q=p.Q, R=p.R, q=p.q, rho=p.rho, G=p.G, g=p.g, **extra,
     )
@@ -280,7 +281,7 @@ class TestNoMeanfield:
         assert model.validate(p) == []
 
     def test_per_step_sequence_and_one_terminal_block(self, example):
-        p = model.from_no_meanfield(
+        p = from_no_meanfield(
             2, 2, 2, A=[example.A[0, 0], example.A[1, 1]], B=example.B, C=example.C,
             D=example.D, f=example.f, d=example.d, Q=example.Q, R=example.R, q=example.q,
             rho=example.rho, G=example.G[1], g=example.g)
@@ -743,8 +744,8 @@ class TestFamily:
         assert (0, 0) not in fam and not fam.stack[0, 0].any()
         with pytest.raises(KeyError):
             fam.stacked()
-        copy = fam.copy()
-        copy[1, 2] = [0.0, 0.0]
+        dup = copy.deepcopy(fam)
+        dup[1, 2] = [0.0, 0.0]
         assert fam[1, 2][1] == 2.0
 
     def test_problem_families_read_as_stacks(self, example):

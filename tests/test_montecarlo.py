@@ -119,6 +119,11 @@ class TestSimulate:
             mc.simulate(p, InitialPair(1, np.ones((2, 2))), gains,
                         mc.SimConfig(paths=10, seed=0))
 
+    def test_rejects_initial_time_at_horizon(self, example_solved):
+        p, gains = example_solved
+        with pytest.raises(HorizonMismatch, match="initial time 2 >= horizon 2"):
+            mc.simulate(p, InitialPair(p.N, np.ones(2)), gains, mc.SimConfig(paths=10, seed=0))
+
     def test_cost_within_oracle_band(self, example_solved):
         p, gains = example_solved
         init = InitialPair(0, np.array([1.0, 1.0]))

@@ -1,3 +1,4 @@
+import copy
 import os
 from types import SimpleNamespace
 
@@ -128,7 +129,7 @@ class TestSolveGdreGlobal:
     def test_scale_equivariance_of_feedback(self, rng):
         p = make_problem(rng, 2, 2, 3, convex=False)
         c = 3.7
-        q = p.copy()
+        q = copy.deepcopy(p)
         for t, k in q.pairs():
             for name in ("Q", "Qbar", "R", "Rbar"):
                 getattr(q, name)[t, k] = c * getattr(q, name)[t, k]
