@@ -1,10 +1,10 @@
 """Command-line surface: solve, verify, simulate, epsilon-sweep.
 
-`verify` rolls the closed loop of the gains once on the scenario tree, to
-get the realised level-k states, and certifies each step from the
-closed-form moment forms Q_k of `montecarlo.deviation_forms`: no tree
-restart.  It also reports the identities between those forms and the
-solver (`montecarlo.solver_identities`).
+`verify` certifies each step of the gains' control from the closed-form
+forms Q_k of `montecarlo.deviation_forms` and the exact mean and
+covariance of the closed-loop state (`montecarlo.exact_moments`): no tree,
+no node and no depth cap.  It also reports the identities between those
+forms and the solver (`montecarlo.solver_identities`).
 
 Exit codes are a stable contract: 0 = success/certified, 2 = computed but a
 numerical condition is violated, 1 = usage or input error.  Every command
@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from . import __version__
-from . import matrices, model, montecarlo as mc, recursion, tree
+from . import matrices, model, montecarlo as mc, recursion
 from .errors import EpsilonNonPositive, MeanfieldLQError, NumericalBreakdown, ProblemFormatError
 from .model import InitialPair, canonical_dumps
 
@@ -136,15 +136,14 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     p, warnings, sha = _load_problem(args.input)
-    scen = tree.ScenarioTree(p.N)  # the node-wise residuals read all 2**N realised nodes
     init = _initial_pair(p, args.t, args.x)
     supplied = _load_gains(args.gains, p) if args.gains else None
     _, solved, report = recursion.solve_gdre_global(p)
     gains = solved if supplied is None else supplied
 
-    star, _ = tree.equilibrium_pair(p, gains, init, scen)
+    _, moments = mc.exact_moments(p, gains, init)
     forms = mc.deviation_forms(p, gains, init.t)
-    cert = mc.certify_forms(forms, star.values, init.t)
+    cert = mc.certify_forms(forms, moments)
     body = {
         "initial_pair": {"t": init.t, "x": init.x.tolist()},
         "certificate": cert.to_dict(),
@@ -233,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tables", action="store_true", help="embed full solution tables (large)")
     s.set_defaults(fn=cmd_solve)
 
-    v = sub.add_parser("verify", help="certify the solved control at every realised tree node "
-                                      "from closed-form moment forms")
+    v = sub.add_parser("verify", help="certify the solved control from exact moments, for any "
+                                      "noise of mean 0, variance 1, independent of the past")
     v.add_argument("--input", required=True)
     v.add_argument("--out", required=True)
     v.add_argument("--t", type=int, default=0)

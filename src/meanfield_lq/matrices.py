@@ -132,23 +132,32 @@ def range_residuals(w, w_dag, v) -> np.ndarray:
     return fro_each(v - proj @ v) / (1.0 + fro_each(v))
 
 
+def eigh_pinv(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """M^+ from the eigendecomposition (w, V) of a symmetric M.  Eigenvalues
+    within m * eps of the largest count as zero, so a rounding-level one is
+    not inverted."""
+    keep = np.abs(w) > len(w) * UNIT_ROUNDOFF * np.max(np.abs(w), initial=0.0)
+    return (V[:, keep] / w[keep]) @ V[:, keep].T
+
+
 @dataclass
 class EquilibriumCertificate:
     """Verdict of a certificate of a candidate control, built step by step.
 
-    A one-instant deviation v of the step-k control at a level-k node
-    changes the restarted cost there by 2 <g, v> + v' M_k v, with g the
-    node's stationarity gradient.  Whoever computes M_k and g (the exact
-    tree, or the closed-form moment forms) hands each step to
-    ``deviation_step`` and, once it has costed the minimisers, to
-    ``finish_step``; this class holds the one verdict rule.
+    A one-instant deviation v of the step-k control at a state x changes
+    the restarted cost there by 2 <g, v> + v' M_k v, with g the
+    stationarity gradient at x.  Whoever computes M_k and g (the exact
+    tree at its nodes, or the moment forms over the law of the state)
+    reduces each step to a residual of g, lambda_min(M_k), a ``min_gap`` of
+    -g' M_k^+ g and a ``realised_gap``, the cost change of the minimisers
+    v* = -M_k^+ g, and hands them to ``record``.
 
     ``worst_gaps`` holds per step ``{k, min_gap, realised_gap}``.  The
-    verdict needs every residual max |g| <= TOL_STATIONARY and every
+    verdict needs every residual <= TOL_STATIONARY and every
     lambda_min(M_k) and min_gap >= -TOL_CONVEXITY.  That covers every
     deviation: a non-PSD M_k fails the convexity term, and a part of g
     outside range(M_k), along which the cost is unbounded below, is no
-    longer than g.  ``realised_gap`` is a diagnostic and does not enter
+    larger than g.  ``realised_gap`` is a diagnostic and does not enter
     the verdict.
     """
 
@@ -164,40 +173,23 @@ class EquilibriumCertificate:
         return (all(v <= TOL_STATIONARY for v in self.stationary_residuals.values())
                 and all(v >= -TOL_CONVEXITY for v in lows))
 
-    def deviation_step(self, k: int, w: np.ndarray, V: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Record step k from the eigendecomposition (w, V) of M_k and the
-        (m, nodes) gradients g: the residual max |g|, lambda_min(M_k) and
-        ``min_gap``, the least -g' M_k^+ g over the nodes.  Returns the
-        minimisers v* = -M_k^+ g.  Eigenvalues within m * eps of the
-        largest count as zero, so a rounding-level one is not inverted."""
-        self.stationary_residuals[k] = float(np.max(np.linalg.norm(g, axis=0)))
-        self.convexity_values[k] = float(w[0])
-        keep = np.abs(w) > len(w) * UNIT_ROUNDOFF * np.max(np.abs(w), initial=0.0)
-        vstar = -((V[:, keep] / w[keep]) @ V[:, keep].T) @ g
-        self.worst_gaps.append({"k": k, "min_gap": float(np.min(np.sum(g * vstar, axis=0))),
-                                "realised_gap": float("nan")})
-        return vstar
-
-    def finish_step(self, k: int, realised_gap: float, base: np.ndarray) -> None:
-        """Record step k's realised gap, the least cost change of the
-        minimisers as its caller computed it.  Raises NumericalBreakdown
-        unless every value of step k and the restarted cost ``base`` are
-        finite."""
-        gap = self.worst_gaps[-1]
-        gap["realised_gap"] = realised_gap
-        values = [self.stationary_residuals[k], self.convexity_values[k], gap["min_gap"],
-                  realised_gap, base]
-        if not all(np.isfinite(v).all() for v in values):
+    def record(self, k: int, residual, convexity, min_gap, realised_gap, base) -> None:
+        """Record step k.  Raises NumericalBreakdown unless every value and
+        the restarted cost ``base`` are finite."""
+        self.stationary_residuals[k] = float(residual)
+        self.convexity_values[k] = float(convexity)
+        self.worst_gaps.append({"k": k, "min_gap": float(min_gap),
+                                "realised_gap": float(realised_gap)})
+        if not (np.isfinite([residual, convexity, min_gap, realised_gap]).all()
+                and np.isfinite(base).all()):
             raise NumericalBreakdown(f"the restarted cost or certificate is not finite at step {k}")
 
     def to_dict(self) -> dict:
         return {
-            "stationary_residuals": {str(k): float(v)
-                                     for k, v in self.stationary_residuals.items()},
-            "convexity_values": {str(k): float(v) for k, v in self.convexity_values.items()},
-            "worst_gaps": [{"k": int(g["k"]), "min_gap": float(g["min_gap"]),
-                            "realised_gap": float(g["realised_gap"])} for g in self.worst_gaps],
-            "verdict": bool(self.verdict),
-            "tol_stationary": float(self.tol_stationary),
-            "tol_convexity": float(self.tol_convexity),
+            "stationary_residuals": {str(k): v for k, v in self.stationary_residuals.items()},
+            "convexity_values": {str(k): v for k, v in self.convexity_values.items()},
+            "worst_gaps": [dict(g) for g in self.worst_gaps],
+            "verdict": self.verdict,
+            "tol_stationary": self.tol_stationary,
+            "tol_convexity": self.tol_convexity,
         }

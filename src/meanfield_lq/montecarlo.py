@@ -29,13 +29,13 @@ plan's mean instead, and gives the exact cost that the samples estimate.
 
 ``deviation_forms`` writes the restarted cost of every step k as a
 quadratic form Q_k in theta = [x; v; 1] (the restart state and a shift of
-the step-k control) from the same first and second moments, every restart
-on one batch axis; ``certify_forms`` reads an equilibrium certificate off
-Q_k at given states, and ``solver_identities`` compares Q_k with the
-backward solver's M2, W Psi + H and W alpha + beta.  The forms assemble
-their own per-step blocks rather than reuse ``_plan``: the plan folds one
-atom's mean into its offsets, and carrying theta-columns through it would
-change ``simulate``'s arithmetic and bytes.
+the step-k control), every restart on one batch axis.  ``certify_forms``
+reads an equilibrium certificate off Q_k and the exact mean and
+covariance of the closed-loop state, with no node and at any horizon.
+Forms and moments use only the noise's mean 0, variance 1 and
+independence of the past, so the certificate holds for any such noise.
+``solver_identities`` compares Q_k with the solver's M2, W Psi + H and
+W alpha + beta.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyConfig, HorizonMismatch, NumericalBreakdown
-from .matrices import EquilibriumCertificate, sym_part
+from .matrices import EquilibriumCertificate, eigh_pinv, sym_part
 from .model import InitialPair, ProblemData, stacks
 
 NOISE_LAWS = ("rademacher", "standard_gaussian")
@@ -68,6 +68,8 @@ class SimConfig:
             raise EmptyConfig(f"paths must be >= 1, got {self.paths}")
         if self.noise_law not in NOISE_LAWS:
             raise EmptyConfig(f"noise_law must be one of {NOISE_LAWS}")
+        if not 0 <= self.seed < 2**128:  # the Philox key
+            raise EmptyConfig(f"seed must be in 0..2**128 - 1, got {self.seed}")
 
 
 @dataclass
@@ -180,7 +182,7 @@ def _plan(p: ProblemData, gains, t: int, x0: np.ndarray):
     return coefs, (G, 2.0 * (G @ my + g)), offset, means
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the plan raises on a non-finite mean
+@np.errstate(over="ignore", invalid="ignore")  # checked: a non-finite moment raises
 def exact_moments(p: ProblemData, gains, init: InitialPair) -> tuple[float, list]:
     """The exact expected cost and the {"k", "mean", "cov"} moments of x at
     steps t..N, without sampling.
@@ -189,7 +191,9 @@ def exact_moments(p: ProblemData, gains, init: InitialPair) -> tuple[float, list
     with w independent of d, of mean 0 and variance 1, so its covariance
     follows S <- kd S kd' + kw S kw' + c c' from S = 0 at the atom, and the
     expected cost is the plan's constant plus sum_k tr(weight S_k) plus
-    tr(G S_yy) at the end.  Both noise laws give the same values.
+    tr(G S_yy) at the end.  Both noise laws give the same values.  Raises
+    NumericalBreakdown at the first step k whose mean, covariance S_{k+1}
+    or cost (up to step k + 1) is not finite.
     """
     t = init.t
     if t >= p.N:
@@ -198,13 +202,16 @@ def exact_moments(p: ProblemData, gains, init: InitialPair) -> tuple[float, list
     coefs, (G, _), cost, means = _plan(p, gains, t, _atom_state(p, init))
     S = np.zeros((2 * n, 2 * n))
     covs = [S]
-    for coef in coefs:
+    for k, coef in enumerate(coefs, start=t):
         weight, kw, kd = coef[:2 * n, :-1], coef[2 * n:4 * n, :-1], coef[4 * n:, :-1]
         c = coef[2 * n:4 * n, -1]
         cost += np.sum(weight * S)
         S = sym_part(kd @ S @ kd.T + kw @ S @ kw.T + np.outer(c, c))
+        if k == p.N - 1:  # the terminal cost
+            cost += np.sum(G * S[n:, n:])
+        if not (np.isfinite(S).all() and np.isfinite(cost)):
+            raise NumericalBreakdown(f"the exact covariance or cost is not finite at step {k}")
         covs.append(S)
-    cost += np.sum(G * S[n:, n:])
     moments = [{"k": t + j, "mean": m[:n], "cov": S[:n, :n]}
                for j, (m, S) in enumerate(zip(means, covs))]
     return float(cost), moments
@@ -291,28 +298,34 @@ def deviation_forms(p: ProblemData, gains, t: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # checked: a non-finite result raises
-def certify_forms(forms: np.ndarray, states, t: int) -> EquilibriumCertificate:
-    """The certificate of a candidate control from its ``deviation_forms``.
+def certify_forms(forms: np.ndarray, moments) -> EquilibriumCertificate:
+    """The certificate of a candidate control from its ``deviation_forms``
+    and the ``exact_moments`` of its closed-loop state X*: no node.
 
-    ``states[k]`` holds the realised level-k states (nodes, n) of the
-    closed loop, k = t..N-1.  At each node x the stationarity gradient is
-    g = Gamma_k x + gamma_k, and `EquilibriumCertificate` reduces the step
-    from M_k and g.  ``realised_gap`` is the least theta' Q_k theta at
-    v = v* minus its value at v = 0 over the nodes, theta = [x; v; 1].
-    Raises NumericalBreakdown at the first step whose restarted cost or
-    certificate value is not finite.
+    The step-k gradient g = Gamma_k X*_k + gamma_k must vanish almost
+    surely.  With m and S the mean and covariance of X*_k, the residual is
+    sqrt(E|g|^2) = sqrt(|Gamma_k m + gamma_k|^2 + tr(Gamma_k S Gamma_k')),
+    ``min_gap`` the mean gap -E[g' M_k^+ g] and ``realised_gap`` the
+    expected cost change of the minimisers v* = -M_k^+ g,
+    tr((T' Q_k T - Q_k) E[theta theta']), theta = [X*_k; 0; 1], where T
+    sets the v-block to v*.  Raises NumericalBreakdown at the first step
+    whose expected restarted cost or certificate value is not finite.
     """
-    n = states[t].shape[1]
-    v, one = slice(n, forms.shape[-1] - 1), forms.shape[-1] - 1
+    size, n = forms.shape[-1], len(moments[0]["mean"])
+    v, one = slice(n, size - 1), size - 1
     cert = EquilibriumCertificate()
-    for k, Q, w, V in zip(range(t, t + len(forms)), forms, *np.linalg.eigh(forms[:, v, v])):
-        x = states[k].T
-        theta = np.concatenate([x, np.zeros((len(w), x.shape[1])), np.ones((1, x.shape[1]))])
-        vstar = cert.deviation_step(k, w, V, Q[v, :n] @ x + Q[v, one:])
-        base = np.einsum("in,in->n", theta, Q @ theta)
-        theta[v] = vstar
-        moved = np.einsum("in,in->n", theta, Q @ theta)
-        cert.finish_step(k, float(np.min(moved - base)), base)
+    for Q, w, V, row in zip(forms, *np.linalg.eigh(forms[:, v, v]), moments):
+        mean, cov, Gamma, pinv = row["mean"], row["cov"], Q[v, :n], eigh_pinv(w, V)
+        g = Gamma @ mean + Q[v, one]  # the gradient at the mean state
+        theta = np.concatenate([mean, np.zeros(size - 1 - n), [1.0]])
+        second = np.outer(theta, theta) + np.pad(cov, (0, size - n))  # E[theta theta']
+        T = np.eye(size)
+        T[v] = -pinv @ Q[v]
+        # a covariance indefinite at rounding can make the trace slightly negative
+        square = np.maximum(g @ g + np.sum((Gamma @ cov) * Gamma), 0.0)
+        cert.record(row["k"], np.sqrt(square), w[0],
+                    -(g @ pinv @ g + np.sum((pinv @ Gamma @ cov) * Gamma)),
+                    np.sum((T.T @ Q @ T - Q) * second), np.sum(Q * second))
     return cert
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, HorizonMismatch, NumericalBreakdown
-from .matrices import EquilibriumCertificate
+from .errors import DimensionMismatch, HorizonMismatch
+from .matrices import EquilibriumCertificate, eigh_pinv
 from .model import InitialPair, ProblemData, stacks
 
 MAX_DEPTH = 14
@@ -52,12 +52,11 @@ class AdaptedProcess:
                 raise DimensionMismatch(f"level {lev} has dim {v.shape[1]}, expected {dim}")
 
 
-def _check_tree(p: ProblemData, tree: ScenarioTree | None) -> ScenarioTree:
+def _check_tree(p: ProblemData, tree: ScenarioTree | None) -> None:
     if tree is None:
-        return ScenarioTree(p.N)
-    if tree.depth < p.N:
+        ScenarioTree(p.N)
+    elif tree.depth < p.N:
         raise HorizonMismatch(f"tree depth {tree.depth} < horizon {p.N}")
-    return tree
 
 
 # Level kernels on (2**l, dim) arrays; ``s`` is `model.stacks` of the problem.
@@ -186,14 +185,12 @@ def cost(p: ProblemData, init: InitialPair, control: AdaptedProcess, t: int) -> 
     return _cost(stacks(p), t, xs, [control.values[l] for l in range(t, p.N)])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # checked: a non-finite state raises
 def _closed_loop(p: ProblemData, init: InitialPair,
                  policy) -> tuple[AdaptedProcess, AdaptedProcess]:
     """Restart-at-every-step rollout: each step k uses the diagonal (k, k)
     blocks.  States and controls at level k are measurable there, so the
     conditional-mean terms collapse into the summed (calligraphic)
     coefficients and the rollout is node-wise.  ``policy(k, x_k)`` gives u_k.
-    Raises NumericalBreakdown at the first step whose state is not finite.
     """
     s = stacks(p)
     state = AdaptedProcess({init.t: init.node_values(p.n)})
@@ -204,10 +201,7 @@ def _closed_loop(p: ProblemData, init: InitialPair,
         control.values[k] = uk
         drift = xk @ s.cA[k, k].T + uk @ s.cB[k, k].T + s.f[k, k]
         diff = xk @ s.cC[k, k].T + uk @ s.cD[k, k].T + s.d[k, k]
-        nxt = _children(drift, diff)
-        if not np.isfinite(nxt).all():
-            raise NumericalBreakdown(f"the closed-loop state is not finite at step {k}")
-        state.values[k + 1] = nxt
+        state.values[k + 1] = _children(drift, diff)
     return state, control
 
 
@@ -327,10 +321,10 @@ def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProce
     A deviation v of the step-k control at a level-k node changes the
     restarted cost there by 2 <g, v> + v' M_k v, with g the node's
     stationarity gradient from the restart and M_k built by polarisation
-    (`_deviation_matrices`).  `EquilibriumCertificate` reduces each step and
-    holds the verdict rule.  ``realised_gap`` is the cost change of rolling
-    every node's minimiser v* = -M_k^+ g on the tree; it is reported only.
-    Raises NumericalBreakdown at the first step whose restarted cost or
+    (`_deviation_matrices`).  A step reduces over its nodes to max |g|,
+    lambda_min(M_k), the least -g' M_k^+ g and the least cost change of
+    rolling every node's minimiser v* = -M_k^+ g on the tree.  Raises
+    NumericalBreakdown at the first step whose restarted cost or
     certificate value is not finite.
     """
     _check_tree(p, tree)
@@ -342,8 +336,10 @@ def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProce
         us = [control.values[l] for l in range(k, p.N)]
         xs = _roll(s, k, star.values[k], us)
         base = _cost(s, k, xs, us)
-        vstar = cert.deviation_step(k, w, V, _gradient(s, k, us[0], xs).T)
-        moved = [us[0] + vstar.T] + us[1:]
+        g = _gradient(s, k, us[0], xs)
+        vstar = -(eigh_pinv(w, V) @ g.T).T
+        moved = [us[0] + vstar] + us[1:]
         change = _cost(s, k, _roll(s, k, star.values[k], moved), moved) - base
-        cert.finish_step(k, float(np.min(change)), base)
+        cert.record(k, np.max(np.linalg.norm(g, axis=1)), w[0], np.min(np.sum(g * vstar, axis=1)),
+                    np.min(change), base)
     return cert

@@ -406,26 +406,24 @@ class TestVerify:
         assert "seed" not in doc and "seed" not in doc["certificate"]
         assert json.loads((tmp_path / "cert.json.manifest.json").read_text())["seed"] is None
 
-    def test_rolls_the_closed_loop_once_and_restarts_nothing(self, example_file, tmp_path,
-                                                              monkeypatch):
-        # the certificate reads the closed-form moment forms at the realised
-        # nodes: no tree restart, and one closed-loop rollout
+    def test_calls_no_tree_function(self, example_file, tmp_path, monkeypatch):
+        # the certificate reads the exact moments of the closed-loop state:
+        # no function or class of the tree runs, whatever the verdict
         def refuse(*args, **kwargs):
-            raise AssertionError("verify restarted the tree")
+            raise AssertionError("verify called the tree")
 
-        calls = []
-        closed_loop = tree._closed_loop
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return closed_loop(*args, **kwargs)
-
-        monkeypatch.setattr(tree, "_roll", refuse)
-        monkeypatch.setattr(tree, "_adjoint", refuse)
-        monkeypatch.setattr(tree, "_closed_loop", counted)
+        for name, value in list(vars(tree).items()):
+            if callable(value) and getattr(value, "__module__", None) == tree.__name__:
+                monkeypatch.setattr(tree, name, refuse)
         assert run("verify", "--input", example_file, "--out", tmp_path / "c.json",
                    "--x", "1,1") == 0
-        assert len(calls) == 1
+        report = tmp_path / "report.json"
+        assert run("solve", "--input", example_file, "--out", report) == 0
+        doc = json.loads(report.read_text())
+        doc["gains"]["Psi"][0][0][0] += 0.1
+        report.write_text(canonical_dumps(doc))
+        assert run("verify", "--input", example_file, "--out", tmp_path / "c.json",
+                   "--x", "1,1", "--gains", report) == 2
 
     def test_tampered_gain_detected(self, example_file, tmp_path):
         report = tmp_path / "report.json"
@@ -510,37 +508,52 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "no \"gains\" object" in err and err.count("\n") == 1, err
 
-    @pytest.mark.parametrize("x, message", [
-        ("1e308,1e308", "the closed-loop state is not finite at step 0"),
-        ("1e160,1e160", "the restarted cost or certificate is not finite at step 0"),
-    ])
-    def test_overflowing_tree_exits_two(self, example_file, tmp_path, capsys, x, message):
+    @pytest.mark.parametrize("x", ["1e308,1e308", "1e160,1e160"])
+    def test_overflowing_moments_exit_two(self, example_file, tmp_path, capsys, x):
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
             assert run("verify", "--input", example_file, "--out", tmp_path / "c.json",
                        "--x", x) == 2
         err = capsys.readouterr().err
-        assert err == f"error: numerical breakdown: {message}\n"
-        assert "Traceback" not in err
+        assert err == "error: numerical breakdown: the exact mean or cost is not finite at step 0\n"
         assert not (tmp_path / "c.json").exists()
 
-    def test_horizon_over_cap_exits_one(self, tmp_path, rng, capsys):
+    def test_overflowing_covariance_exits_two(self, tmp_path, capsys):
+        # with no control input, a huge last-step diffusion offset d leaves
+        # the gains and the mean finite; the covariance of the last step
+        # overflows, and verify names it
+        p = model.bundled_example()
+        for t, k in p.pairs():
+            for name in ("B", "Bbar", "D", "Dbar"):
+                getattr(p, name)[t, k] = np.zeros((p.n, p.m))
+            if k == p.N - 1:
+                p.d[t, k] = p.d[t, k] * 1e160
+        path = tmp_path / "huge-d.json"
+        model.save(p, path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("verify", "--input", path, "--out", tmp_path / "c.json", "--x", "1,1") == 2
+        err = capsys.readouterr().err
+        assert err == ("error: numerical breakdown: the exact covariance or cost is not finite "
+                       f"at step {p.N - 1}\n")
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("n, N", [(1, tree.MAX_DEPTH + 1), (2, 80)])
+    def test_certifies_beyond_the_tree_depth_cap(self, tmp_path, rng, n, N):
         from conftest import make_problem
 
-        N = tree.MAX_DEPTH + 1
-        p = make_problem(rng, 1, 1, N)
         path = tmp_path / "deep.json"
-        model.save(p, path)
-        assert run("verify", "--input", path, "--out", tmp_path / "c.json",
-                   "--t", 0, "--x", "1") == 1
-        assert capsys.readouterr().err == (f"error: tree depth {N} exceeds the cap "
-                                           f"{tree.MAX_DEPTH}\n")
-        assert not (tmp_path / "c.json").exists()
-        # no option lifts the cap
-        assert run("verify", "--input", path, "--out", tmp_path / "c.json",
-                   "--t", 0, "--x", "1", "--force") == 1
-        assert not (tmp_path / "c.json").exists()
+        model.save(make_problem(rng, n, n, N, scale=0.3), path)
+        out = tmp_path / "c.json"
+        assert run("verify", "--input", path, "--out", out, "--x", ",".join(["1"] * n)) == 0
+        cert = json.loads(out.read_text())["certificate"]
+        assert cert["verdict"] is True and len(cert["stationary_residuals"]) == N
+        # no option lifts or sets a depth
+        assert run("verify", "--input", path, "--out", tmp_path / "f.json", "--x",
+                   ",".join(["1"] * n), "--force") == 1
+        assert not (tmp_path / "f.json").exists()
 
 
 class TestSimulate:
@@ -554,6 +567,14 @@ class TestSimulate:
         ja = json.loads((tmp_path / "sim_a.json").read_text())
         jb = json.loads((tmp_path / "sim_b.json").read_text())
         assert ja["result"]["mean_cost"] == jb["result"]["mean_cost"]
+
+    @pytest.mark.parametrize("seed", [-1, 2**130])
+    def test_seed_outside_the_philox_key_exits_one(self, example_file, tmp_path, capsys, seed):
+        capsys.readouterr()
+        assert run("simulate", "--input", example_file, "--out", tmp_path / "s", "--x", "1,1",
+                   "--paths", 10, "--seed", seed) == 1
+        assert capsys.readouterr().err == f"error: seed must be in 0..2**128 - 1, got {seed}\n"
+        assert not (tmp_path / "s.json").exists()
 
     def test_seed_beyond_64_bits(self, example_file, tmp_path):
         out = tmp_path / "s"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from meanfield_lq import model, montecarlo as mc, recursion, tree
-from meanfield_lq.errors import DimensionMismatch, EmptyConfig, HorizonMismatch
+from meanfield_lq.errors import (DimensionMismatch, EmptyConfig, HorizonMismatch,
+                                 NumericalBreakdown)
 from meanfield_lq.model import InitialPair
 
 import mc_reference
@@ -26,6 +27,12 @@ class TestConfig:
     def test_rejects_unknown_law(self):
         with pytest.raises(EmptyConfig):
             mc.SimConfig(paths=10, noise_law="cauchy")
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_rejects_a_seed_outside_the_philox_key(self, seed):
+        with pytest.raises(EmptyConfig, match=rf"^seed must be in 0\.\.2\*\*128 - 1, got {seed}$"):
+            mc.SimConfig(paths=10, seed=seed)
+        assert mc.SimConfig(paths=10, seed=2**128 - 1).seed == 2**128 - 1
 
 
 class TestNoise:
@@ -303,6 +310,18 @@ class TestExactMoments:
         p, gains = example_solved
         with pytest.raises(HorizonMismatch):
             mc.exact_moments(p, gains, InitialPair(p.N, np.ones(2)))
+
+    def test_overflowing_covariance_raises(self, example_solved):
+        # C and Cbar scaled by 1e160 leave the mean finite while the
+        # covariance overflows at its first step
+        _, gains = example_solved
+        big = model.bundled_example()
+        for t, k in big.pairs():
+            big.C[t, k] = big.C[t, k] * 1e160
+            big.Cbar[t, k] = big.Cbar[t, k] * 1e160
+        with pytest.raises(NumericalBreakdown,
+                           match="^the exact covariance or cost is not finite at step 0$"):
+            mc.exact_moments(big, gains, InitialPair(0, np.ones(2)))
 
 
 def _identity_scales(forms, gains, solved, report, t):

@@ -665,6 +665,25 @@ class TestMomentCertificate:
                 gains.Psi[p.N // 2] = gains.Psi[p.N // 2] + 0.1
             self.check(p, gains, InitialPair(0, rng.normal(size=p.n)))
 
+    @pytest.mark.parametrize("seed", range(100, 140))
+    def test_tampered_alpha_suite(self, seed):
+        # the solved gains, and alpha_k + 1e-6 and + 1e-3 at one random step:
+        # the moment residual is the rms of g over the law of X*_k, the tree's
+        # its node max, and the two give one verdict
+        rng = np.random.default_rng(seed)
+        n, m, N = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(3, 9))
+        p = make_problem(rng, n, m, N, scale=float(rng.choice([0.1, 0.3, 0.5])))
+        _, gains, _ = recursion.solve_gdre_global(p)
+        init, k = InitialPair(0, rng.normal(size=n)), int(rng.integers(0, N))
+        verdicts = []
+        for delta in (0.0, 1e-6, 1e-3):
+            alpha = [a.copy() for a in gains.alpha]
+            alpha[k] = alpha[k] + delta
+            tampered = recursion.GainSchedule(gains.W, gains.Wdag, gains.H, gains.beta,
+                                              gains.Psi, alpha)
+            verdicts.append(self.check(p, tampered, init).verdict)
+        assert verdicts == [True, False, False]
+
     def test_certification_cases(self, rng):
         # TestCertification's instances, with the zero control as a gain schedule
         p = identity_dynamics_problem()
