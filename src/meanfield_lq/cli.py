@@ -1,9 +1,9 @@
 """Command-line surface: solve, verify, simulate, epsilon-sweep.
 
-`verify` certifies each step of the gains' control from the closed-form
-forms Q_k of `montecarlo.deviation_forms` and the exact mean and
-covariance of the closed-loop state (`montecarlo.exact_moments`): no tree,
-no node and no depth cap.  It also reports the identities between those
+`verify` certifies each step of the gains' control from one call of
+`montecarlo.deviation_forms`, which gives the closed-form forms Q_k and
+the exact mean and covariance of the closed-loop state: no tree, no node
+and no depth cap.  It also reports the identities between those
 forms and the solver (`montecarlo.solver_identities`).
 
 Exit codes are a stable contract: 0 = success/certified, 2 = computed but a
@@ -141,8 +141,7 @@ def cmd_verify(args) -> int:
     _, solved, report = recursion.solve_gdre_global(p)
     gains = solved if supplied is None else supplied
 
-    _, moments = mc.exact_moments(p, gains, init)
-    forms = mc.deviation_forms(p, gains, init.t)
+    forms, moments = mc.deviation_forms(p, gains, init)
     cert = mc.certify_forms(forms, moments)
     body = {
         "initial_pair": {"t": init.t, "x": init.x.tolist()},

@@ -148,17 +148,16 @@ class EquilibriumCertificate:
     the restarted cost there by 2 <g, v> + v' M_k v, with g the
     stationarity gradient at x.  Whoever computes M_k and g (the exact
     tree at its nodes, or the moment forms over the law of the state)
-    reduces each step to a residual of g, lambda_min(M_k), a ``min_gap`` of
-    -g' M_k^+ g and a ``realised_gap``, the cost change of the minimisers
-    v* = -M_k^+ g, and hands them to ``record``.
+    reduces each step to a residual of g, lambda_min(M_k) and a ``min_gap``
+    of -g' M_k^+ g, and hands them to ``record``.
 
-    ``worst_gaps`` holds per step ``{k, min_gap, realised_gap}``.  The
-    verdict needs every residual <= TOL_STATIONARY and every
-    lambda_min(M_k) and min_gap >= -TOL_CONVEXITY.  That covers every
-    deviation: a non-PSD M_k fails the convexity term, and a part of g
-    outside range(M_k), along which the cost is unbounded below, is no
-    larger than g.  ``realised_gap`` is a diagnostic and does not enter
-    the verdict.
+    ``worst_gaps`` holds per step ``{k, min_gap}``; the tree adds a
+    ``realised_gap``, the cost change of rolling the minimisers
+    v* = -M_k^+ g, which is a diagnostic.  The verdict needs every
+    residual <= TOL_STATIONARY and every lambda_min(M_k) and min_gap >=
+    -TOL_CONVEXITY.  That covers every deviation: a non-PSD M_k fails the
+    convexity term, and a part of g outside range(M_k), along which the
+    cost is unbounded below, is no larger than g.
     """
 
     stationary_residuals: dict = field(default_factory=dict)
@@ -173,14 +172,16 @@ class EquilibriumCertificate:
         return (all(v <= TOL_STATIONARY for v in self.stationary_residuals.values())
                 and all(v >= -TOL_CONVEXITY for v in lows))
 
-    def record(self, k: int, residual, convexity, min_gap, realised_gap, base) -> None:
+    def record(self, k: int, residual, convexity, min_gap, base, realised_gap=None) -> None:
         """Record step k.  Raises NumericalBreakdown unless every value and
         the restarted cost ``base`` are finite."""
         self.stationary_residuals[k] = float(residual)
         self.convexity_values[k] = float(convexity)
-        self.worst_gaps.append({"k": k, "min_gap": float(min_gap),
-                                "realised_gap": float(realised_gap)})
-        if not (np.isfinite([residual, convexity, min_gap, realised_gap]).all()
+        gap = {"k": k, "min_gap": float(min_gap)}
+        if realised_gap is not None:
+            gap["realised_gap"] = float(realised_gap)
+        self.worst_gaps.append(gap)
+        if not (np.isfinite([residual, convexity, *gap.values()]).all()
                 and np.isfinite(base).all()):
             raise NumericalBreakdown(f"the restarted cost or certificate is not finite at step {k}")
 

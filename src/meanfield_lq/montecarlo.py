@@ -24,16 +24,16 @@ step on one cache-resident (2n, BLOCK) state centred on the exact mean,
 accumulating the per-path costs and the sums behind the sample moments.
 A constant row of ones under the state carries each step's offsets into
 its one matmul.  Memory is O(n * BLOCK) plus the O(paths) per-path costs,
-whatever the horizon.  ``exact_moments`` carries the covariance beside the
-plan's mean instead, and gives the exact cost that the samples estimate.
+whatever the horizon.
 
 ``deviation_forms`` writes the restarted cost of every step k as a
 quadratic form Q_k in theta = [x; v; 1] (the restart state and a shift of
-the step-k control), every restart on one batch axis.  ``certify_forms``
-reads an equilibrium certificate off Q_k and the exact mean and
-covariance of the closed-loop state, with no node and at any horizon.
-Forms and moments use only the noise's mean 0, variance 1 and
-independence of the past, so the certificate holds for any such noise.
+the step-k control), every restart on one batch axis; its restart at the
+atom gives the exact mean and covariance of the closed-loop state and the
+exact cost that the samples estimate.  ``certify_forms`` reads an
+equilibrium certificate off Q_k and those moments, with no node and at
+any horizon.  Forms and moments use only the noise's mean 0, variance 1
+and independence of the past, so the certificate holds for any such noise.
 ``solver_identities`` compares Q_k with the solver's M2, W Psi + H and
 W alpha + beta.
 """
@@ -182,45 +182,11 @@ def _plan(p: ProblemData, gains, t: int, x0: np.ndarray):
     return coefs, (G, 2.0 * (G @ my + g)), offset, means
 
 
-@np.errstate(over="ignore", invalid="ignore")  # checked: a non-finite moment raises
-def exact_moments(p: ProblemData, gains, init: InitialPair) -> tuple[float, list]:
-    """The exact expected cost and the {"k", "mean", "cov"} moments of x at
-    steps t..N, without sampling.
-
-    The centred state d = z - m of ``_plan`` steps as d <- kd d + (kw d + c) w
-    with w independent of d, of mean 0 and variance 1, so its covariance
-    follows S <- kd S kd' + kw S kw' + c c' from S = 0 at the atom, and the
-    expected cost is the plan's constant plus sum_k tr(weight S_k) plus
-    tr(G S_yy) at the end.  Both noise laws give the same values.  Raises
-    NumericalBreakdown at the first step k whose mean, covariance S_{k+1}
-    or cost (up to step k + 1) is not finite.
-    """
-    t = init.t
-    if t >= p.N:
-        raise HorizonMismatch(f"initial time {t} >= horizon {p.N}")
-    n = p.n
-    coefs, (G, _), cost, means = _plan(p, gains, t, _atom_state(p, init))
-    S = np.zeros((2 * n, 2 * n))
-    covs = [S]
-    for k, coef in enumerate(coefs, start=t):
-        weight, kw, kd = coef[:2 * n, :-1], coef[2 * n:4 * n, :-1], coef[4 * n:, :-1]
-        c = coef[2 * n:4 * n, -1]
-        cost += np.sum(weight * S)
-        S = sym_part(kd @ S @ kd.T + kw @ S @ kw.T + np.outer(c, c))
-        if k == p.N - 1:  # the terminal cost
-            cost += np.sum(G * S[n:, n:])
-        if not (np.isfinite(S).all() and np.isfinite(cost)):
-            raise NumericalBreakdown(f"the exact covariance or cost is not finite at step {k}")
-        covs.append(S)
-    moments = [{"k": t + j, "mean": m[:n], "cov": S[:n, :n]}
-               for j, (m, S) in enumerate(zip(means, covs))]
-    return float(cost), moments
-
-
-@np.errstate(over="ignore", invalid="ignore")  # the certificate raises on a non-finite form
-def deviation_forms(p: ProblemData, gains, t: int) -> np.ndarray:
+@np.errstate(over="ignore", invalid="ignore")  # checked: moments here, forms in certify_forms
+def deviation_forms(p: ProblemData, gains, init: InitialPair) -> tuple[np.ndarray, list]:
     """The restarted cost of every step k = t..N-1 as a quadratic form Q_k,
-    (N - t, n + m + 1, n + m + 1), without a tree.
+    (N - t, n + m + 1, n + m + 1), and the {"k", "mean", "cov"} moments of
+    the closed-loop state X* at steps t..N from the atom of ``init``.
 
     Restart at an atom x at step k and shift the step-k control by v: the
     expected cost of the (k, .)-family is theta' Q_k theta, theta = [x; v; 1].
@@ -232,23 +198,33 @@ def deviation_forms(p: ProblemData, gains, t: int) -> np.ndarray:
     of the cost is a quadratic form in L_j; the covariance part is
     sum_j C_j' V_{j+1} C_j, with the backward Lyapunov adjoint V_N =
     diag(0, G_k), V_j = weight_j + kd_j' V_{j+1} kd_j + kw_j' V_{j+1} kw_j.
-    kd, kw and weight are the step blocks that ``_plan`` also forms, but
-    the backward pass builds its own, one per live restart (``_plan``
-    folds one atom's mean into its offsets).  Every restart sits on one
-    leading batch axis, live for steps j >= k: one forward pass over j
-    gives every L_j and C_j, one backward pass every V_j.
+    Every restart sits on one leading batch axis, live for steps j >= k:
+    one forward pass over j gives every L_j and C_j, one backward pass
+    every V_j.
+
+    Restart t at theta_0 = [x_0; 0; 1] is X* itself: its mean is
+    Lx_j theta_0, and its covariance follows S <- K S K' + K_w S K_w' + c c'
+    from S = 0, with c the x-rows of C_j theta_0 and K = cA + cB Psi_j,
+    K_w = cC + cD Psi_j the x-blocks of kd_j and kw_j, which the backward
+    pass reuses.  The expected cost at the atom is theta_0' Q_t theta_0.
+    Raises NumericalBreakdown at the first step j whose mean or covariance
+    at step j + 1 is not finite.
 
     Q_k's v-rows hold M_k (the v-columns), Gamma_k (the x-columns) and
     gamma_k (the last column): the stationarity gradient at x is
     Gamma_k x + gamma_k.
     """
-    n, m, N, s = p.n, p.m, p.N, stacks(p)
+    n, m, N, s, t = p.n, p.m, p.N, stacks(p), init.t
+    if t >= N:
+        raise HorizonMismatch(f"initial time {t} >= horizon {N}")
     ks, size, one = np.arange(t, N), n + m + 1, n + m
+    theta = np.concatenate([_atom_state(p, init), np.zeros(m), [1.0]])
     Psi, alpha = np.asarray(gains.Psi), np.asarray(gains.alpha)
     L = np.zeros((N - t, 2 * n, size))
     L[:, :n, :n] = L[:, n:, :n] = np.eye(n)
     Q = np.zeros((N - t, size, size))
-    offsets = []
+    S = np.zeros((n, n))
+    moments, offsets, blocks = [{"k": t, "mean": theta[:n], "cov": S}], [], []
     for j in range(t, N):
         live, kj = slice(0, j - t + 1), ks[:j - t + 1]
         Lx, Ly = L[live, :n], L[live, n:]
@@ -271,6 +247,13 @@ def deviation_forms(p: ProblemData, gains, t: int) -> np.ndarray:
         Lx[..., one] += s.f[j, j]
         Ly[..., one] += s.f[kj, j]
         L[live, :n], L[live, n:] = Lx, Ly
+        K, Kw = s.cA[j, j] + s.cB[j, j] @ Psi[j], s.cC[j, j] + s.cD[j, j] @ Psi[j]
+        blocks.append((K, Kw))
+        c = C[0, :n] @ theta
+        S = sym_part(K @ S @ K.T + Kw @ S @ Kw.T + np.outer(c, c))
+        moments.append({"k": j + 1, "mean": Lx[0] @ theta, "cov": S})
+        if not (np.isfinite(moments[-1]["mean"]).all() and np.isfinite(S).all()):
+            raise NumericalBreakdown(f"the exact mean or covariance is not finite at step {j}")
     Ly = L[:, n:]
     lin = (Ly.transpose(0, 2, 1) @ s.g[ks][..., None])[..., 0]
     Q += Ly.transpose(0, 2, 1) @ s.cG[ks] @ Ly
@@ -284,32 +267,30 @@ def deviation_forms(p: ProblemData, gains, t: int) -> np.ndarray:
         Q[:j - t + 1] += C.transpose(0, 2, 1) @ V[:j - t + 1] @ C
         live, kj = slice(0, j - t), ks[:j - t]  # V_j is read by the restarts k < j only
         psi = Psi[j]
-        kd = np.zeros((j - t, 2 * n, 2 * n))
-        kw = np.zeros((j - t, 2 * n, 2 * n))
-        kd[:, :n, :n] = s.cA[j, j] + s.cB[j, j] @ psi
-        kw[:, :n, :n] = s.cC[j, j] + s.cD[j, j] @ psi
+        kd, kw = np.zeros((2, j - t, 2 * n, 2 * n))
+        kd[:, :n, :n], kw[:, :n, :n] = blocks[j - t]
         kd[:, n:, :n], kd[:, n:, n:] = s.B[kj, j] @ psi, s.A[kj, j]
         kw[:, n:, :n], kw[:, n:, n:] = s.D[kj, j] @ psi, s.C[kj, j]
         Vn = V[live]
         V[live] = kd.transpose(0, 2, 1) @ Vn @ kd + kw.transpose(0, 2, 1) @ Vn @ kw
         V[live, :n, :n] += psi.T @ s.R[kj, j] @ psi
         V[live, n:, n:] += s.Q[kj, j]
-    return sym_part(Q)
+    return sym_part(Q), moments
 
 
 @np.errstate(over="ignore", invalid="ignore")  # checked: a non-finite result raises
 def certify_forms(forms: np.ndarray, moments) -> EquilibriumCertificate:
-    """The certificate of a candidate control from its ``deviation_forms``
-    and the ``exact_moments`` of its closed-loop state X*: no node.
+    """The certificate of a candidate control from the forms and the
+    moments of its closed-loop state X* that ``deviation_forms`` returns:
+    no node.
 
     The step-k gradient g = Gamma_k X*_k + gamma_k must vanish almost
     surely.  With m and S the mean and covariance of X*_k, the residual is
-    sqrt(E|g|^2) = sqrt(|Gamma_k m + gamma_k|^2 + tr(Gamma_k S Gamma_k')),
-    ``min_gap`` the mean gap -E[g' M_k^+ g] and ``realised_gap`` the
-    expected cost change of the minimisers v* = -M_k^+ g,
-    tr((T' Q_k T - Q_k) E[theta theta']), theta = [X*_k; 0; 1], where T
-    sets the v-block to v*.  Raises NumericalBreakdown at the first step
-    whose expected restarted cost or certificate value is not finite.
+    sqrt(E|g|^2) = sqrt(|Gamma_k m + gamma_k|^2 + tr(Gamma_k S Gamma_k'))
+    and ``min_gap`` the mean gap -E[g' M_k^+ g], which is also the expected
+    cost change of the minimisers v* = -M_k^+ g.  Raises NumericalBreakdown
+    at the first step whose expected restarted cost or certificate value is
+    not finite.
     """
     size, n = forms.shape[-1], len(moments[0]["mean"])
     v, one = slice(n, size - 1), size - 1
@@ -319,13 +300,10 @@ def certify_forms(forms: np.ndarray, moments) -> EquilibriumCertificate:
         g = Gamma @ mean + Q[v, one]  # the gradient at the mean state
         theta = np.concatenate([mean, np.zeros(size - 1 - n), [1.0]])
         second = np.outer(theta, theta) + np.pad(cov, (0, size - n))  # E[theta theta']
-        T = np.eye(size)
-        T[v] = -pinv @ Q[v]
         # a covariance indefinite at rounding can make the trace slightly negative
         square = np.maximum(g @ g + np.sum((Gamma @ cov) * Gamma), 0.0)
         cert.record(row["k"], np.sqrt(square), w[0],
-                    -(g @ pinv @ g + np.sum((pinv @ Gamma @ cov) * Gamma)),
-                    np.sum((T.T @ Q @ T - Q) * second), np.sum(Q * second))
+                    -(g @ pinv @ g + np.sum((pinv @ Gamma @ cov) * Gamma)), np.sum(Q * second))
     return cert
 
 
@@ -361,6 +339,8 @@ def _rollout(p: ProblemData, gains, t: int, x0: np.ndarray, paths: int, noise):
 
     Returns the (paths,) costs and the {"k", "mean", "cov"} sample moments
     of x at steps t..N, accumulated as sums centred on the exact mean.
+    Raises NumericalBreakdown at the first step whose sampled second
+    moment is not finite, and if a per-path cost is not.
     """
     n, steps = p.n, p.N - t
     coefs, (G, g2), offset, means = _plan(p, gains, t, x0)
@@ -399,7 +379,11 @@ def _rollout(p: ProblemData, gains, t: int, x0: np.ndarray, paths: int, noise):
         q += g2[:, None]
         cost += np.einsum("in,in->n", q, y)
         costs[start:start + rows] = cost[:rows]
-    if not (np.isfinite(costs).all() and np.isfinite(s2).all()):
+    bad = ~np.isfinite(s2).all(axis=(1, 2))
+    if bad.any():  # the state at step t + j is the outcome of step t + j - 1
+        raise NumericalBreakdown(
+            f"the sampled second moment is not finite at step {t + np.argmax(bad) - 1}")
+    if not np.isfinite(costs).all():
         raise NumericalBreakdown("a per-path cost or second moment is not finite")
 
     moments = []

@@ -341,5 +341,5 @@ def certify_equilibrium(p: ProblemData, init: InitialPair, control: AdaptedProce
         moved = [us[0] + vstar] + us[1:]
         change = _cost(s, k, _roll(s, k, star.values[k], moved), moved) - base
         cert.record(k, np.max(np.linalg.norm(g, axis=1)), w[0], np.min(np.sum(g * vstar, axis=1)),
-                    np.min(change), base)
+                    base, np.min(change))
     return cert

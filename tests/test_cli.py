@@ -387,6 +387,21 @@ class TestGarbage:
                 gc.enable()
 
 
+def _huge_last_offset(tmp_path):
+    """The bundled example with no control input and a last-step diffusion
+    offset d x 1e160, saved: the gains and the mean stay finite while the
+    covariance of the last step overflows.  Returns its path and N."""
+    p = model.bundled_example()
+    for t, k in p.pairs():
+        for name in ("B", "Bbar", "D", "Dbar"):
+            getattr(p, name)[t, k] = np.zeros((p.n, p.m))
+        if k == p.N - 1:
+            p.d[t, k] = p.d[t, k] * 1e160
+    path = tmp_path / "huge-d.json"
+    model.save(p, path)
+    return path, p.N
+
+
 class TestVerify:
     def test_example_certifies(self, example_file, tmp_path):
         out = tmp_path / "cert.json"
@@ -516,28 +531,20 @@ class TestVerify:
             assert run("verify", "--input", example_file, "--out", tmp_path / "c.json",
                        "--x", x) == 2
         err = capsys.readouterr().err
-        assert err == "error: numerical breakdown: the exact mean or cost is not finite at step 0\n"
+        assert err == ("error: numerical breakdown: the exact mean or covariance is not finite "
+                       "at step 0\n")
         assert not (tmp_path / "c.json").exists()
 
     def test_overflowing_covariance_exits_two(self, tmp_path, capsys):
-        # with no control input, a huge last-step diffusion offset d leaves
-        # the gains and the mean finite; the covariance of the last step
-        # overflows, and verify names it
-        p = model.bundled_example()
-        for t, k in p.pairs():
-            for name in ("B", "Bbar", "D", "Dbar"):
-                getattr(p, name)[t, k] = np.zeros((p.n, p.m))
-            if k == p.N - 1:
-                p.d[t, k] = p.d[t, k] * 1e160
-        path = tmp_path / "huge-d.json"
-        model.save(p, path)
+        # the covariance of the last step overflows, and verify names it
+        path, N = _huge_last_offset(tmp_path)
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("verify", "--input", path, "--out", tmp_path / "c.json", "--x", "1,1") == 2
         err = capsys.readouterr().err
-        assert err == ("error: numerical breakdown: the exact covariance or cost is not finite "
-                       f"at step {p.N - 1}\n")
+        assert err == ("error: numerical breakdown: the exact mean or covariance is not finite "
+                       f"at step {N - 1}\n")
         assert not (tmp_path / "c.json").exists()
 
     @pytest.mark.parametrize("n, N", [(1, tree.MAX_DEPTH + 1), (2, 80)])
@@ -613,6 +620,19 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: numerical breakdown: {message}\n"
         assert not (tmp_path / "s.json").exists()
 
+    def test_overflowing_second_moment_names_the_step(self, tmp_path, capsys):
+        # the sampled second moment overflows at the step verify names
+        path, N = _huge_last_offset(tmp_path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("simulate", "--input", path, "--out", tmp_path / "s", "--paths", 10,
+                       "--x", "1,1") == 2
+        err = capsys.readouterr().err
+        assert err == ("error: numerical breakdown: the sampled second moment is not finite "
+                       f"at step {N - 1}\n")
+        assert os.listdir(tmp_path) == ["huge-d.json"]
+
     def test_bad_paths_exits_one(self, example_file, tmp_path):
         assert run("simulate", "--input", example_file, "--out", tmp_path / "s",
                    "--paths", 0, "--seed", 1, "--x", "1,1") == 1
@@ -661,8 +681,10 @@ class TestCostOverflow:
          "the mean of the per-path costs is not finite"),
         (("Q", "Qbar", "R", "Rbar", "q", "rho"), 1e5, "1e150,1e150",
          "the mean of the per-path costs is not finite"),
-        ((), 1.0, "1e152,1e152", "a per-path cost or second moment is not finite"),
-    ], ids=["noise-blocks", "weights", "path-cost"])
+        ((), 1.0, "1e152,1e152", "the sampled second moment is not finite at step 0"),
+        (("C", "Cbar", "D", "Dbar", "d"), 1e20, "1e130,1e130",
+         "a per-path cost or second moment is not finite"),
+    ], ids=["noise-blocks", "weights", "path-cost", "path-cost-only"])
     def test_exits_two_with_one_line(self, tmp_path, capsys, names, factor, x, message):
         p = model.bundled_example()
         for name in names:

@@ -257,10 +257,16 @@ class TestEnumeratedNoise:
             assert np.max(np.abs(row["mean"] - nodes.mean(axis=0))) <= 1e-12 * scale
 
 
+def _atom(p, x):
+    """theta_0 = [x; 0; 1], the restart at the atom x with no shift."""
+    return np.concatenate([x, np.zeros(p.m), [1.0]])
+
+
 class TestExactMoments:
-    """The second-moment recursion gives the exact expected cost and moments
-    at any horizon: the tree's where the tree reaches, and Monte Carlo's
-    target beyond it."""
+    """``deviation_forms`` gives the exact moments of the closed-loop state,
+    and its first form at theta_0 = [x; 0; 1] the exact expected cost, at
+    any horizon: the tree's where the tree reaches, and Monte Carlo's target
+    beyond it."""
 
     @pytest.mark.parametrize("dims, t, convex", [
         ((2, 2, 10), 0, True), ((3, 1, 8), 0, False), ((1, 3, 12), 0, True),
@@ -275,7 +281,8 @@ class TestExactMoments:
                              convex=convex)
             _, gains, _ = recursion.solve_gdre_global(p)
         init = InitialPair(t, np.linspace(-1.0, 1.0, p.n) + 0.3)
-        cost, moments = mc.exact_moments(p, gains, init)
+        forms, moments = mc.deviation_forms(p, gains, init)
+        cost = _atom(p, init.x) @ forms[0] @ _atom(p, init.x)
         state, control = tree.equilibrium_pair(p, gains, init)
         exact = float(tree.cost(p, init, control, t)[0])
         assert abs(cost - exact) <= 1e-12 * abs(exact)
@@ -297,7 +304,8 @@ class TestExactMoments:
         p = make_problem(np.random.default_rng(5), 2, 2, 50, scale=0.3)
         _, gains, _ = recursion.solve_gdre_global(p)
         init = InitialPair(0, np.ones(2))
-        exact, _ = mc.exact_moments(p, gains, init)
+        forms, _ = mc.deviation_forms(p, gains, init)
+        exact = _atom(p, init.x) @ forms[0] @ _atom(p, init.x)
         z = []
         for seed in range(20):
             res = mc.simulate(p, init, gains, mc.SimConfig(paths=20_000, seed=seed,
@@ -309,7 +317,14 @@ class TestExactMoments:
     def test_rejects_initial_time_at_horizon(self, example_solved):
         p, gains = example_solved
         with pytest.raises(HorizonMismatch):
-            mc.exact_moments(p, gains, InitialPair(p.N, np.ones(2)))
+            mc.deviation_forms(p, gains, InitialPair(p.N, np.ones(2)))
+
+    def test_requires_atom_state(self, example_solved):
+        # the moments are those of one information-set atom, not of a
+        # node family
+        p, gains = example_solved
+        with pytest.raises(DimensionMismatch):
+            mc.deviation_forms(p, gains, InitialPair(1, np.ones((2, 2))))
 
     def test_overflowing_covariance_raises(self, example_solved):
         # C and Cbar scaled by 1e160 leave the mean finite while the
@@ -320,8 +335,8 @@ class TestExactMoments:
             big.C[t, k] = big.C[t, k] * 1e160
             big.Cbar[t, k] = big.Cbar[t, k] * 1e160
         with pytest.raises(NumericalBreakdown,
-                           match="^the exact covariance or cost is not finite at step 0$"):
-            mc.exact_moments(big, gains, InitialPair(0, np.ones(2)))
+                           match="^the exact mean or covariance is not finite at step 0$"):
+            mc.deviation_forms(big, gains, InitialPair(0, np.ones(2)))
 
 
 def _identity_scales(forms, gains, solved, report, t):
@@ -344,13 +359,14 @@ class TestDeviationForms:
         rng = np.random.default_rng(sum(dims) + t)
         p = make_problem(rng, *dims, scale=0.4, convex=bool(t))
         _, gains, _ = recursion.solve_gdre_global(p)
-        forms = mc.deviation_forms(p, gains, t)
+        forms, _ = mc.deviation_forms(p, gains, InitialPair(t, np.zeros(p.n)))
         assert forms.shape == (p.N - t, p.n + p.m + 1, p.n + p.m + 1)
         for k, Q in enumerate(forms, start=t):
             x = rng.normal(size=p.n)
-            theta = np.concatenate([x, np.zeros(p.m), [1.0]])
-            exact, _ = mc.exact_moments(p, gains, InitialPair(k, x))
-            assert abs(theta @ Q @ theta - exact) <= 1e-12 * (1.0 + abs(exact))
+            init = InitialPair(k, x)
+            _, control = tree.equilibrium_pair(p, gains, init)
+            exact = float(tree.cost(p, init, control, k)[0])
+            assert abs(_atom(p, x) @ Q @ _atom(p, x) - exact) <= 1e-12 * (1.0 + abs(exact))
 
     def test_solver_identities_on_the_randomised_suite(self, rng):
         # M_k = M2[k], Gamma_k = W_k Psi_k + H_k, gamma_k = W_k alpha_k + beta_k
@@ -358,7 +374,7 @@ class TestDeviationForms:
             p = make_problem(rng, *random_dims(rng, max_N=7), convex=bool(j % 2))
             _, gains, report = recursion.solve_gdre_global(p)
             t = int(rng.integers(0, p.N))
-            forms = mc.deviation_forms(p, gains, t)
+            forms, _ = mc.deviation_forms(p, gains, InitialPair(t, np.zeros(p.n)))
             checks = mc.solver_identities(forms, gains, gains, report, t)
             scales = _identity_scales(forms, gains, gains, report, t)
             for name, residuals in checks.items():
@@ -377,7 +393,7 @@ class TestDeviationForms:
         for k in (2, 5):
             gains.Psi[k] = gains.Psi[k] + 0.1
             gains.alpha[k] = gains.alpha[k] - 0.1
-        forms = mc.deviation_forms(p, gains, 0)
+        forms, _ = mc.deviation_forms(p, gains, InitialPair(0, np.zeros(p.n)))
         checks = mc.solver_identities(forms, gains, solved, report, 0)
         scales = _identity_scales(forms, gains, solved, report, 0)
         for name, residuals in checks.items():
