@@ -337,6 +337,13 @@ def _rollout(p: ProblemData, gains, t: int, x0: np.ndarray, paths: int, noise):
     once and rolled through all steps on one (2n, rows) centred state.
     Only the per-path costs grow with the path count.
 
+    Every path starts at the atom, where the centred state is zero, so
+    step t only moves it by its noise offset and adds nothing to the cost
+    beyond the constants.  The moment sums are of x / 2^e, with 4^e the
+    first power of four >= paths: a power of two scales exactly, and the
+    second moment then overflows with the covariance it estimates, not
+    ``paths`` times sooner.
+
     Returns the (paths,) costs and the {"k", "mean", "cov"} sample moments
     of x at steps t..N, accumulated as sums centred on the exact mean.
     Raises NumericalBreakdown at the first step whose sampled second
@@ -345,6 +352,7 @@ def _rollout(p: ProblemData, gains, t: int, x0: np.ndarray, paths: int, noise):
     n, steps = p.n, p.N - t
     coefs, (G, g2), offset, means = _plan(p, gains, t, x0)
     costs = np.empty(paths)
+    scale = 2.0 ** (-(paths - 1).bit_length() // 2)  # 2^-e
     s1 = np.zeros((steps + 1, n))
     s2 = np.zeros((steps + 1, n, n))
 
@@ -356,42 +364,47 @@ def _rollout(p: ProblemData, gains, t: int, x0: np.ndarray, paths: int, noise):
         cols = max(rows, 2)
         w = np.ascontiguousarray(noise(start, rows).T)  # step j's noise is row j
         wk = np.zeros(cols)
+        wk[:rows] = w[0]
         # the centred state over a constant row of ones, which applies each
-        # step's offsets inside its matmul
-        d = np.zeros((2 * n + 1, cols))
-        d[2 * n] = 1.0
+        # step's offsets inside its matmul.  After step t it is c_t w_t, plus
+        # 0.0 so that a -0.0 reads +0.0, as its sum with the zero kd-term did
+        d = np.ones((2 * n + 1, cols))
         z, x = d[:2 * n], d[:n, :rows]
+        np.multiply(coefs[0][2 * n:4 * n, 2 * n:], wk, out=z)
+        z += 0.0
+        xs = np.empty((n, rows))
         out = np.empty((6 * n, cols))
         cost = np.full(cols, offset)
-        for j, coef in enumerate(coefs):
-            s1[j] += x.sum(axis=1)
-            s2[j] += x @ x.T
-            np.matmul(coef, d, out=out)
+        for j in range(1, steps + 1):
+            np.multiply(x, scale, out=xs)
+            s1[j] += xs.sum(axis=1)
+            s2[j] += xs @ xs.T
+            if j == steps:
+                break
+            np.matmul(coefs[j], d, out=out)
             q, kwd, kdd = out[:2 * n], out[2 * n:4 * n], out[4 * n:]
             cost += np.einsum("in,in->n", q, z)
             wk[:rows] = w[j]
             kwd *= wk
             np.add(kdd, kwd, out=z)
-        s1[steps] += x.sum(axis=1)
-        s2[steps] += x @ x.T
         y, q = d[n:2 * n], out[:n]
         np.matmul(G, y, out=q)
         q += g2[:, None]
         cost += np.einsum("in,in->n", q, y)
         costs[start:start + rows] = cost[:rows]
-    bad = ~np.isfinite(s2).all(axis=(1, 2))
-    if bad.any():  # the state at step t + j is the outcome of step t + j - 1
-        raise NumericalBreakdown(
-            f"the sampled second moment is not finite at step {t + np.argmax(bad) - 1}")
-    if not np.isfinite(costs).all():
-        raise NumericalBreakdown("a per-path cost or second moment is not finite")
 
     moments = []
     for j in range(steps + 1):
         cov = np.zeros((n, n))
         if paths > 1:
-            cov = sym_part((s2[j] - np.outer(s1[j], s1[j]) / paths) / (paths - 1))
-        moments.append({"k": t + j, "mean": means[j][:n] + s1[j] / paths, "cov": cov})
+            cov = sym_part((s2[j] - np.outer(s1[j], s1[j]) / paths) / (paths - 1)) / scale**2
+        if not (np.isfinite(s2[j]).all() and np.isfinite(cov).all()):
+            # the state at step t + j is the outcome of step t + j - 1
+            raise NumericalBreakdown(
+                f"the sampled second moment is not finite at step {t + j - 1}")
+        moments.append({"k": t + j, "mean": means[j][:n] + s1[j] / paths / scale, "cov": cov})
+    if not np.isfinite(costs).all():
+        raise NumericalBreakdown("a per-path cost is not finite")
     return costs, moments
 
 

@@ -3,11 +3,22 @@
 The solvers fill doubly-indexed tables keyed by (start index k, stage l):
 a symmetric pair (P, script-P), a generally nonsymmetric pair (T, script-T)
 and an affine term pi.  Row k at stage l needs row k at stage l + 1 and the
-gains of step l, and those gains need only row l at stage l + 1.  So the
-general solver sweeps stages l = N-1 .. 0 once: at stage l, row l of stage
-l + 1 is final, one pseudoinverse fixes the step-l gains, and rows 0..l
-then advance to stage l together as stacked arrays.  Every value is final
-before anything reads it, which is what makes the order causal.
+gains of step l, and those gains need only row l at stage l + 1.  So one
+sweep over stages l = N-1 .. 0 fills every table (`solve_symmetric` reads
+P and script-P off it): at stage l, row l of stage l + 1 is final, one
+pseudoinverse fixes the step-l gains, and rows 0..l then advance to stage
+l together as stacked arrays.  Every value is final before anything reads
+it, which is what makes the order causal.
+
+T, script-T and pi advance through the step-l closed loop of the feedback
+u_l = Psi_l X_l + alpha_l, X_{l+1} = Fd X_l + fd + (Fw X_l + fw) w_l: with
+dA .. dD the script sums and f_l, d_l the offsets at (l, l), Fd = dA + dB
+Psi_l, Fw = dC + dD Psi_l, fd = f_l + dB alpha_l, fw = d_l + dD alpha_l,
+and with blocks at (k, l) and tables at stage l + 1 on the right,
+T      = A' T Fd + C' T Fw + (A' P B + C' P D) Psi_l
+scr-T  = scr-A' scr-T Fd + scr-C' T Fw + (scr-A' scr-P scr-B + scr-C' P scr-D) Psi_l
+pi     = scr-A' (scr-P (f + scr-B alpha_l) + scr-T fd + pi)
+         + scr-C' (P (d + scr-D alpha_l) + T fw) + q.
 
 One sweep can carry several problems that differ only by a shift
 epsilon * I of the control weight in W (`solve_shifts`, which the
@@ -100,11 +111,6 @@ def _t(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
 
-def _tables(N: int, **stacks) -> RecursionTables:
-    """(N, N + 1, ...) stacked tables, keyed by (k, l) as views into them."""
-    return RecursionTables(N, **{name: Family.full(a) for name, a in stacks.items()})
-
-
 class _Breakdown(NumericalBreakdown):
     """A breakdown of one member of a batched sweep."""
 
@@ -126,67 +132,33 @@ def _check_finite(l: int, row0: int = 0, **stacks) -> None:
             )
 
 
-def _symmetric_stage(s: SimpleNamespace, P: np.ndarray, Pc: np.ndarray, l: int):
-    """Advance rows 0..l of P and script-P from stage l + 1 to stage l.
-
-    Returns the products A' P, C' P, scr-A' scr-P and scr-C' P at stage
-    l + 1, which the coupled recursions reuse.
-    """
-    rows = slice(0, l + 1)
-    A, C, cA, cC = s.A[rows, l], s.C[rows, l], s.cA[rows, l], s.cC[rows, l]
-    Pn, Pcn = P[rows, l + 1], Pc[rows, l + 1]
-    AtP, CtP = _t(A) @ Pn, _t(C) @ Pn
-    cAtPc, cCtP = _t(cA) @ Pcn, _t(cC) @ Pn
-    P[rows, l] = mx.sym_part(s.Q[rows, l] + AtP @ A + CtP @ C)
-    Pc[rows, l] = mx.sym_part(s.cQ[rows, l] + cAtPc @ cA + cCtP @ cC)
-    _check_finite(l, P=P[None, rows, l], Pcal=Pc[None, rows, l])
-    return AtP, CtP, cAtPc, cCtP
-
-
-# overflow is reported as NumericalBreakdown, so numpy's warnings are silenced
-@np.errstate(over="ignore", invalid="ignore")
 def solve_symmetric(p: ProblemData) -> RecursionTables:
-    """Fill the symmetric tables P and script-P by backward induction.
+    """The symmetric tables P and script-P of `solve_gdre_global`'s sweep.
 
     For each start index k: P[k][N] = G_k, script-P[k][N] = script-G_k, then
     P[k][l]        = Q + A' P A + C' P C           (plain blocks)
     script-P[k][l] = scr-Q + scr-A' scr-P scr-A + scr-C' P scr-C
-    with every result re-symmetrised to kill roundoff drift.  Rows advance
-    stage by stage, all rows 0..l of stage l at once.
+    with every result re-symmetrised to kill roundoff drift.  A row's
+    arithmetic does not depend on how many rows share its stage.  The sweep
+    also assembles the gains, so this raises its NumericalBreakdown.
     """
-    N, n = p.N, p.n
-    s = model.stacks(p)
-    P, Pc = np.zeros((N, N + 1, n, n)), np.zeros((N, N + 1, n, n))
-    P[:, N], Pc[:, N] = s.G, s.cG
-    for l in range(N - 1, -1, -1):
-        _symmetric_stage(s, P, Pc, l)
-    return _tables(N, P=P, Pcal=Pc)
-
-
-def _m2_stack(s: SimpleNamespace, tables: RecursionTables) -> np.ndarray:
-    """Quadratic coefficient of a one-instant control deviation at every
-    step k, as one (N, m, m) stack, from `model.stacks`' script sums."""
-    N = len(s.cR)
-    k = np.arange(N)
-    Pc = np.array([tables.Pcal[j, j + 1] for j in range(N)])
-    P = np.array([tables.P[j, j + 1] for j in range(N)])
-    cB, cD = s.cB[k, k], s.cD[k, k]
-    return s.cR[k, k] + _t(cB) @ Pc @ cB + _t(cD) @ P @ cD
+    tables = solve_gdre_global(p)[0]
+    return RecursionTables(p.N, P=tables.P, Pcal=tables.Pcal)
 
 
 def convexity_margins(p: ProblemData, tables: RecursionTables,
                       stacks: SimpleNamespace | None = None
                       ) -> tuple[list[PsdVerdict], list[np.ndarray]]:
-    """Per-step PSD verdicts for the deviation-cost coefficients, from one
-    stacked eigenvalue call.  ``stacks`` is `model.stacks(p)`, when the
-    caller already has it."""
-    m2 = _m2_stack(model.stacks(p) if stacks is None else stacks, tables)
+    """Per-step PSD verdicts for M2_k, the quadratic coefficient of a
+    one-instant step-k control deviation, from one stacked eigenvalue call.
+    ``stacks`` is `model.stacks(p)`, when the caller already has it."""
+    s = model.stacks(p) if stacks is None else stacks
+    k = np.arange(p.N)
+    Pc = np.array([tables.Pcal[j, j + 1] for j in range(p.N)])
+    P = np.array([tables.P[j, j + 1] for j in range(p.N)])
+    cB, cD = s.cB[k, k], s.cD[k, k]
+    m2 = s.cR[k, k] + _t(cB) @ Pc @ cB + _t(cD) @ P @ cD
     return mx.psd_checks(m2), list(m2)
-
-
-def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector products of stacks, each that of a single ``a @ v``."""
-    return (a @ v[..., None])[..., 0]
 
 
 def _sweep(p: ProblemData, shifts: tuple) -> list:
@@ -218,44 +190,43 @@ def _sweep(p: ProblemData, shifts: tuple) -> list:
         if shifted.any():
             Wl[shifted] += shift_eye
         Hl = dB.T @ PcTc @ dA + dD.T @ PT @ dC
-        betal = (_mv(dB.T, PcTc @ s.f[l, l] + pi[:, l, l + 1]) + _mv(dD.T, PT @ s.d[l, l])
-                 + s.rho[l, l])
+        betal = (dB.T @ (PcTc @ s.f[l, l] + pi[:, l, l + 1])[..., None]
+                 + dD.T @ (PT @ s.d[l, l])[..., None])[..., 0] + s.rho[l, l]
         _check_finite(l, l, W=Wl[:, None], H=Hl[:, None], beta=betal[:, None])
         Wdl = mx.pinv(Wl)
         W[:, l], Wdag[:, l], H[:, l], beta[:, l] = Wl, Wdl, Hl, betal
         Psi[:, l] = -Wdl @ Hl
-        alpha[:, l] = _mv(-Wdl, betal)
+        alpha[:, l] = (-Wdl @ betal[..., None])[..., 0]
 
-        AtP, CtP, cAtPc, cCtP = _symmetric_stage(s, P, Pc, l)
+        # the step-l closed loop X_{l+1} = Fd X_l + fd + (Fw X_l + fw) w_l
+        Psil, al = Psi[:, l, None], alpha[:, l, None, :, None]
+        Fd, Fw = dA + dB @ Psil, dC + dD @ Psil
+        fd, fw = s.f[l, l, :, None] + dB @ al, s.d[l, l, :, None] + dD @ al
+
         rows = slice(0, l + 1)
         A, B, C, D = s.A[rows, l], s.B[rows, l], s.C[rows, l], s.D[rows, l]
         cA, cB, cC, cD = s.cA[rows, l], s.cB[rows, l], s.cC[rows, l], s.cD[rows, l]
+        Pn, Pcn = P[rows, l + 1], Pc[rows, l + 1]
+        AtP, CtP = _t(A) @ Pn, _t(C) @ Pn
+        cAtPc, cCtP = _t(cA) @ Pcn, _t(cC) @ Pn
+        P[rows, l] = mx.sym_part(s.Q[rows, l] + AtP @ A + CtP @ C)
+        Pc[rows, l] = mx.sym_part(s.cQ[rows, l] + cAtPc @ cA + cCtP @ cC)
+        _check_finite(l, P=P[None, rows, l], Pcal=Pc[None, rows, l])
         Tn, Tcn = T[:, rows, l + 1], Tc[:, rows, l + 1]
-        AtT, CtT = _t(A) @ Tn, _t(C) @ Tn
-        cAtTc, cCtT = _t(cA) @ Tcn, _t(cC) @ Tn
-        WdH = (Wdl @ Hl)[:, None]
-        Wdb = _mv(Wdl, betal)
-        wdb = Wdb[:, None, :, None]
-        T[:, rows, l] = (
-            AtT @ dA + CtT @ dC
-            - (AtP @ B + AtT @ dB + CtP @ D + CtT @ dD) @ WdH
-        )
-        Tc[:, rows, l] = (
-            cAtTc @ dA + cCtT @ dC
-            - (cAtPc @ cB + cAtTc @ dB + cCtP @ cD + cCtT @ dD) @ WdH
-        )
+        T[:, rows, l] = _t(A) @ Tn @ Fd + _t(C) @ Tn @ Fw + (AtP @ B + CtP @ D) @ Psil
+        Tc[:, rows, l] = (_t(cA) @ Tcn @ Fd + _t(cC) @ Tn @ Fw
+                          + (cAtPc @ cB + cCtP @ cD) @ Psil)
         # vectors as (n, 1) columns: the matrix-vector products of a single row
         pi[:, rows, l] = (
-            cAtPc @ (s.f[rows, l, :, None] - cB @ wdb)
-            + cAtTc @ (s.f[l, l] - _mv(dB, Wdb))[:, None, :, None]
-            + cCtP @ (s.d[rows, l, :, None] - cD @ wdb)
-            + cCtT @ (s.d[l, l] - _mv(dD, Wdb))[:, None, :, None]
-            + _t(cA) @ pi[:, rows, l + 1, :, None]
+            _t(cA) @ (Pcn @ (s.f[rows, l, :, None] + cB @ al) + Tcn @ fd
+                      + pi[:, rows, l + 1, :, None])
+            + _t(cC) @ (Pn @ (s.d[rows, l, :, None] + cD @ al) + Tn @ fw)
             + s.q[rows, l, :, None]
         )[..., 0]
         _check_finite(l, T=T[:, rows, l], Tcal=Tc[:, rows, l], pi=pi[:, rows, l])
 
-    tables = [_tables(N, P=P, Pcal=Pc, T=T[b], Tcal=Tc[b], pi=pi[b]) for b in range(nb)]
+    tables = [RecursionTables(N, *(Family.full(a) for a in (P, Pc, T[b], Tc[b], pi[b])))
+              for b in range(nb)]
     verdicts, mats = convexity_margins(p, tables[0], stacks=s)
     margins = [v.min_eigenvalue for v in verdicts]
     psd = all(v.is_psd for v in verdicts)
@@ -296,10 +267,10 @@ def solve_gdre_global(p: ProblemData) -> tuple[RecursionTables, GainSchedule, So
     """Solve every table and assemble the gain schedule in one stage sweep.
 
     For l = N-1 .. 0: the gains of step l are assembled (and their
-    pseudoinverse fixed) from row l at stage l + 1, then rows 0..l of P,
-    script-P, T, script-T and pi advance to stage l as stacked arrays.
-    Each row's arithmetic is that of a per-cell update, operand for
-    operand, so a row does not depend on how many rows share its stage.
+    pseudoinverse fixed) from row l at stage l + 1, then rows 0..l of P and
+    script-P advance to stage l, and those of T, script-T and pi through
+    the step-l closed-loop maps (module docstring).  A row's arithmetic
+    does not depend on how many rows or members share its stage.
 
     Raises NumericalBreakdown when a stage produces a non-finite entry.
     """

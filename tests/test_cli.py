@@ -681,9 +681,9 @@ class TestCostOverflow:
          "the mean of the per-path costs is not finite"),
         (("Q", "Qbar", "R", "Rbar", "q", "rho"), 1e5, "1e150,1e150",
          "the mean of the per-path costs is not finite"),
-        ((), 1.0, "1e152,1e152", "the sampled second moment is not finite at step 0"),
+        ((), 1.0, "1e152,1e152", "the sampled second moment is not finite at step 1"),
         (("C", "Cbar", "D", "Dbar", "d"), 1e20, "1e130,1e130",
-         "a per-path cost or second moment is not finite"),
+         "a per-path cost is not finite"),
     ], ids=["noise-blocks", "weights", "path-cost", "path-cost-only"])
     def test_exits_two_with_one_line(self, tmp_path, capsys, names, factor, x, message):
         p = model.bundled_example()
@@ -700,6 +700,21 @@ class TestCostOverflow:
                        "--x", x) == 2
         assert capsys.readouterr().err == f"error: numerical breakdown: {message}\n"
         assert os.listdir(tmp_path) == ["scaled.json"]
+
+    def test_sampled_moment_overflows_at_the_step_verify_names(self, example_file, tmp_path,
+                                                               capsys):
+        # the sampled second moment is summed as a mean over the paths, so
+        # it overflows with the exact covariance, not `paths` times sooner
+        errs = []
+        for command, extra in (("simulate", ("--paths", 1000)), ("verify", ())):
+            capsys.readouterr()
+            assert run(command, "--input", example_file, "--out", tmp_path / command,
+                       "--x", "1e152,1e152", *extra) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs == [
+            "error: numerical breakdown: the sampled second moment is not finite at step 1\n",
+            "error: numerical breakdown: the exact mean or covariance is not finite at step 1\n",
+        ]
 
 
 class TestReaderErrors:

@@ -234,6 +234,19 @@ class TestBatchedSweep:
                 self.assert_same_solve(member, recursion.solve_shifts(p, (eps,))[0])
             self.assert_same_solve(batch[0], recursion.solve_gdre_global(p))
 
+    def test_members_match_the_per_cell_reference(self, rng):
+        # each shifted member's T, script-T and pi are the recursions of its
+        # own gains, as the reference solves them one start index at a time
+        for n, m, N in ((2, 2, 6), (1, 3, 5), (3, 1, 7), (2, 1, 9)):
+            p = make_problem(rng, n, m, N, scale=0.3)
+            for tab, gains, _ in recursion.solve_shifts(p, self.SHIFTS):
+                for k in range(N):
+                    T, Tb, pi = rref.affine_feedback_tables(p, gains.Psi, gains.alpha, k, tab)
+                    for l in range(k, N + 1):
+                        for got, want in ((tab.T[k, l], T[l]), (tab.Tcal[k, l], T[l] + Tb[l]),
+                                          (tab.pi[k, l], pi[l])):
+                            assert np.max(np.abs(got - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
+
     def test_no_shifts_solve_nothing(self, rng):
         p = make_problem(rng, 2, 2, 4)
         assert recursion.solve_shifts(p, ()) == []
