@@ -33,7 +33,7 @@ def _as_matrix(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
 
 def sym_part(m: np.ndarray) -> np.ndarray:
     """Symmetric part (M + M^T) / 2 (of every matrix in a stack)."""
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    return 0.5 * m + 0.5 * np.swapaxes(m, -1, -2)
 
 
 def fro_each(m) -> np.ndarray:

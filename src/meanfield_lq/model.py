@@ -234,11 +234,11 @@ def stacks(p: ProblemData) -> SimpleNamespace:
 
 @dataclass(frozen=True)
 class InitialPair:
-    """Start time plus start state.
+    """A start time and a state.
 
-    ``x`` is a deterministic n-vector (mandatory at t = 0, where the
-    information set is trivial) or, for t > 0, an array of shape (2**t, n)
-    holding one vector per scenario-tree node at level t.
+    ``x`` is a deterministic n-vector, the atom every command starts from.
+    Only the exact tree (`tree`) also reads a node family here, one state
+    per scenario node at time t, and lays it out itself.
     """
 
     t: int
@@ -246,18 +246,6 @@ class InitialPair:
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-
-    def node_values(self, n: int) -> np.ndarray:
-        """The state as a (2**t, n) node family."""
-        if self.x.ndim == 1:
-            if self.x.shape != (n,):
-                raise DimensionMismatch(f"initial state has dim {self.x.shape}, expected ({n},)")
-            return np.tile(self.x, (2**self.t, 1))
-        if self.x.shape != (2**self.t, n):
-            raise DimensionMismatch(
-                f"initial node family has shape {self.x.shape}, expected {(2**self.t, n)}"
-            )
-        return self.x.copy()
 
 
 def validate(p: ProblemData) -> list[Finding]:

@@ -76,10 +76,6 @@ class GainSchedule:
     def N(self) -> int:
         return len(self.W)
 
-    def control(self, k: int, x: np.ndarray) -> np.ndarray:
-        """Feedback value Psi_k x + alpha_k (x may be a stack of states)."""
-        return x @ self.Psi[k].T + self.alpha[k]
-
 
 @dataclass
 class SolvabilityReport:

@@ -7,6 +7,11 @@ expectation is the signed half-difference of two children.  Nothing in this
 module consults the backward recursions, so it can serve as an independent
 oracle for them.  The coefficients come from `model.stacks`.
 
+One restart kernel, `_roll`, moves every state: X* advances by one `_roll`
+level of the system restarted at each step, the concatenation of one-step
+restarts.  Node families live here too: `_nodes` lays out an atom (one
+vector for every node) or a family (one row per node) as node rows.
+
 Node convention: the level-k node with index i has children 2*i (noise +1)
 and 2*i + 1 (noise -1) at level k+1; node probability is 2**-k.
 """
@@ -59,6 +64,18 @@ def _check_tree(p: ProblemData, tree: ScenarioTree | None) -> None:
         raise HorizonMismatch(f"tree depth {tree.depth} < horizon {p.N}")
 
 
+def _nodes(v, level: int, width: int, what: str) -> np.ndarray:
+    """``v`` as level-``level`` node rows, (2**level, width): an atom (a
+    ``width``-vector) is tiled, a node family is copied."""
+    v = np.asarray(v, dtype=float)
+    if v.shape == (width,):
+        return np.tile(v, (2**level, 1))
+    if v.shape != (2**level, width):
+        raise DimensionMismatch(
+            f"{what} has shape {v.shape}, expected ({width},) or {(2**level, width)}")
+    return v.copy()
+
+
 # Level kernels on (2**l, dim) arrays; ``s`` is `model.stacks` of the problem.
 
 def _mean(v: np.ndarray, k: int) -> np.ndarray:
@@ -69,14 +86,6 @@ def _mean(v: np.ndarray, k: int) -> np.ndarray:
 def _lift(v: np.ndarray, nodes: int) -> np.ndarray:
     """A level-k array at the ``nodes`` nodes of a level below: each takes its ancestor's row."""
     return np.repeat(v, nodes // len(v), axis=0)
-
-
-def _children(drift: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """The next level from a level's drift and diffusion: noise +1, then -1."""
-    nxt = np.empty((2 * len(drift), drift.shape[1]))
-    nxt[0::2] = drift + diff
-    nxt[1::2] = drift - diff
-    return nxt
 
 
 def _roll(s, t: int, x: np.ndarray, us: list, one: float = 1.0) -> list:
@@ -91,7 +100,9 @@ def _roll(s, t: int, x: np.ndarray, us: list, one: float = 1.0) -> list:
             ex @ s.Abar[t, l].T + eu @ s.Bbar[t, l].T + one * s.f[t, l], len(x))
         diff = x @ s.C[t, l].T + u @ s.D[t, l].T + _lift(
             ex @ s.Cbar[t, l].T + eu @ s.Dbar[t, l].T + one * s.d[t, l], len(x))
-        xs.append(_children(drift, diff))
+        nxt = np.empty((2 * len(x), x.shape[1]))  # children: noise +1, then -1
+        nxt[0::2], nxt[1::2] = drift + diff, drift - diff
+        xs.append(nxt)
     return xs
 
 
@@ -175,7 +186,7 @@ def roll_forward(p: ProblemData, init: InitialPair, control: AdaptedProcess,
     if init.t != t:
         raise HorizonMismatch(f"initial pair is at t={init.t}, rollout starts at {t}")
     us = [control.values[l] for l in range(t, p.N)]
-    xs = _roll(stacks(p), t, init.node_values(p.n), us)
+    xs = _roll(stacks(p), t, _nodes(init.x, t, p.n, "initial state"), us)
     return AdaptedProcess(dict(enumerate(xs, start=t)))
 
 
@@ -187,21 +198,16 @@ def cost(p: ProblemData, init: InitialPair, control: AdaptedProcess, t: int) -> 
 
 def _closed_loop(p: ProblemData, init: InitialPair,
                  policy) -> tuple[AdaptedProcess, AdaptedProcess]:
-    """Restart-at-every-step rollout: each step k uses the diagonal (k, k)
-    blocks.  States and controls at level k are measurable there, so the
-    conditional-mean terms collapse into the summed (calligraphic)
-    coefficients and the rollout is node-wise.  ``policy(k, x_k)`` gives u_k.
+    """Restart-at-every-step rollout: level k advances to level k + 1 by one
+    `_roll` level of the system restarted at k, so X* is the concatenation
+    of one-step restarts.  ``policy(k, x_k)`` gives u_k.
     """
     s = stacks(p)
-    state = AdaptedProcess({init.t: init.node_values(p.n)})
+    state = AdaptedProcess({init.t: _nodes(init.x, init.t, p.n, "initial state")})
     control = AdaptedProcess()
     for k in range(init.t, p.N):
-        xk = state.values[k]
-        uk = policy(k, xk)
-        control.values[k] = uk
-        drift = xk @ s.cA[k, k].T + uk @ s.cB[k, k].T + s.f[k, k]
-        diff = xk @ s.cC[k, k].T + uk @ s.cD[k, k].T + s.d[k, k]
-        state.values[k + 1] = _children(drift, diff)
+        control.values[k] = uk = policy(k, state.values[k])
+        state.values[k + 1] = _roll(s, k, state.values[k], [uk])[1]
     return state, control
 
 
@@ -217,7 +223,7 @@ def equilibrium_pair(p: ProblemData, gains, init: InitialPair,
                      tree: ScenarioTree | None = None) -> tuple[AdaptedProcess, AdaptedProcess]:
     """Closed-loop state and the control it realises, from a gain schedule."""
     _check_tree(p, tree)
-    return _closed_loop(p, init, gains.control)
+    return _closed_loop(p, init, lambda k, x: x @ gains.Psi[k].T + gains.alpha[k])
 
 
 def solve_bsde(p: ProblemData, forward_state: AdaptedProcess, k: int) -> AdaptedProcess:
@@ -263,12 +269,8 @@ def variation_cost(p: ProblemData, k: int, ubar):
     blocks at step k and then follows the homogeneous dynamics.
     """
     ScenarioTree(p.N)  # the depth cap
-    ub = np.asarray(ubar, dtype=float)
-    if ub.shape == (p.m,):
-        return float(_variation(stacks(p), k, np.tile(ub, (2**k, 1)))[0])
-    if ub.shape != (2**k, p.m):
-        raise DimensionMismatch(f"ubar has shape {ub.shape}, expected ({p.m},) or {(2**k, p.m)}")
-    return _variation(stacks(p), k, ub)
+    costs = _variation(stacks(p), k, _nodes(ubar, k, p.m, "ubar"))
+    return float(costs[0]) if np.ndim(ubar) == 1 else costs
 
 
 def difference_formula_check(p: ProblemData, k: int, zeta, u: AdaptedProcess,
@@ -281,9 +283,7 @@ def difference_formula_check(p: ProblemData, k: int, zeta, u: AdaptedProcess,
     """
     ScenarioTree(p.N)  # the depth cap
     u.require(k, p.N - 1, p.m)
-    zeta = InitialPair(k, np.asarray(zeta, dtype=float)).node_values(p.n)
-    ub = np.asarray(ubar, dtype=float)
-    ub_nodes = np.tile(ub, (2**k, 1)) if ub.ndim == 1 else ub
+    zeta, ub_nodes = _nodes(zeta, k, p.n, "zeta"), _nodes(ubar, k, p.m, "ubar")
     s, us = stacks(p), [u.values[l] for l in range(k, p.N)]
     xs = _roll(s, k, zeta, us)
     moved = [us[0] + lam * ub_nodes] + us[1:]

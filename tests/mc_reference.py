@@ -28,7 +28,7 @@ def closed_loop_paths(p, gains, x0, t, w):
     mean = x0
     for k in range(t, p.N):
         xk = states[k]
-        uk = gains.control(k, xk)
+        uk = xk @ gains.Psi[k].T + gains.alpha[k]
         controls[k] = uk
         control_means[k] = gains.Psi[k] @ mean + gains.alpha[k]
         cA, cB, cC, cD = _sums(p, k, k)

@@ -704,17 +704,23 @@ class TestCostOverflow:
     def test_sampled_moment_overflows_at_the_step_verify_names(self, example_file, tmp_path,
                                                                capsys):
         # the sampled second moment is summed as a mean over the paths, so
-        # it overflows with the exact covariance, not `paths` times sooner
-        errs = []
-        for command, extra in (("simulate", ("--paths", 1000)), ("verify", ())):
-            capsys.readouterr()
-            assert run(command, "--input", example_file, "--out", tmp_path / command,
-                       "--x", "1e152,1e152", *extra) == 2
-            errs.append(capsys.readouterr().err)
-        assert errs == [
+        # it overflows with the exact covariance, not `paths` times sooner;
+        # at 1e153 the step-1 covariance (about 1.6e308) is finite but its
+        # sum with its transpose is not, so its symmetric part halves first
+        want = [
             "error: numerical breakdown: the sampled second moment is not finite at step 1\n",
             "error: numerical breakdown: the exact mean or covariance is not finite at step 1\n",
         ]
+        for x in ("1e152,1e152", "1e153,1e153"):
+            errs = []
+            for command, extra in (("simulate", ("--paths", 1000)), ("verify", ())):
+                capsys.readouterr()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert run(command, "--input", example_file, "--out", tmp_path / command,
+                               "--x", x, *extra) == 2
+                errs.append(capsys.readouterr().err)
+            assert errs == want, x
 
 
 class TestReaderErrors:

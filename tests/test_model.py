@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from meanfield_lq import cli, model, recursion
 from meanfield_lq.errors import DimensionMismatch, ProblemFormatError
-from meanfield_lq.model import Family, InitialPair
+from meanfield_lq.model import Family
 
 import ingest_reference
 from conftest import from_no_meanfield, make_problem
@@ -296,23 +296,6 @@ class TestNoMeanfield:
             np.max(np.abs(full.Psi[k] - bare.Psi[k])) for k in range(example.N)
         )
         assert diff > 0.01
-
-
-class TestInitialPair:
-    def test_deterministic_vector_tiles(self):
-        pair = InitialPair(2, np.array([1.0, 2.0]))
-        vals = pair.node_values(2)
-        assert vals.shape == (4, 2)
-        assert np.array_equal(vals, np.tile([1.0, 2.0], (4, 1)))
-
-    def test_node_family_passthrough(self):
-        fam = np.arange(8.0).reshape(4, 2)
-        pair = InitialPair(2, fam)
-        assert np.array_equal(pair.node_values(2), fam)
-
-    def test_wrong_dimension(self):
-        with pytest.raises(DimensionMismatch):
-            InitialPair(0, np.array([1.0, 2.0, 3.0])).node_values(2)
 
 
 class TestJson:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from meanfield_lq import matrices, model, montecarlo, recursion, tree
-from meanfield_lq.errors import HorizonMismatch
+from meanfield_lq.errors import DimensionMismatch, HorizonMismatch
 from meanfield_lq.model import InitialPair
 from meanfield_lq.tree import AdaptedProcess, ScenarioTree
 
@@ -103,6 +103,26 @@ class TestRollForward:
         control = AdaptedProcess({0: np.zeros((1, 2))})
         with pytest.raises(HorizonMismatch):
             tree.roll_forward(p, InitialPair(0, np.zeros(2)), control, 0)
+
+    def test_atom_start_is_tiled(self, rng):
+        # an n-vector start is one atom: every level-t node starts there
+        p = make_problem(rng, 2, 2, 3)
+        state = tree.roll_forward(p, InitialPair(2, [1.0, 2.0]), constant_control(p, 2), 2)
+        assert np.array_equal(state.values[2], np.tile([1.0, 2.0], (4, 1)))
+
+    def test_node_family_start_passes_through_as_a_copy(self, rng):
+        p = make_problem(rng, 2, 2, 3)
+        init = InitialPair(2, np.arange(8.0).reshape(4, 2))
+        state = tree.roll_forward(p, init, constant_control(p, 2), 2)
+        assert np.array_equal(state.values[2], init.x)
+        state.values[2][0, 0] = 99.0
+        assert np.array_equal(init.x, np.arange(8.0).reshape(4, 2))
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2), (1, 2), (4, 3)])
+    def test_wrong_start_shape_raises(self, shape, rng):
+        p = make_problem(rng, 2, 2, 3)
+        with pytest.raises(DimensionMismatch, match="initial state"):
+            tree.roll_forward(p, InitialPair(2, np.ones(shape)), constant_control(p, 2), 2)
 
 
 class TestCost:
@@ -315,6 +335,25 @@ class TestDifferenceFormula:
             res = tree.difference_formula_check(p, k, zeta, u, rng.normal(size=m),
                                                 float(rng.uniform(-1, 1)))
             assert res <= 1e-10
+
+
+class TestNodeFamilyShapes:
+    # at k = 2 with n = m = 2, a node family has 4 rows of width 2
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 2), (4, 3)])
+    def test_wrong_ubar_family_is_a_typed_error(self, shape, rng):
+        p = make_problem(rng, 2, 2, 3)
+        with pytest.raises(DimensionMismatch, match="ubar"):
+            tree.variation_cost(p, 2, np.ones(shape))
+        with pytest.raises(DimensionMismatch, match="ubar"):
+            tree.difference_formula_check(p, 2, np.zeros(2), constant_control(p, 2),
+                                          np.ones(shape), 0.5)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2), (1, 2), (4, 3)])
+    def test_wrong_zeta_family_is_a_typed_error(self, shape, rng):
+        p = make_problem(rng, 2, 2, 3)
+        with pytest.raises(DimensionMismatch, match="zeta"):
+            tree.difference_formula_check(p, 2, np.ones(shape), constant_control(p, 2),
+                                          np.ones(2), 0.5)
 
 
 class TestRepresentation:

@@ -54,7 +54,8 @@ def deviated_control(control, k, delta):
 def roll_forward(p, init, control, t):
     """Exact state rollout of the system restarted at family index t."""
     control.require(t, p.N - 1, p.m)
-    state = AdaptedProcess({t: init.node_values(p.n)})
+    x = np.asarray(init.x, dtype=float)
+    state = AdaptedProcess({t: np.tile(x, (2**t, 1)) if x.ndim == 1 else x.copy()})
     for k in range(t, p.N):
         xk = state.values[k]
         uk = control.values[k]
