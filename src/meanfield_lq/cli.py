@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from . import matrices, model, montecarlo as mc, recursion
 from .errors import EpsilonNonPositive, MeanfieldLQError, NumericalBreakdown, ProblemFormatError
-from .model import InitialPair, canonical_dumps
+from .model import InitialPair, canonical_bytes
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -53,7 +53,7 @@ def _write_outputs(args, sha: str, warnings: list, body: dict, tolerances: dict 
     """
     json_path = args.out if table is None else args.out + ".json"
     header = {"command": args.command, "tool_version": __version__, "input_sha256": sha}
-    model.write_text(json_path, canonical_dumps({**header, "warnings": warnings, **body}))
+    model.write_text(json_path, canonical_bytes({**header, "warnings": warnings, **body}))
     outputs = [json_path]
     if table is not None:
         head, rows = table
@@ -64,7 +64,7 @@ def _write_outputs(args, sha: str, warnings: list, body: dict, tolerances: dict 
     manifest = {**header, "input": args.input, "seed": getattr(args, "seed", None),
                 "tolerances": tolerances or {}, "outputs": outputs,
                 "wall_time_s": time.monotonic() - args.started}
-    model.write_text(args.out + ".manifest.json", canonical_dumps(manifest))
+    model.write_text(args.out + ".manifest.json", canonical_bytes(manifest))
     return json_path
 
 

@@ -69,20 +69,21 @@ def pinv(m) -> np.ndarray:
     quantities.  A stacked call gives every matrix the bits of its own call.
     """
     a = _as_matrix(m, "pinv input", stack=True)
-    if a.size and not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFinite("pinv: input has non-finite entries")
-    at = np.swapaxes(a, -1, -2)
+    at = a.swapaxes(-1, -2)
     if a.size == 0:
         return at.copy()
-    scale = np.max(np.abs(a), axis=(-2, -1), keepdims=True)
+    scale = np.abs(a).max(axis=(-2, -1), keepdims=True)
     zero = scale == 0.0
-    if zero.any():  # the pseudoinverse of a zero matrix is its transpose
+    any_zero = zero.any()
+    if any_zero:  # the pseudoinverse of a zero matrix is its transpose
         scale = np.where(zero, 1.0, scale)
     u, s, vt = np.linalg.svd(a / scale, full_matrices=False)
-    cutoff = max(a.shape[-2:]) * UNIT_ROUNDOFF * s[..., :1]
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    out = ((np.swapaxes(vt, -1, -2) * inv[..., None, :]) @ np.swapaxes(u, -1, -2)) / scale
-    return np.where(zero, at, out) if zero.any() else out
+    keep = s > max(a.shape[-2:]) * UNIT_ROUNDOFF * s[..., :1]
+    inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    out = ((vt.swapaxes(-1, -2) * inv[..., None, :]) @ u.swapaxes(-1, -2)) / scale
+    return np.where(zero, at, out) if any_zero else out
 
 
 def psd_check(m) -> PsdVerdict:

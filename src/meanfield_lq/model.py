@@ -433,7 +433,12 @@ def bundled_example() -> ProblemData:
 
 
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON text for nested dict/list/number/str/bool/None.
+    """`canonical_bytes` as text."""
+    return canonical_bytes(obj).decode()
+
+
+def canonical_bytes(obj) -> bytes:
+    """Deterministic UTF-8 JSON for nested dict/list/number/str/bool/None.
 
     Leaves may also be ndarrays and numpy scalars, and a `Family` is
     written as an object keyed "t,k".  Keys are sorted and every float is
@@ -443,14 +448,15 @@ def canonical_dumps(obj) -> str:
     refuses an integer beyond 64 bits, a string with a lone surrogate and a
     key that is not a string; such a document is written by `json` with
     sorted keys and compact separators, which spells floats as `repr` does
-    and escapes every character outside ASCII.
+    and escapes every character outside ASCII.  The bytes are orjson's own,
+    so a writer holds no decoded copy of the document.
     """
     if not _finite(obj):
         raise ProblemFormatError("cannot serialise non-finite float")
     try:
-        return orjson.dumps(obj, default=_plain, option=orjson.OPT_SORT_KEYS).decode()
+        return orjson.dumps(obj, default=_plain, option=orjson.OPT_SORT_KEYS)
     except orjson.JSONEncodeError:
-        return json.dumps(obj, default=_plain, sort_keys=True, separators=(",", ":"))
+        return json.dumps(obj, default=_plain, sort_keys=True, separators=(",", ":")).encode()
 
 
 def _finite(obj) -> bool:
@@ -485,16 +491,19 @@ def _plain(obj):
     raise ProblemFormatError(f"cannot serialise {type(obj).__name__}")
 
 
-def to_json(p: ProblemData) -> str:
-    """Serialise a problem instance to canonical JSON text."""
-    doc = {
+def _problem_doc(p: ProblemData) -> dict:
+    return {
         "n": p.n,
         "m": p.m,
         "N": p.N,
         "data": {name: getattr(p, name) for name in FAMILY_NAMES},
         "terminal": {"G": p.G, "Gbar": p.Gbar, "g": p.g},
     }
-    return canonical_dumps(doc)
+
+
+def to_json(p: ProblemData) -> str:
+    """Serialise a problem instance to canonical JSON text."""
+    return canonical_dumps(_problem_doc(p))
 
 
 def _bad_leaf(value):
@@ -748,19 +757,20 @@ def _read(text) -> tuple[ProblemData, list[Finding]]:
     return p, findings
 
 
-def write_text(path, text: str) -> None:
+def write_text(path, text: str | bytes) -> None:
     """Write ``text`` and a newline to ``path``, as UTF-8 with "\\n" line
-    ends: the one file writer of the package.  Callers build the whole text
-    first, so a document that cannot be serialised fails before the file
-    is opened, and an existing file keeps its bytes."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-        fh.write("\n")
+    ends: the one file writer of the package.  Bytes are taken as UTF-8
+    and written as they are.  Callers build the whole text first, so a
+    document that cannot be serialised fails before the file is opened,
+    and an existing file keeps its bytes."""
+    with open(path, "wb") as fh:
+        fh.write(text.encode() if isinstance(text, str) else text)
+        fh.write(b"\n")
 
 
 def save(p: ProblemData, path) -> None:
-    """Write ``p`` as its canonical JSON text (`to_json`)."""
-    write_text(path, to_json(p))
+    """Write ``p`` as its canonical JSON (`to_json`'s text, as bytes)."""
+    write_text(path, canonical_bytes(_problem_doc(p)))
 
 
 def _read_file(path):

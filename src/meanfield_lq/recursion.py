@@ -10,15 +10,19 @@ pseudoinverse fixes the step-l gains, and rows 0..l then advance to stage
 l together as stacked arrays.  Every value is final before anything reads
 it, which is what makes the order causal.
 
-T, script-T and pi advance through the step-l closed loop of the feedback
-u_l = Psi_l X_l + alpha_l, X_{l+1} = Fd X_l + fd + (Fw X_l + fw) w_l: with
-dA .. dD the script sums and f_l, d_l the offsets at (l, l), Fd = dA + dB
-Psi_l, Fw = dC + dD Psi_l, fd = f_l + dB alpha_l, fw = d_l + dD alpha_l,
-and with blocks at (k, l) and tables at stage l + 1 on the right,
-T      = A' T Fd + C' T Fw + (A' P B + C' P D) Psi_l
-scr-T  = scr-A' scr-T Fd + scr-C' T Fw + (scr-A' scr-P scr-B + scr-C' P scr-D) Psi_l
-pi     = scr-A' (scr-P (f + scr-B alpha_l) + scr-T fd + pi)
-         + scr-C' (P (d + scr-D alpha_l) + T fw) + q.
+The sweep runs in homogeneous coordinates (X, 1), with pi as script-T's
+last column.  With [A f B], [C d D] the step blocks at (k, l) and dA .. dD
+the script sums at (l, l), the step-l gains come out of one product chain,
+[H | beta | W] = [0 | rho | scr-R] + dB' [scr-P + scr-T | pi] [dA f dB; 0 1 0]
+                 + dD' (P + T) [dC d dD],   Psi~ = [Psi | alpha] = -W^+ [H | beta],
+the closed loop is F~d = [dA f; 0 1] + [dB; 0] Psi~, [Fw | fw] = [dC d] + dD Psi~,
+and with tables at stage l + 1 on the right, one update gives
+[scr-T | pi] = scr-A' [scr-T | pi] F~d + scr-C' T [Fw | fw] + [0 | q + scr-A' scr-P f
+               + scr-C' P d] + (scr-A' scr-P scr-B + scr-C' P scr-D) Psi~;
+T is the same update in the plain blocks and tables, its last column dropped.
+Each (plain, script) pair shares one axis, so P and script-P advance in one
+expression and T and script-T in another.  A stage's gains are tested once;
+the tables are scanned once, at the end, in sweep order.
 
 One sweep can carry several problems that differ only by a shift
 epsilon * I of the control weight in W (`solve_shifts`, which the
@@ -115,17 +119,19 @@ class _Breakdown(NumericalBreakdown):
         self.member = member
 
 
-def _check_finite(l: int, row0: int = 0, **stacks) -> None:
-    """Raise NumericalBreakdown if a stage-l stack (batch members, then rows
-    row0, row0 + 1, ...) holds a non-finite entry, naming the table and the
-    first bad row of the first bad member."""
-    for name, rows in stacks.items():
-        if not np.isfinite(rows).all():
-            bad = ~np.isfinite(rows.reshape(rows.shape[:2] + (-1,))).all(axis=2)
-            b = int(np.argmax(bad.any(axis=1)))
-            raise _Breakdown(
-                f"stage {l}: {name} is non-finite from row k={row0 + int(np.argmax(bad[b]))}", b
-            )
+def _scan_finite(N: int, bases: tuple, **stacks) -> None:
+    """Unless the arrays ``bases`` are finite, raise `_Breakdown` at the first
+    non-finite block of the stacks (views of them) in sweep order: stage, stack,
+    member, row.  Gains are (member, stage l, block), tables (member, k, l, block)."""
+    if all(np.isfinite(a).all() for a in bases):
+        return
+    for l in range(N - 1, -1, -1):
+        for name, a in stacks.items():
+            bad = ~np.isfinite(a[:, l, None] if a.ndim == 4 else a[:, :, l]).all(axis=(-2, -1))
+            if bad.any():
+                b = int(np.argmax(bad.any(axis=1)))
+                raise _Breakdown(f"stage {l}: {name} is non-finite from row "
+                                 f"k={l if a.ndim == 4 else int(np.argmax(bad[b]))}", b)
 
 
 def solve_symmetric(p: ProblemData) -> RecursionTables:
@@ -159,85 +165,82 @@ def convexity_margins(p: ProblemData, tables: RecursionTables,
 
 def _sweep(p: ProblemData, shifts: tuple) -> list:
     """The stage sweep of `solve_gdre_global` for every W-shift in
-    ``shifts`` at once, one (tables, gains, report) per shift.
-
-    T, script-T, pi and the gains carry the shifts on a leading batch
-    axis; P and script-P do not depend on W, so the members share them.
-    Raises `_Breakdown` naming the first member to break down.
-    """
+    ``shifts``, one (tables, gains, report) per shift.  Tables are
+    stage-major [.., l, k, pair]: a member's rows 0..l times a step-l map
+    are one (2 (l + 1) n, n + 1) matrix product, never a vector one, so no
+    row's bits depend on l.  Raises `_Breakdown` naming the first member to
+    break down."""
     N, n, m, nb = p.N, p.n, p.m, len(shifts)
     s = model.stacks(p)
-    P, Pc = np.zeros((N, N + 1, n, n)), np.zeros((N, N + 1, n, n))
-    T, Tc = np.zeros((nb, N, N + 1, n, n)), np.zeros((nb, N, N + 1, n, n))
-    pi = np.zeros((nb, N, N + 1, n))
-    P[:, N], Pc[:, N], pi[:, :, N] = s.G, s.cG, s.g
-    W, Wdag = np.zeros((nb, N, m, m)), np.zeros((nb, N, m, m))
-    H, Psi = np.zeros((nb, N, m, n)), np.zeros((nb, N, m, n))
-    beta, alpha = np.zeros((nb, N, m)), np.zeros((nb, N, m))
+    # (plain, script) pairs of the row blocks [A f B], [C d D] and [Q q], as [l, k, pair]
+    A, C, Q = (np.stack([np.concatenate(blocks, -1) for blocks in pair], axis=2).swapaxes(0, 1)
+               for pair in (((s.A, s.f[..., None], s.B), (s.cA, s.f[..., None], s.cB)),
+                            ((s.C, s.d[..., None], s.D), (s.cC, s.d[..., None], s.cD)),
+                            ((s.Q, s.q[..., None]), (s.cQ, s.q[..., None]))))
+    # A' of each pair; the pair's C' as one (2n, n) block, since both multiply plain tables
+    At, Ct = _t(A[..., :n]), _t(C[..., :n]).reshape(N, N, 2 * n, n)
+    # per step l, the script blocks at (l, l), homogeneous: [dC d dD; 0 0 0], [dA f dB; 0 1 0]
+    k = np.arange(N)
+    step = np.zeros((N, 2, n + 1, n + 1 + m))
+    step[:, 0, :n], step[:, 1, :n], step[:, 1, n, n] = C[k, k, 1], A[k, k, 1], 1.0
+    weight = np.concatenate((np.zeros((N, m, n)), s.rho[k, k, :, None], s.cR[k, k]), -1)
     # a zero shift adds nothing: 0 * I would turn a -0.0 in W into +0.0
     shifted = np.array(shifts) != 0.0
-    shift_eye = np.array(shifts)[shifted, None, None] * np.eye(m)
+    shift_eye = np.array(shifts)[shifted, None, None] * np.eye(m) if shifted.any() else None
+
+    # tables [.., l, k, pair]; gains [H | beta | W], W^+ and Psi~ = [Psi | alpha]
+    PP, TT = np.zeros((N + 1, N, 2, n, n)), np.zeros((nb, N + 1, N, 2, n, n + 1))
+    PP[N, :, 0], PP[N, :, 1], TT[:, N, :, 1, :, n] = s.G, s.cG, s.g
+    HBW, Wdag, Psit = (np.zeros((nb, N, m, width)) for width in (n + 1 + m, m, n + 1))
 
     for l in range(N - 1, -1, -1):
-        PT = P[l, l + 1] + T[:, l, l + 1]
-        PcTc = Pc[l, l + 1] + Tc[:, l, l + 1]
-        dA, dB, dC, dD = s.cA[l, l], s.cB[l, l], s.cC[l, l], s.cD[l, l]
-        Wl = s.cR[l, l] + dB.T @ PcTc @ dB + dD.T @ PT @ dD
-        if shifted.any():
-            Wl[shifted] += shift_eye
-        Hl = dB.T @ PcTc @ dA + dD.T @ PT @ dC
-        betal = (dB.T @ (PcTc @ s.f[l, l] + pi[:, l, l + 1])[..., None]
-                 + dD.T @ (PT @ s.d[l, l])[..., None])[..., 0] + s.rho[l, l]
-        _check_finite(l, l, W=Wl[:, None], H=Hl[:, None], beta=betal[:, None])
-        Wdl = mx.pinv(Wl)
-        W[:, l], Wdag[:, l], H[:, l], beta[:, l] = Wl, Wdl, Hl, betal
-        Psi[:, l] = -Wdl @ Hl
-        alpha[:, l] = (-Wdl @ betal[..., None])[..., 0]
+        S = TT[:, l + 1, l].copy()      # [P + T | 0], [script-P + script-T | pi]
+        S[..., :n] += PP[l + 1, l]
+        gains = weight[l] + (_t(step[l, :, :n, n + 1:]) @ (S @ step[l])).sum(axis=1)
+        if shift_eye is not None:       # after the sum, so that a tiny eps is not absorbed
+            gains[shifted, :, n + 1:] += shift_eye
+        HBW[:, l] = gains
+        if not np.isfinite(gains).all():
+            break
+        Wdag[:, l] = Wd = mx.pinv(gains[..., n + 1:])
+        Psit[:, l] = -Wd @ gains[..., :n + 1]
+        # the step-l closed loop: F~w = [dC d; 0 0] + [dD; 0] Psi~, and F~d likewise
+        Fw, Fd = (step[l, :, :, :n + 1] + step[l, :, :, n + 1:] @ Psit[:, l, None]).swapaxes(0, 1)
 
-        # the step-l closed loop X_{l+1} = Fd X_l + fd + (Fw X_l + fw) w_l
-        Psil, al = Psi[:, l, None], alpha[:, l, None, :, None]
-        Fd, Fw = dA + dB @ Psil, dC + dD @ Psil
-        fd, fw = s.f[l, l, :, None] + dB @ al, s.d[l, l, :, None] + dD @ al
+        r, rows = l + 1, (nb, l + 1, 2, n, n + 1)
+        AtP, CtP = At[l, :r] @ PP[l + 1, :r], (Ct[l, :r] @ PP[l + 1, :r, 0]).reshape(r, 2, n, n)
+        X, Y = AtP @ A[l, :r], CtP @ C[l, :r]        # [A'PA A'Pf A'PB], [C'PC C'Pd C'PD]
+        Z = Q[l, :r] + X[..., :n + 1] + Y[..., :n + 1]      # [Q + A'PA + C'PC | q + ..]
+        PP[l, :r] = mx.sym_part(Z[..., :n])
+        Tn = TT[:, l + 1, :r].reshape(nb, -1, n + 1)
+        G = (X[..., n + 1:] + Y[..., n + 1:]).reshape(-1, m)
+        TT[:, l, :r] = (At[l, :r] @ (Tn @ Fd).reshape(rows)
+                        + (Ct[l, :r] @ (Tn @ Fw).reshape(rows)[:, :, 0]).reshape(rows)
+                        + (G @ Psit[:, l]).reshape(rows))
+        TT[:, l, :r, :, :, n] += Z[..., n]
+        TT[:, l, :r, 0, :, n] = 0.0      # plain T has no affine column
 
-        rows = slice(0, l + 1)
-        A, B, C, D = s.A[rows, l], s.B[rows, l], s.C[rows, l], s.D[rows, l]
-        cA, cB, cC, cD = s.cA[rows, l], s.cB[rows, l], s.cC[rows, l], s.cD[rows, l]
-        Pn, Pcn = P[rows, l + 1], Pc[rows, l + 1]
-        AtP, CtP = _t(A) @ Pn, _t(C) @ Pn
-        cAtPc, cCtP = _t(cA) @ Pcn, _t(cC) @ Pn
-        P[rows, l] = mx.sym_part(s.Q[rows, l] + AtP @ A + CtP @ C)
-        Pc[rows, l] = mx.sym_part(s.cQ[rows, l] + cAtPc @ cA + cCtP @ cC)
-        _check_finite(l, P=P[None, rows, l], Pcal=Pc[None, rows, l])
-        Tn, Tcn = T[:, rows, l + 1], Tc[:, rows, l + 1]
-        T[:, rows, l] = _t(A) @ Tn @ Fd + _t(C) @ Tn @ Fw + (AtP @ B + CtP @ D) @ Psil
-        Tc[:, rows, l] = (_t(cA) @ Tcn @ Fd + _t(cC) @ Tn @ Fw
-                          + (cAtPc @ cB + cCtP @ cD) @ Psil)
-        # vectors as (n, 1) columns: the matrix-vector products of a single row
-        pi[:, rows, l] = (
-            _t(cA) @ (Pcn @ (s.f[rows, l, :, None] + cB @ al) + Tcn @ fd
-                      + pi[:, rows, l + 1, :, None])
-            + _t(cC) @ (Pn @ (s.d[rows, l, :, None] + cD @ al) + Tn @ fw)
-            + s.q[rows, l, :, None]
-        )[..., 0]
-        _check_finite(l, T=T[:, rows, l], Tcal=Tc[:, rows, l], pi=pi[:, rows, l])
-
-    tables = [RecursionTables(N, *(Family.full(a) for a in (P, Pc, T[b], Tc[b], pi[b])))
+    PP, TT = PP.transpose(2, 1, 0, 3, 4), TT.transpose(0, 3, 2, 1, 4, 5)   # [.., pair, k, l]
+    H, beta, W = HBW[..., :n], HBW[..., n:n + 1], HBW[..., n + 1:]
+    T, Tc, pi = TT[:, 0, ..., :n], TT[:, 1, ..., :n], TT[:, 1, ..., n]
+    _scan_finite(N, (HBW, PP, TT), W=W, H=H, beta=beta, P=PP[None, 0], Pcal=PP[None, 1],
+                 T=T, Tcal=Tc, pi=TT[:, 1, ..., n:])
+    tables = [RecursionTables(N, *(Family.full(a) for a in (PP[0], PP[1], T[b], Tc[b], pi[b])))
               for b in range(nb)]
     verdicts, mats = convexity_margins(p, tables[0], stacks=s)
     margins = [v.min_eigenvalue for v in verdicts]
     psd = all(v.is_psd for v in verdicts)
     res_h = mx.range_residuals(W, Wdag, H)
-    res_b = mx.range_residuals(W, Wdag, beta[..., None])
-    out = []
+    res_b = mx.range_residuals(W, Wdag, beta)
+    tolerances, out = [v.tolerance_used for v in verdicts], []
     for b in range(nb):
         # finite tables can still have norms that overflow; name the first step, in sweep order
-        for k in range(N - 1, -1, -1):
-            for name, value in (("convexity margin", margins[k]),
-                                ("PSD tolerance", verdicts[k].tolerance_used),
-                                ("range residual of H", res_h[b, k]),
-                                ("range residual of beta", res_b[b, k])):
-                if not np.isfinite(value):
-                    raise _Breakdown(f"stage {k}: {name} is non-finite (table norms overflow)", b)
+        bad = ~np.isfinite([margins, tolerances, res_h[b], res_b[b]])
+        if bad.any():
+            k = int(np.flatnonzero(bad.any(axis=0))[-1])
+            name = ("convexity margin", "PSD tolerance", "range residual of H",
+                    "range residual of beta")[int(np.argmax(bad[:, k]))]
+            raise _Breakdown(f"stage {k}: {name} is non-finite (table norms overflow)", b)
         report = SolvabilityReport(
             convexity_margins=margins,
             convexity_verdicts=verdicts,
@@ -254,19 +257,16 @@ def _sweep(p: ProblemData, shifts: tuple) -> list:
             ),
             range_tolerance=RANGE_TOL,
         )
-        gains = GainSchedule(*(list(a[b]) for a in (W, Wdag, H, beta, Psi, alpha)))
+        gains = GainSchedule(*(list(a[b]) for a in (W, Wdag, H, beta[..., 0], Psit[..., :n],
+                                                     Psit[..., n])))
         out.append((tables[b], gains, report))
     return out
 
 
 def solve_gdre_global(p: ProblemData) -> tuple[RecursionTables, GainSchedule, SolvabilityReport]:
-    """Solve every table and assemble the gain schedule in one stage sweep.
-
-    For l = N-1 .. 0: the gains of step l are assembled (and their
-    pseudoinverse fixed) from row l at stage l + 1, then rows 0..l of P and
-    script-P advance to stage l, and those of T, script-T and pi through
-    the step-l closed-loop maps (module docstring).  A row's arithmetic
-    does not depend on how many rows or members share its stage.
+    """Solve every table and assemble the gain schedule in one stage sweep
+    (module docstring).  A row's arithmetic does not depend on how many
+    rows or members share its stage.
 
     Raises NumericalBreakdown when a stage produces a non-finite entry.
     """
@@ -280,8 +280,7 @@ def solve_shifts(p: ProblemData, shifts
     one stage sweep: one (tables, gains, report) per shift, each bit for
     bit that of its own one-member sweep.  A shift eps adds eps * I to the
     control weight sum inside the W blocks only (the perturbed-cost
-    variant); the recursions themselves are unchanged apart from flowing
-    through the perturbed pseudoinverses.
+    variant); the members share P and script-P.
 
     Raises the NumericalBreakdown that solving the shifts one after another
     would raise first; a shifted member's message names its eps.

@@ -1,5 +1,8 @@
 """Shared generators for randomised solver and oracle tests."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,25 @@ def overflowing_member_problem(N=3):
         f=np.zeros(1), d=np.zeros(1), Q=z, Qbar=z, R=-one, Rbar=z, q=np.zeros(1),
         rho=np.zeros(1), G=one, Gbar=z, g=np.zeros(1),
     )
+
+
+def bench_problem(N, seed=1, n=2, m=2):
+    """The benchmark's instance `bench/instances.make_problem` at
+    default_rng(seed), loaded from its file so that the tests import no
+    benchmark package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("bench_instances", path)
+    instances = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(instances)
+    return instances.make_problem(np.random.default_rng(seed), n, m, N)
+
+
+def scaled_noise_problem(p, factor):
+    """``p`` with every C block (the state's noise coefficient) times
+    ``factor``, in place."""
+    for key in list(p.C):
+        p.C[key] = p.C[key] * factor
+    return p
 
 
 def duplicated_control_problem(rng, n=2, N=3):

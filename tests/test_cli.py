@@ -835,6 +835,21 @@ class TestEpsilonSweep:
                 assert row == {"eps": eps, "gain_norm": norm, "distance_to_unperturbed": dist}
                 assert line == ",".join(format(v, ".17g") for v in (eps, norm, dist))
 
+    def test_bench_instance_with_loud_noise_exits_two(self, tmp_path, capsys):
+        # the benchmark's N = 80 instance with every C block times 1e3:
+        # every solving command exits 2 with one line naming the stage
+        from conftest import bench_problem, scaled_noise_problem
+
+        path = tmp_path / "n80.json"
+        model.save(scaled_noise_problem(bench_problem(80), 1e3), path)
+        line = "error: numerical breakdown: stage 20: P is non-finite from row k=8\n"
+        for argv in (("solve",), ("solve", "--tables"),
+                     ("epsilon-sweep", "--eps", "1e-4,1e-6,1e-8")):
+            command, *rest = argv
+            capsys.readouterr()
+            assert run(command, "--input", path, "--out", tmp_path / "o", *rest) == 2
+            assert capsys.readouterr().err == line, argv
+
     def test_member_breakdown_names_its_eps(self, tmp_path, capsys):
         from conftest import overflowing_member_problem
 

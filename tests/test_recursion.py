@@ -10,8 +10,9 @@ from meanfield_lq.errors import EpsilonNonPositive, NumericalBreakdown
 from meanfield_lq.model import InitialPair
 
 import recursion_reference as rref
-from conftest import (duplicated_control_problem, identity_dynamics_problem, make_problem,
-                      overflowing_member_problem, zero_weight_problem)
+from conftest import (bench_problem, duplicated_control_problem, identity_dynamics_problem,
+                      make_problem, overflowing_member_problem, scaled_noise_problem,
+                      zero_weight_problem)
 
 
 def tail_problem(p, s):
@@ -307,7 +308,90 @@ class TestBatchedSweep:
             recursion.solve_shifts(p, (0.5, BIG))
 
 
+def breakdown_problem(edits):
+    """A 2-d, N = 5 instance with A = I/2, B = Q = R = G = I and nothing
+    else, whose blocks ``edits`` ((family, t, k) -> block) replace."""
+    z, e = np.zeros((2, 2)), np.eye(2)
+    p = model.from_time_invariant(
+        2, 2, 5, A=0.5 * e, Abar=z, B=e, Bbar=z, C=z, Cbar=z, D=z, Dbar=z,
+        f=np.zeros(2), d=np.zeros(2), Q=e, Qbar=z, R=e, Rbar=z, q=np.zeros(2),
+        rho=np.zeros(2), G=e, Gbar=z, g=np.zeros(2),
+    )
+    for (name, t, k), block in edits.items():
+        getattr(p, name)[t, k] = block
+    return p
+
+
+E2 = np.eye(2)
+
+
+class TestBreakdownMessages:
+    """Each table, and each part of the step gains, that can go non-finite
+    first is named with its stage and first bad row, alone and as an eps
+    member.  Row k = 1 overflows at stage 3 while the gains of stage 3
+    read row 3, so the sweep's later stages run on with rows that are no
+    longer finite; the first non-finite table in sweep order is still the
+    one named."""
+
+    CASES = {
+        "W": ({("B", 3, 3): 1e200 * E2}, "W", 3),
+        "H": ({("A", 3, 3): 1e300 * E2, ("B", 3, 3): 1e10 * E2}, "H", 3),
+        "beta": ({("f", 3, 3): np.full(2, 1e300), ("B", 3, 3): 1e10 * E2}, "beta", 3),
+        "P": ({("A", 1, 3): 1e200 * E2}, "P", 1),
+        "Pcal": ({("Abar", 1, 3): 1e200 * E2}, "Pcal", 1),
+        "T": ({("A", 1, 3): 1e150 * E2, ("B", 1, 3): 1e160 * E2}, "T", 1),
+        "Tcal": ({("A", 1, 3): 1e150 * E2, ("Bbar", 1, 3): 1e160 * E2}, "Tcal", 1),
+        "pi": ({("q", 1, 3): np.full(2, 1.7e308), ("f", 1, 3): np.full(2, 1e308)}, "pi", 1),
+        # the offsets overflow on their own: T and script-T stay finite
+        "pi-f": ({("A", 1, 3): 2 * E2, ("f", 1, 3): np.full(2, 1e308)}, "pi", 1),
+        "pi-d": ({("C", 1, 3): 2 * E2, ("d", 1, 3): np.full(2, 1e308)}, "pi", 1),
+        "pi-alpha": ({("B", 3, 3): 0 * E2, ("R", 3, 3): 1e-300 * E2,
+                      ("rho", 3, 3): np.full(2, 1e308)}, "pi", 0),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_names_stage_table_and_row(self, case):
+        edits, table, row = self.CASES[case]
+        p = breakdown_problem(edits)
+        msg = f"stage 3: {table} is non-finite from row k={row}"
+        for shifts, suffix in (((0.0,), ""), ((0.5,), " (eps=0.5)"), ((0.0, 0.5), ""),
+                               ((0.25, 0.5), " (eps=0.25)")):
+            with pytest.raises(NumericalBreakdown) as info:
+                recursion.solve_shifts(p, shifts)
+            assert str(info.value) == msg + suffix, shifts
+        with pytest.raises(NumericalBreakdown) as info:
+            recursion.solve_gdre_global(p)
+        assert str(info.value) == msg
+
+    def test_bench_instance_with_loud_noise(self):
+        # the benchmark's N = 80 instance with every C block times 1e3
+        p = scaled_noise_problem(bench_problem(80), 1e3)
+        msg = r"^stage 20: P is non-finite from row k=8"
+        with pytest.raises(NumericalBreakdown, match=msg + "$"):
+            recursion.solve_gdre_global(p)
+        with pytest.raises(NumericalBreakdown, match=msg + r" \(eps=0\.0001\)$"):
+            recursion.solve_shifts(p, (1e-4, 1e-6, 1e-8))
+
+
 class TestAffineFeedbackTables:
+    def test_every_row_matches_the_reference_at_depth(self):
+        # the benchmark's N = 80 instance, and shapes whose n + 1 and
+        # m + n + 1 columns differ from the square case
+        for p in (bench_problem(80), bench_problem(20, n=3, m=1),
+                  bench_problem(20, n=1, m=3)):
+            tab, gains, _ = recursion.solve_gdre_global(p)
+            ref = [rref.affine_feedback_tables(p, gains.Psi, gains.alpha, k, tab)
+                   for k in range(p.N)]
+            for name, want in (("T", lambda r, l: r[0][l]),
+                               ("Tcal", lambda r, l: r[0][l] + r[1][l]),
+                               ("pi", lambda r, l: r[2][l])):
+                got = getattr(tab, name)
+                scale = max(np.max(np.abs(want(ref[k], l)))
+                            for k in range(p.N) for l in range(k, p.N + 1))
+                worst = max(np.max(np.abs(got[k, l] - want(ref[k], l)))
+                            for k in range(p.N) for l in range(k, p.N + 1))
+                assert worst <= 1e-12 * scale, (p.n, p.m, p.N, name, worst, scale)
+
     def test_matches_global_solution_under_solved_feedback(self, rng):
         # random (n, m, N) down to 1, plus singular and zero W
         cases = [make_problem(rng, n, m, N, convex=convex)
